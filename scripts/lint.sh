@@ -14,6 +14,21 @@ BUILD_DIR="${BUILD_DIR:-build}"
 sources=$(find src -name '*.cpp' | sort)
 [ -n "$sources" ] || { echo "lint: no sources found under src/" >&2; exit 1; }
 
+# One instrumentation stream: outside src/obs and src/sim, intervals are
+# recorded through obs::Span and causal links through Engine::start_flow /
+# Engine::land. A direct call into a view (Profiler::push/pop,
+# EventGraph::node, Tracer::span/span_ids/flow_start/flow_end) would grow a
+# second, unsynchronised stream next to the span.
+stream_calls=$(grep -rnE '(\.|->)(push|pop|span)\(|(\.|->)node\([^)]|\b(flow_start|flow_end|span_ids)\(' \
+                   src tools examples bench --include='*.cpp' --include='*.hpp' |
+               grep -vE '^src/(obs|sim)/')
+if [ -n "$stream_calls" ]; then
+    echo "lint: direct instrumentation-view calls outside src/obs and src/sim" \
+         "(record through obs::Span / Engine::land instead):" >&2
+    echo "$stream_calls" >&2
+    exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then
     echo "lint: clang-tidy ($(clang-tidy --version | head -n1))"
     # shellcheck disable=SC2086

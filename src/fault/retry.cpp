@@ -5,7 +5,7 @@
 
 #include "fault/monitor.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::fault {
 
@@ -31,16 +31,13 @@ RetryOutcome retry_with_backoff(sim::Process& self, const Config& cfg,
         }
         if (spent + backoff > cfg.retry_budget) break;
         {
-            const sim::TraceScope trace(self, "fault:retry_backoff", "fault");
-            const sim::ProfScope prof(self, obs::ProfState::retry_backoff);
-            const SimTime t0 = self.now();
-            self.delay(backoff);
             // Causal graph: backoff time is retry-category so a --diff of a
             // fault-injected run against a clean one pins the delta here.
-            obs::EventGraph& g = self.engine().evgraph();
-            if (g.enabled())
-                g.node(self.id(), obs::EvCat::retry, "fault:backoff", t0,
-                       self.now());
+            const obs::Span span(self, {.name = "fault:backoff",
+                                        .trace = "fault",
+                                        .prof = obs::ProfState::retry_backoff,
+                                        .ev = obs::EvCat::retry});
+            self.delay(backoff);
         }
         // Cold path by definition (a link already failed), so resolving the
         // histogram through the engine per backoff is fine.

@@ -9,9 +9,8 @@
 #include "mpi/coll/coll.hpp"
 #include "mpi/coll/segment_set.hpp"
 #include "mpi/comm.hpp"
-#include "obs/evgraph.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::mpi::coll {
 
@@ -90,16 +89,24 @@ Alg choose(Comm& c, Op op, std::size_t bytes, CollSegmentSet** set_out) {
 }
 
 /// Per-call bookkeeping: invocation counter, routing counter, a per-(op,
-/// algorithm) counter, a trace span and the latency histogram on exit.
+/// algorithm) counter, the call's spans and the latency histogram on exit.
+///
+/// The call is two spans over the same interval, both labelled "op:alg":
+/// the trace slice carries the payload size, while the graph's transparent
+/// container node carries none (the bytes sit on the transfer nodes inside
+/// it), so the critical-path walk sees only the work it contains.
 class OpCall {
 public:
     OpCall(Comm& c, Op op, Alg alg, std::size_t bytes, bool seg)
         : c_(c),
           op_(op),
-          alg_(alg),
           t0_(c.proc().now()),
-          trace_(c.proc(), std::string(op_name(op)) + ":" + alg_name(alg), "coll",
-                 bytes) {
+          slice_(c.proc(), {.name = op_name(op),
+                            .detail = alg_name(alg),
+                            .trace = "coll",
+                            .bytes = bytes}),
+          container_(c.proc(),
+                     {.name = op_name(op), .detail = alg_name(alg), .ev = obs::EvCat::coll}) {
         CollMetrics& m = c.cluster().coll_runtime().metrics();
         m.calls[static_cast<std::size_t>(op)]->inc();
         (seg ? m.seg_ops : m.p2p_ops)->inc();
@@ -109,12 +116,11 @@ public:
             .inc();
         // Causal graph: a zero-width entry marker feeds the epoch's
         // latest-entry slot (the straggler everyone else waits for).
-        obs::EventGraph& g = c.proc().engine().evgraph();
-        if (g.enabled()) {
+        if (c.proc().engine().evgraph().enabled()) {
             CollRuntime& rt = c.cluster().coll_runtime();
             seq_ = rt.next_coll_seq(c.context(), c.rank());
-            entry_ev_ = g.node(c.proc().id(), obs::EvCat::proto, "coll:enter",
-                               t0_, t0_);
+            entry_ev_ = obs::Span::point(c.proc(),
+                                         {.name = "coll:enter", .ev = obs::EvCat::proto});
             rt.coll_enter(c.context(), seq_, entry_ev_);
         }
     }
@@ -122,19 +128,15 @@ public:
         CollMetrics& m = c_.cluster().coll_runtime().metrics();
         m.latency[static_cast<std::size_t>(op_)]->record(
             static_cast<std::uint64_t>(c_.proc().now() - t0_));
-        obs::EventGraph& g = c_.proc().engine().evgraph();
-        if (g.enabled() && entry_ev_ != 0) {
-            // Transparent container spanning the whole call; the wait_sync
-            // edge from the epoch's latest entry routes early exiters' time
-            // to the rank that arrived last.
-            const std::uint64_t exit_ev =
-                g.node(c_.proc().id(), obs::EvCat::coll,
-                       std::string(op_name(op_)) + ":" + alg_name(alg_), t0_,
-                       c_.proc().now());
+        const std::uint64_t exit_ev = container_.close();
+        if (entry_ev_ != 0) {
+            // The wait_sync edge from the epoch's latest entry routes early
+            // exiters' time to the rank that arrived last.
             const std::uint64_t latest = c_.cluster().coll_runtime().coll_exit(
                 c_.context(), seq_, c_.size());
             if (latest != 0 && latest != entry_ev_)
-                g.edge(latest, exit_ev, obs::EvCat::wait_sync);
+                c_.proc().engine().land(c_.proc(), {.node = latest}, exit_ev,
+                                        obs::EvCat::wait_sync, false);
         }
     }
     OpCall(const OpCall&) = delete;
@@ -143,9 +145,9 @@ public:
 private:
     Comm& c_;
     Op op_;
-    Alg alg_;
     SimTime t0_;
-    sim::TraceScope trace_;
+    obs::Span slice_;
+    obs::Span container_;
     std::uint64_t entry_ev_ = 0;
     std::uint64_t seq_ = 0;
 };

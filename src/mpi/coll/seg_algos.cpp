@@ -10,7 +10,7 @@
 #include "mpi/comm.hpp"
 #include "mpi/datatype/pack_ff.hpp"
 #include "mpi/datatype/pack_generic.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::mpi::coll::seg {
 
@@ -36,20 +36,12 @@ Status copy_typed_block(Comm& c, const void* in, int count, const Datatype& type
     const Status st = c.pack(in, count, type, tmp, &pos);
     if (!st) return st;
     const std::size_t spos = static_cast<std::size_t>(block) * be;
-    const sim::ProfScope pk(c.proc(), obs::ProfState::pack);
-    if (type.is_contiguous()) {
-        std::memcpy(static_cast<std::byte*>(out) + spos, tmp.data(), be);
-        c.proc().delay(c.rank_state().copy_model().copy_cost(be, {}, {}));
-    } else if (c.cluster().options().cfg.use_direct_pack_ff &&
-               type.flat().leaf_major_is_canonical()) {
-        FFPacker ff(type, n * count, out);
-        const PackWork w = ff.unpack(spos, be, tmp.data());
-        c.proc().delay(FFPacker::cost(w, c.rank_state().copy_model()));
-    } else {
-        GenericPacker gp(type, n * count, out);
-        const PackWork w = gp.unpack(spos, be, tmp.data());
-        c.proc().delay(GenericPacker::cost(w, c.rank_state().copy_model()));
-    }
+    const obs::Span pk(c.proc(), {.prof = obs::ProfState::pack});
+    const bool ff = c.cluster().options().cfg.use_direct_pack_ff &&
+                    type.flat().leaf_major_is_canonical();
+    c.proc().delay(unpack_stream(&type, n * count, out, spos, be, tmp.data(), ff,
+                                 c.rank_state().copy_model())
+                       .cost);
     return Status::ok();
 }
 

@@ -10,7 +10,7 @@
 #include "mpi/datatype/pack_ff.hpp"
 #include "mpi/datatype/pack_generic.hpp"
 #include "sim/dispatcher.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::mpi::coll {
 
@@ -180,7 +180,7 @@ Status CollSegmentSet::put_word(Comm& c, int target, std::size_t word_off,
 }
 
 void CollSegmentSet::park(Comm& c) {
-    const sim::ProfScope prof(c.proc(), obs::ProfState::wait_sync);
+    const obs::Span prof(c.proc(), {.prof = obs::ProfState::wait_sync});
     sim::WaitQueue* q = &member(c.rank()).waiters;
     // Timeout wakeup: a lost notify (or a writer that switched to the p2p
     // fallback) turns into a re-poll instead of a hang.
@@ -202,7 +202,7 @@ Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
     bool ff_used = false;
     bool generic_used = false;
     if (s.v.type == nullptr || s.v.type->is_contiguous()) {
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
+        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
         st = data.write(self, doff, static_cast<const std::byte*>(s.v.data) + spos,
                         clen, clen);
     } else if (use_ff(cfg, *s.v.type) && ff_blocks_ok(cfg, *s.v.type, s.v)) {
@@ -213,18 +213,18 @@ Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
         ff.for_range(spos, clen, [&blocks](std::byte* mem, std::size_t len) {
             blocks.push_back({mem, len});
         });
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
+        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
         st = data.write_gather(self, doff, blocks, ff.memory_traffic(clen));
         ff_used = true;
     } else {
         std::vector<std::byte> stage(clen);
         {
-            const sim::ProfScope pk(self, obs::ProfState::pack);
-            GenericPacker gp(*s.v.type, s.v.count, s.v.data);
-            const PackWork w = gp.pack(spos, clen, stage.data());
-            self.delay(GenericPacker::cost(w, c.rank_state().copy_model()));
+            const obs::Span pk(self, {.prof = obs::ProfState::pack});
+            self.delay(pack_stream(s.v.type, s.v.count, s.v.data, spos, clen,
+                                   stage.data(), false, c.rank_state().copy_model())
+                           .cost);
         }
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
+        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
         st = data.write(self, doff, stage.data(), clen, clen);
         generic_used = true;
     }
@@ -260,19 +260,13 @@ void CollSegmentSet::consume_chunk(Comm& c, ActiveRecv& r, std::size_t ci) {
         if (check::Checker* ck = cluster_.checker())
             ck->on_segment_access(m.data_seg.node, m.data_seg.id, self.id(), doff,
                                   clen, /*is_store=*/false, self.now());
-        const std::byte* src = m.data_mem.data() + doff;
-        const sim::ProfScope pk(self, obs::ProfState::pack);
-        if (use_ff(cfg, *r.v.type)) {
-            FFPacker ff(*r.v.type, r.v.count, r.v.data);
-            const PackWork w = ff.unpack(spos, clen, src);
-            self.delay(FFPacker::cost(w, c.rank_state().copy_model()));
-            cm_.ff_seg_packs->inc();
-        } else {
-            GenericPacker gp(*r.v.type, r.v.count, r.v.data);
-            const PackWork w = gp.unpack(spos, clen, src);
-            self.delay(GenericPacker::cost(w, c.rank_state().copy_model()));
-            cm_.generic_seg_packs->inc();
-        }
+        const obs::Span pk(self, {.prof = obs::ProfState::pack});
+        const StreamMove mv =
+            unpack_stream(r.v.type, r.v.count, r.v.data, spos, clen,
+                          m.data_mem.data() + doff, use_ff(cfg, *r.v.type),
+                          c.rank_state().copy_model());
+        self.delay(mv.cost);
+        (mv.path == PackPath::ff ? cm_.ff_seg_packs : cm_.generic_seg_packs)->inc();
     }
     // Acknowledge; a failed ack is dropped — the writer times out into the
     // p2p fallback on its own if the reverse direction matters.
@@ -304,20 +298,11 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
     std::memcpy(buf.data() + sizeof start_seq, &end_seq, sizeof end_seq);
     std::byte* payload = buf.data() + 2 * sizeof(std::uint64_t);
     {
-        const sim::ProfScope pk(self, obs::ProfState::pack);
-        if (s.v.type == nullptr || s.v.type->is_contiguous()) {
-            std::memcpy(payload,
-                        static_cast<const std::byte*>(s.v.data) + s.pos + off0, rem);
-            self.delay(c.rank_state().copy_model().copy_cost(rem, {}, {}));
-        } else if (use_ff(cfg, *s.v.type)) {
-            FFPacker ff(*s.v.type, s.v.count, s.v.data);
-            const PackWork w = ff.pack(s.pos + off0, rem, payload);
-            self.delay(FFPacker::cost(w, c.rank_state().copy_model()));
-        } else {
-            GenericPacker gp(*s.v.type, s.v.count, s.v.data);
-            const PackWork w = gp.pack(s.pos + off0, rem, payload);
-            self.delay(GenericPacker::cost(w, c.rank_state().copy_model()));
-        }
+        const obs::Span pk(self, {.prof = obs::ProfState::pack});
+        self.delay(pack_stream(s.v.type, s.v.count, s.v.data, s.pos + off0, rem, payload,
+                               s.v.type != nullptr && use_ff(cfg, *s.v.type),
+                               c.rank_state().copy_model())
+                       .cost);
     }
     // Whatever happens, the stream counters advance so both sides stay in
     // phase for the next transfer on this edge.
@@ -364,19 +349,11 @@ bool CollSegmentSet::fallback_recv(Comm& c, ActiveRecv& r) {
     const std::byte* payload =
         buf.data() + 2 * sizeof(std::uint64_t) + skip * chunk_;
     {
-        const sim::ProfScope pk(self, obs::ProfState::pack);
-        if (r.v.type == nullptr || r.v.type->is_contiguous()) {
-            std::memcpy(static_cast<std::byte*>(r.v.data) + spos, payload, rem);
-            self.delay(c.rank_state().copy_model().copy_cost(rem, {}, {}));
-        } else if (use_ff(cfg, *r.v.type)) {
-            FFPacker ff(*r.v.type, r.v.count, r.v.data);
-            const PackWork w = ff.unpack(spos, rem, payload);
-            self.delay(FFPacker::cost(w, c.rank_state().copy_model()));
-        } else {
-            GenericPacker gp(*r.v.type, r.v.count, r.v.data);
-            const PackWork w = gp.unpack(spos, rem, payload);
-            self.delay(GenericPacker::cost(w, c.rank_state().copy_model()));
-        }
+        const obs::Span pk(self, {.prof = obs::ProfState::pack});
+        self.delay(unpack_stream(r.v.type, r.v.count, r.v.data, spos, rem, payload,
+                                 r.v.type != nullptr && use_ff(cfg, *r.v.type),
+                                 c.rank_state().copy_model())
+                       .cost);
     }
     x.rcvd = end_seq;
     r.done = true;

@@ -170,4 +170,42 @@ std::size_t FFPacker::memory_traffic(std::size_t bytes) const {
     return model.traffic_bytes(bytes, dominant_pattern());
 }
 
+namespace {
+template <bool Pack>
+StreamMove move_stream(const Datatype* type, int count, std::byte* user, std::size_t pos,
+                       std::size_t len, std::byte* stream, bool ff,
+                       const mem::CopyModel& cm) {
+    if (type == nullptr || type->is_contiguous()) {
+        if (Pack)
+            std::memcpy(stream, user + pos, len);
+        else
+            std::memcpy(user + pos, stream, len);
+        return {PackPath::copy, cm.copy_cost(len, {}, {})};
+    }
+    if (ff) {
+        const FFPacker p(*type, count, user);
+        const PackWork w = Pack ? p.pack(pos, len, stream) : p.unpack(pos, len, stream);
+        return {PackPath::ff, FFPacker::cost(w, cm)};
+    }
+    const GenericPacker p(*type, count, user);
+    const PackWork w = Pack ? p.pack(pos, len, stream) : p.unpack(pos, len, stream);
+    return {PackPath::generic, GenericPacker::cost(w, cm)};
+}
+}  // namespace
+
+StreamMove pack_stream(const Datatype* type, int count, const void* user,
+                       std::size_t pos, std::size_t len, std::byte* out, bool ff,
+                       const mem::CopyModel& cm) {
+    return move_stream<true>(type, count,
+                             static_cast<std::byte*>(const_cast<void*>(user)), pos,
+                             len, out, ff, cm);
+}
+
+StreamMove unpack_stream(const Datatype* type, int count, void* user, std::size_t pos,
+                         std::size_t len, const std::byte* in, bool ff,
+                         const mem::CopyModel& cm) {
+    return move_stream<false>(type, count, static_cast<std::byte*>(user), pos, len,
+                              const_cast<std::byte*>(in), ff, cm);
+}
+
 }  // namespace scimpi::mpi

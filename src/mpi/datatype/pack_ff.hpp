@@ -58,4 +58,24 @@ private:
     std::vector<std::int64_t> leaf_prefix_;  // cumulative payload per leaf
 };
 
+/// Which engine moved a stream range: a plain copy (contiguous layout), the
+/// ff engine, or the generic walker.
+enum class PackPath : std::uint8_t { copy, ff, generic };
+
+struct StreamMove {
+    PackPath path;
+    SimTime cost;  ///< simulated CPU time of the move
+};
+
+/// Gather packed-stream range [pos, pos+len) of `count` x `type` at `user`
+/// into `out` (`type` null: raw bytes). Contiguous layouts are one copy;
+/// otherwise the ff engine runs when `ff`, else the generic walker.
+StreamMove pack_stream(const Datatype* type, int count, const void* user,
+                       std::size_t pos, std::size_t len, std::byte* out, bool ff,
+                       const mem::CopyModel& cm);
+/// Scatter `in` into packed-stream range [pos, pos+len) of the view.
+StreamMove unpack_stream(const Datatype* type, int count, void* user, std::size_t pos,
+                         std::size_t len, const std::byte* in, bool ff,
+                         const mem::CopyModel& cm);
+
 }  // namespace scimpi::mpi

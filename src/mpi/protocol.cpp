@@ -1,6 +1,5 @@
 // Rank protocol engine: matching, short/eager/rendezvous, progress loop.
 #include <algorithm>
-#include <cstring>
 
 #include "fault/retry.hpp"
 #include "mpi/comm.hpp"
@@ -8,8 +7,7 @@
 #include "mpi/req/request.hpp"
 #include "mpi/rma/window.hpp"
 #include "mpi/runtime.hpp"
-#include "obs/evgraph.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::mpi {
 
@@ -86,27 +84,26 @@ std::uint64_t Rank::post_ctrl(int dst, CtrlMsg msg) {
     sim::Process& self = cur_proc();
     Rank& peer = cluster_.rank_state(dst);
     const auto& p = cluster_.fabric().params();
-    const SimTime push_t0 = self.now();
+    const bool local = peer.node() == node_;
+    // The wire push; the gap to the peer's arrival node is the hop itself.
+    obs::Span push(self, {.name = ctrl_name(msg.kind),
+                          .ev = local ? obs::EvCat::proto : obs::EvCat::pio,
+                          .bytes = msg.inline_data.size()});
     SimTime delivery;
-    if (peer.node() == node_) {
+    if (local) {
         self.delay(kLocalCtrlIssue);
         delivery = kLocalCtrlDelivery;
     } else {
         // Doorbell word plus any inline payload, pushed by PIO.
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
+        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
         self.delay(p.txn_overhead + p.stream_restart);
         if (!msg.inline_data.empty())
             self.delay(adapter().pio_stream_cost(msg.inline_data.size()));
         cluster_.fabric().account(node_, peer.node(), msg.inline_data.size() + 32);
         delivery = p.write_latency + kRemotePollDetect;
     }
-    obs::EventGraph& g = self.engine().evgraph();
-    if (g.enabled())
-        msg.ev = g.node(self.id(),
-                        peer.node() == node_ ? obs::EvCat::proto : obs::EvCat::pio,
-                        ctrl_name(msg.kind), push_t0, self.now(),
-                        msg.inline_data.size());
-    const std::uint64_t push_ev = msg.ev;
+    msg.cause.node = push.close();
+    const std::uint64_t push_ev = msg.cause.node;
     auto* inbox = &peer.inbox();
     cluster_.dispatcher().after(delivery, [inbox, m = std::move(msg)]() mutable {
         inbox->send(std::move(m));
@@ -120,7 +117,7 @@ void Rank::progress_one() {
     {
         // Time blocked here is "waiting for a control message" regardless of
         // which caller spun the progress engine.
-        const sim::ProfScope wait(self, obs::ProfState::wait_recv);
+        const obs::Span wait(self, {.prof = obs::ProfState::wait_recv});
         msg = inbox_.recv(self);
     }
     dispatch(std::move(*msg));
@@ -153,7 +150,7 @@ void Rank::progress_wait() {
     // remains the sole inbox dispatcher and makes progress directly.
     if (daemon_proc_ != nullptr && proc().engine().current() != daemon_proc_) {
         sim::Process& self = cur_proc();
-        const sim::ProfScope wait(self, obs::ProfState::wait_recv);
+        const obs::Span wait(self, {.prof = obs::ProfState::wait_recv});
         progress_waiters_.park(self, "async progress");
         return;
     }
@@ -179,23 +176,22 @@ void Rank::dispatch(CtrlMsg msg) {
     // Arrival node on whichever track dispatches (rank or daemon). The gap
     // back to the sender's push node is the wire: a link edge carrying the
     // SCI node pair when the hop crossed the fabric, a scheduling edge for
-    // same-node shm delivery. msg.ev is rewritten so later handling (even
-    // after a stay in the unexpected queue) hangs off the arrival.
-    {
+    // same-node shm delivery. The cause is rewritten so later handling
+    // (even after a stay in the unexpected queue) hangs off the arrival.
+    if (msg.cause.node != 0) {
         sim::Process& self = cur_proc();
-        obs::EventGraph& g = self.engine().evgraph();
-        if (g.enabled() && msg.ev != 0) {
-            const std::uint64_t arr =
-                g.node(self.id(), obs::EvCat::proto, ctrl_name(msg.kind),
-                       self.now(), self.now(), msg.inline_data.size());
-            const int from_node =
-                msg.env.src >= 0 ? cluster_.rank_state(msg.env.src).node() : -1;
-            if (from_node >= 0 && from_node != node_)
-                g.edge(msg.ev, arr, obs::EvCat::link, from_node, node_);
-            else
-                g.edge(msg.ev, arr, obs::EvCat::sched);
-            msg.ev = arr;
-        }
+        const std::uint64_t arr = obs::Span::point(
+            self, {.name = ctrl_name(msg.kind),
+                   .ev = obs::EvCat::proto,
+                   .bytes = msg.inline_data.size()});
+        const int from_node =
+            msg.env.src >= 0 ? cluster_.rank_state(msg.env.src).node() : -1;
+        if (from_node >= 0 && from_node != node_)
+            self.engine().land(self, msg.cause, arr, obs::EvCat::link, false,
+                               from_node, node_);
+        else
+            self.engine().land(self, msg.cause, arr, obs::EvCat::sched, false);
+        msg.cause.node = arr;
     }
     switch (msg.kind) {
         case CtrlKind::short_msg:
@@ -227,7 +223,7 @@ void Rank::dispatch(CtrlMsg msg) {
         }
         case CtrlKind::eager_credit: {
             ++eager_credits_[static_cast<std::size_t>(msg.env.src)];
-            last_credit_ev_[static_cast<std::size_t>(msg.env.src)] = msg.ev;
+            last_credit_ev_[static_cast<std::size_t>(msg.env.src)] = msg.cause.node;
             credit_waiters_.wake_all();
             return;
         }
@@ -270,9 +266,7 @@ void Rank::dispatch(CtrlMsg msg) {
             RecvOp& op = *rp;
             // Terminate the message's flow arrow here: the abort is where the
             // transfer's story ends on the timeline.
-            if (op.env.flow != 0)
-                proc().engine().tracer().flow_end(proc().id(), "msg", "p2p",
-                                                  proc().now(), op.env.flow);
+            proc().engine().land(proc(), msg.cause, 0, obs::EvCat::sched, true);
             op.status = Status::error(static_cast<Errc>(msg.a),
                                       "sender aborted rendezvous from rank " +
                                           std::to_string(msg.env.src));
@@ -284,7 +278,7 @@ void Rank::dispatch(CtrlMsg msg) {
                 op.ring_mem = {};
             }
             op.complete = true;
-            op.ev_done = msg.ev;  // the abort notification ended the wait
+            op.ev_done = msg.cause.node;  // the abort notification ended the wait
             ops_.erase_recv(msg.recv_handle);
             return;
         }
@@ -305,8 +299,10 @@ bool Rank::use_ff_side(const Datatype& type, PackMode mode, bool /*fp_match*/) c
 Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
                             std::size_t ring_off, std::size_t pos, std::size_t len) {
     sim::Process& self = cur_proc();
-    const sim::TraceScope trace(self, "rndv:pack_chunk", "p2p", len);
-    const sim::ProfScope prof(self, obs::ProfState::pack);
+    const obs::Span span(self, {.name = "rndv:pack_chunk",
+                                .trace = "p2p",
+                                .prof = obs::ProfState::pack,
+                                .bytes = len});
     const Config& cfg = cluster_.options().cfg;
     auto* src = static_cast<std::byte*>(const_cast<void*>(op.buf));
     // DMA rendezvous (paper Section 6 outlook): move large chunks with the
@@ -314,18 +310,15 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
     const bool dma_ok = cfg.use_dma_rndv && len >= cfg.dma_rndv_threshold;
     const obs::ProfState io_state =
         dma_ok ? obs::ProfState::dma : obs::ProfState::pio_write;
+    const obs::EvCat io_cat = dma_ok ? obs::EvCat::dma : obs::EvCat::pio;
 
-    obs::EventGraph& g = self.engine().evgraph();
     if (op.type.is_contiguous()) {
-        const sim::ProfScope io(self, io_state);
-        const SimTime t0 = self.now();
-        const Status st =
-            dma_ok ? adapter().dma_write(self, ring, ring_off, src + pos, len)
-                   : adapter().write(self, ring, ring_off, src + pos, len, len);
-        if (g.enabled())
-            g.node(self.id(), dma_ok ? obs::EvCat::dma : obs::EvCat::pio,
-                   "rndv:write", t0, self.now(), len);
-        return st;
+        const obs::Span io(self, {.name = "rndv:write",
+                                  .prof = io_state,
+                                  .ev = io_cat,
+                                  .bytes = len});
+        return dma_ok ? adapter().dma_write(self, ring, ring_off, src + pos, len)
+                      : adapter().write(self, ring, ring_off, src + pos, len, len);
     }
 
     FFPacker ff(op.type, op.count, src);
@@ -343,72 +336,70 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
         pm_.ff_direct_blocks->add(blocks.size());
         pm_.ff_direct_bytes->add(len);
         const std::size_t traffic = ff.memory_traffic(len);
-        const sim::ProfScope io(self, io_state);
+        const obs::Span io(self, {.name = "pack:ff_direct",
+                                  .prof = io_state,
+                                  .ev = io_cat,
+                                  .bytes = len});
         const SimTime t0 = self.now();
         const Status st =
             dma_ok ? adapter().dma_write_gather(self, ring, ring_off, blocks)
                    : adapter().write_gather(self, ring, ring_off, blocks, traffic);
         if (const SimTime dt = self.now() - t0; st && dt > 0)
             pm_.ff_throughput->record(len * 1'000'000'000ull / (dt * 1'048'576ull));
-        if (g.enabled())
-            g.node(self.id(), dma_ok ? obs::EvCat::dma : obs::EvCat::pio,
-                   "pack:ff_direct", t0, self.now(), len);
         return st;
     }
 
     // Generic: local pack into a scratch buffer, then one contiguous write
-    // (the extra copy of Figure 4 top).
-    ++stats_.generic_packs;
-    pm_.generic_packs->inc();
-    pm_.generic_staged_bytes->add(len);
+    // (the extra copy of Figure 4 top). Two nodes so scimpi-analyze --diff
+    // separates the staging copy (the extra hop the ff path avoids) from the
+    // wire write itself.
     std::vector<std::byte> scratch(len);
-    GenericPacker gp(op.type, op.count, src);
-    const PackWork work = gp.pack(pos, len, scratch.data());
-    const SimTime stage_t0 = self.now();
-    self.delay(GenericPacker::cost(work, copy_model_));
-    // Two nodes so scimpi-analyze --diff separates the staging copy (the
-    // extra hop the ff path avoids) from the wire write itself.
-    if (g.enabled())
-        g.node(self.id(), obs::EvCat::pack, "pack:stage", stage_t0, self.now(), len);
-    const sim::ProfScope io(self, obs::ProfState::pio_write);
-    const SimTime write_t0 = self.now();
-    const Status st = adapter().write(self, ring, ring_off, scratch.data(), len, len);
-    if (g.enabled())
-        g.node(self.id(), obs::EvCat::pio, "pack:write", write_t0, self.now(), len);
-    return st;
+    const SimTime stage_cost = count_pack(
+        pack_stream(&op.type, op.count, src, pos, len, scratch.data(), false, copy_model_),
+        len);
+    {
+        const obs::Span stage(
+            self, {.name = "pack:stage", .ev = obs::EvCat::pack, .bytes = len});
+        self.delay(stage_cost);
+    }
+    const obs::Span io(self, {.name = "pack:write",
+                              .prof = obs::ProfState::pio_write,
+                              .ev = obs::EvCat::pio,
+                              .bytes = len});
+    return adapter().write(self, ring, ring_off, scratch.data(), len, len);
 }
 
 void Rank::unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t pos,
                             std::size_t len) {
     sim::Process& self = cur_proc();
-    const sim::TraceScope trace(self, "rndv:unpack_chunk", "p2p", len);
-    const sim::ProfScope prof(self, obs::ProfState::pack);
-    auto* dst = static_cast<std::byte*>(op.buf);
+    const obs::Span span(self, {.name = "rndv:unpack_chunk",
+                                .trace = "p2p",
+                                .prof = obs::ProfState::pack,
+                                .bytes = len});
     const std::size_t capacity =
         op.type.size() * static_cast<std::size_t>(op.count);
     if (pos >= capacity) return;  // truncated tail: drain without storing
     const std::size_t usable = std::min(len, capacity - pos);
 
-    const SimTime t0 = self.now();
-    if (op.type.is_contiguous()) {
-        self.delay(copy_model_.copy_cost(usable, {}, {}));
-        std::memcpy(dst + pos, chunk.data(), usable);
-    } else if (use_ff_side(op.type, op.mode, false)) {
+    const obs::Span unpack(self, {.name = "rndv:unpack",
+                                  .ev = obs::EvCat::pack,
+                                  .drop_empty = true,
+                                  .bytes = usable});
+    self.delay(count_pack(unpack_stream(&op.type, op.count, op.buf, pos, usable,
+                                        chunk.data(), use_ff_side(op.type, op.mode, false),
+                                        copy_model_)));
+}
+
+SimTime Rank::count_pack(const StreamMove& m, std::size_t staged) {
+    if (m.path == PackPath::ff) {
         ++stats_.ff_packs;
         pm_.ff_packs->inc();
-        FFPacker ff(op.type, op.count, dst);
-        const PackWork work = ff.unpack(pos, usable, chunk.data());
-        self.delay(FFPacker::cost(work, copy_model_));
-    } else {
+    } else if (m.path == PackPath::generic) {
         ++stats_.generic_packs;
         pm_.generic_packs->inc();
-        GenericPacker gp(op.type, op.count, dst);
-        const PackWork work = gp.unpack(pos, usable, chunk.data());
-        self.delay(GenericPacker::cost(work, copy_model_));
+        pm_.generic_staged_bytes->add(staged);
     }
-    obs::EventGraph& g = self.engine().evgraph();
-    if (g.enabled() && self.now() > t0)
-        g.node(self.id(), obs::EvCat::pack, "rndv:unpack", t0, self.now(), usable);
+    return m.cost;
 }
 
 // ---------------------------------------------------------------------------
@@ -451,125 +442,86 @@ void Rank::start_send(SendOp& op) {
     sim::Process& self = cur_proc();
     const Config& cfg = cluster_.options().cfg;
     const std::size_t bytes = op.env.bytes;
-    const sim::TraceScope trace(self, "mpi:send_start", "p2p", bytes);
+    const obs::Span span(self, {.name = "mpi:send_start", .trace = "p2p", .bytes = bytes});
     stats_.bytes_sent += bytes;
     op.env.post_time = self.now();
-    auto* src = static_cast<std::byte*>(const_cast<void*>(op.buf));
-
-    // Allocate the message's flow id lazily, when it is actually about to go
-    // on the wire, so failed sends never leave an unmatched flow start.
-    sim::Tracer& tracer = self.engine().tracer();
-    auto open_flow = [&] {
-        if (!tracer.enabled()) return;
-        op.env.flow = tracer.new_flow_id();
-        tracer.flow_start(self.id(), "msg", "p2p", self.now(), op.env.flow);
-    };
-
-    // Bulk payloads (eager slots, rendezvous chunks) need a usable route;
-    // retry with backoff while a link flap is in progress. Short messages
-    // ride the doorbell path, which is modeled hardware-reliable.
-    const int peer_node = cluster_.rank_state(op.env.dst).node();
-    auto route_ready = [this, peer_node]() -> Status {
-        if (peer_node == node_) return Status::ok();
-        if (cluster_.fabric().route_usable(node_, peer_node)) return Status::ok();
-        return Status::error(Errc::link_failure,
-                             cluster_.fabric().describe_down_route(node_, peer_node));
-    };
-
-    auto pack_inline = [&](std::vector<std::byte>& out) {
-        const sim::ProfScope prof(self, obs::ProfState::pack);
-        const SimTime pack_t0 = self.now();
-        const auto note_pack = [&] {
-            obs::EventGraph& g = self.engine().evgraph();
-            if (g.enabled() && self.now() > pack_t0)
-                g.node(self.id(), obs::EvCat::pack, "send:pack_inline", pack_t0,
-                       self.now(), bytes);
-        };
-        out.resize(bytes);
-        if (bytes == 0) return;
-        if (op.type.is_contiguous()) {
-            self.delay(copy_model_.copy_cost(bytes, {}, {}));
-            std::memcpy(out.data(), src, bytes);
-        } else if (use_ff_side(op.type, PackMode::canonical, false)) {
-            ++stats_.ff_packs;
-            pm_.ff_packs->inc();
-            FFPacker ff(op.type, op.count, src);
-            const PackWork w = ff.pack(0, bytes, out.data());
-            self.delay(FFPacker::cost(w, copy_model_));
-        } else {
-            ++stats_.generic_packs;
-            pm_.generic_packs->inc();
-            pm_.generic_staged_bytes->add(bytes);
-            GenericPacker gp(op.type, op.count, src);
-            const PackWork w = gp.pack(0, bytes, out.data());
-            self.delay(GenericPacker::cost(w, copy_model_));
-        }
-        note_pack();
-    };
-
-    if (bytes <= cfg.short_threshold) {
+    const bool is_short = bytes <= cfg.short_threshold;
+    const bool is_eager = !is_short && bytes <= cfg.eager_threshold;
+    if (is_short) {
         ++stats_.sends_short;
         pm_.sends_short->inc();
         pm_.bytes_short->add(bytes);
-        open_flow();
-        CtrlMsg msg;
-        msg.kind = CtrlKind::short_msg;
-        msg.env = op.env;
-        pack_inline(msg.inline_data);
-        op.ev_done = post_ctrl(op.env.dst, std::move(msg));
-        op.complete = true;
-        ops_.erase_send(op.handle);
-        return;
-    }
-
-    if (bytes <= cfg.eager_threshold) {
+    } else if (is_eager) {
         ++stats_.sends_eager;
         pm_.sends_eager->inc();
         pm_.bytes_eager->add(bytes);
-        if (const Status st = retry_remote(peer_node, route_ready); !st) {
+    } else {
+        ++stats_.sends_rndv;
+        pm_.sends_rndv->inc();
+        pm_.bytes_rndv->add(bytes);
+    }
+
+    // Bulk payloads (eager slots, rendezvous chunks) need a usable route:
+    // fail fast, or retry with backoff while a link flap is in progress.
+    // Short messages ride the doorbell path, which is modeled
+    // hardware-reliable; rendezvous failures after the handshake are
+    // handled chunk-by-chunk in pump_rndv.
+    if (!is_short) {
+        const int peer_node = cluster_.rank_state(op.env.dst).node();
+        const Status st = retry_remote(peer_node, [this, peer_node]() -> Status {
+            if (peer_node == node_ || cluster_.fabric().route_usable(node_, peer_node))
+                return Status::ok();
+            return Status::error(Errc::link_failure,
+                                 cluster_.fabric().describe_down_route(node_, peer_node));
+        });
+        if (!st) {
             op.status = st;
             op.complete = true;
             ops_.erase_send(op.handle);
             return;
         }
+    }
+    if (is_eager) {
         auto& credits = eager_credits_[static_cast<std::size_t>(op.env.dst)];
         if (credits == 0) {  // flow control: wait for a slot
-            const SimTime wait_t0 = self.now();
+            obs::Span wait(self, wait_span("wait:credit"));
             while (credits == 0) progress_wait();
-            note_wait(self, wait_t0,
-                      last_credit_ev_[static_cast<std::size_t>(op.env.dst)],
-                      "wait:credit");
+            end_wait(self, wait, last_credit_ev_[static_cast<std::size_t>(op.env.dst)]);
         }
         --credits;
-        open_flow();
-        CtrlMsg msg;
-        msg.kind = CtrlKind::eager;
-        msg.env = op.env;
-        pack_inline(msg.inline_data);
-        op.ev_done = post_ctrl(op.env.dst, std::move(msg));
-        op.complete = true;
-        ops_.erase_send(op.handle);
-        return;
     }
 
-    ++stats_.sends_rndv;
-    pm_.sends_rndv->inc();
-    pm_.bytes_rndv->add(bytes);
-    // Fail fast (or wait a flap out) before engaging the receiver; failures
-    // after the handshake are handled chunk-by-chunk in pump_rndv.
-    if (const Status st = retry_remote(peer_node, route_ready); !st) {
-        op.status = st;
-        op.complete = true;
-        ops_.erase_send(op.handle);
-        return;
+    // Start the message's flow arrow only now that it is about to go on the
+    // wire, so failed sends never leave an unmatched flow start.
+    op.cause = self.engine().start_flow(self, obs::Flow::msg);
+    CtrlMsg msg;
+    msg.env = op.env;
+    msg.cause = op.cause;
+    if (!is_short && !is_eager) {
+        msg.kind = CtrlKind::rndv_rts;
+        msg.sender_handle = op.handle;
+        post_ctrl(op.env.dst, std::move(msg));
+        return;  // the CTS arrives through the progress engine; pump_rndv goes on
     }
-    open_flow();
-    CtrlMsg rts;
-    rts.kind = CtrlKind::rndv_rts;
-    rts.env = op.env;
-    rts.sender_handle = op.handle;
-    post_ctrl(op.env.dst, std::move(rts));
-    // The CTS arrives through the progress engine; pump_rndv continues there.
+    msg.kind = is_short ? CtrlKind::short_msg : CtrlKind::eager;
+    {
+        const obs::Span pack(self, {.name = "send:pack_inline",
+                                    .prof = obs::ProfState::pack,
+                                    .ev = obs::EvCat::pack,
+                                    .drop_empty = true,
+                                    .bytes = bytes});
+        msg.inline_data.resize(bytes);
+        if (bytes > 0)
+            self.delay(count_pack(pack_stream(&op.type, op.count, op.buf, 0, bytes,
+                                              msg.inline_data.data(),
+                                              use_ff_side(op.type, PackMode::canonical,
+                                                          false),
+                                              copy_model_),
+                                  bytes));
+    }
+    op.ev_done = post_ctrl(op.env.dst, std::move(msg));
+    op.complete = true;
+    ops_.erase_send(op.handle);
 }
 
 void Rank::pump_rndv(SendOp& op) {
@@ -591,6 +543,7 @@ void Rank::pump_rndv(SendOp& op) {
         CtrlMsg msg;
         msg.kind = CtrlKind::rndv_chunk;
         msg.env = op.env;
+        msg.cause = op.cause;
         msg.sender_handle = op.handle;
         msg.recv_handle = op.recv_handle;
         msg.a = slot;
@@ -606,11 +559,9 @@ void Rank::pump_rndv(SendOp& op) {
     if ((op.next_pos >= op.env.bytes || op.aborted) && op.acks_pending == 0) {
         op.complete = true;
         ops_.erase_send(op.handle);
-        sim::Process& self = cur_proc();
-        obs::EventGraph& g = self.engine().evgraph();
-        if (g.enabled())
-            op.ev_done = g.node(self.id(), obs::EvCat::proto, "send:done",
-                                self.now(), self.now(), op.env.bytes);
+        op.ev_done = obs::Span::point(cur_proc(), {.name = "send:done",
+                                                   .ev = obs::EvCat::proto,
+                                                   .bytes = op.env.bytes});
         // The receiver's last ack orders its state before the sender's
         // continuation (rendezvous completion is a two-way sync point).
         if (auto* ck = cluster_.checker()) ck->on_p2p(op.env.dst, rank_);
@@ -642,6 +593,7 @@ void Rank::abort_rndv(SendOp& op, const Status& st) {
     CtrlMsg fail;
     fail.kind = CtrlKind::rndv_fail;
     fail.env = op.env;
+    fail.cause = op.cause;
     fail.sender_handle = op.handle;
     fail.recv_handle = op.recv_handle;
     fail.a = static_cast<std::uint64_t>(st.code());
@@ -701,58 +653,28 @@ bool Rank::try_match(RecvOp& op) {
 
 void Rank::deliver_inline(RecvOp& op, const CtrlMsg& msg) {
     sim::Process& self = cur_proc();
-    const sim::TraceScope trace(self, "mpi:deliver_inline", "p2p", msg.env.bytes);
+    const obs::Span span(
+        self, {.name = "mpi:deliver_inline", .trace = "p2p", .bytes = msg.env.bytes});
     const std::size_t capacity =
         op.type.size() * static_cast<std::size_t>(op.count);
     const std::size_t usable = std::min(msg.env.bytes, capacity);
     if (msg.env.bytes > capacity)
         op.status = Status::error(Errc::truncated, "message longer than receive buffer");
-    auto* dst = static_cast<std::byte*>(op.buf);
-    const SimTime unpack_t0 = self.now();
     if (usable > 0) {
-        const sim::ProfScope prof(self, obs::ProfState::pack);
-        if (op.type.is_contiguous()) {
-            self.delay(copy_model_.copy_cost(usable, {}, {}));
-            std::memcpy(dst, msg.inline_data.data(), usable);
-        } else if (use_ff_side(op.type, PackMode::canonical, false)) {
-            ++stats_.ff_packs;
-            pm_.ff_packs->inc();
-            FFPacker ff(op.type, op.count, dst);
-            const PackWork w = ff.unpack(0, usable, msg.inline_data.data());
-            self.delay(FFPacker::cost(w, copy_model_));
-        } else {
-            ++stats_.generic_packs;
-            pm_.generic_packs->inc();
-            GenericPacker gp(op.type, op.count, dst);
-            const PackWork w = gp.unpack(0, usable, msg.inline_data.data());
-            self.delay(GenericPacker::cost(w, copy_model_));
-        }
+        const obs::Span unpack(self, {.name = "deliver:unpack",
+                                      .prof = obs::ProfState::pack,
+                                      .ev = obs::EvCat::pack,
+                                      .drop_empty = true,
+                                      .bytes = usable});
+        self.delay(count_pack(unpack_stream(&op.type, op.count, op.buf, 0, usable,
+                                            msg.inline_data.data(),
+                                            use_ff_side(op.type, PackMode::canonical, false),
+                                            copy_model_)));
     }
     stats_.bytes_received += msg.env.bytes;
     op.received = msg.env.bytes;
-    op.complete = true;
-    ops_.erase_recv(op.handle);
-    obs::EventGraph& g = self.engine().evgraph();
-    if (g.enabled()) {
-        if (self.now() > unpack_t0)
-            g.node(self.id(), obs::EvCat::pack, "deliver:unpack", unpack_t0,
-                   self.now(), usable);
-        op.ev_done = g.node(self.id(), obs::EvCat::proto, "recv:done", self.now(),
-                            self.now(), msg.env.bytes);
-        if (msg.ev != 0) g.edge(msg.ev, op.ev_done, obs::EvCat::sched);
-        g.message(msg.env.src, rank_, msg.env.bytes, self.now() - msg.env.post_time);
-    }
-    // Happens-before edge for scimpi-check: the sender's clock at delivery
-    // time (an over-approximation that only *adds* order, never races).
-    if (auto* ck = cluster_.checker()) ck->on_p2p(msg.env.src, rank_);
-    // Post-to-delivery latency plus the arrow tip of the message's flow.
-    if (msg.kind == CtrlKind::short_msg)
-        pm_.lat_short->record(self.now() - msg.env.post_time);
-    else
-        pm_.lat_eager->record(self.now() - msg.env.post_time);
-    if (msg.env.flow != 0)
-        self.engine().tracer().flow_end(self.id(), "msg", "p2p", self.now(),
-                                        msg.env.flow);
+    finish_recv(op, msg,
+                msg.kind == CtrlKind::short_msg ? *pm_.lat_short : *pm_.lat_eager);
     if (msg.kind == CtrlKind::eager) {
         CtrlMsg credit;
         credit.kind = CtrlKind::eager_credit;
@@ -763,7 +685,8 @@ void Rank::deliver_inline(RecvOp& op, const CtrlMsg& msg) {
 }
 
 void Rank::handle_rts(RecvOp& op, const CtrlMsg& rts) {
-    const sim::TraceScope trace(cur_proc(), "rndv:handle_rts", "p2p", rts.env.bytes);
+    const obs::Span span(
+        cur_proc(), {.name = "rndv:handle_rts", .trace = "p2p", .bytes = rts.env.bytes});
     const Config& cfg = cluster_.options().cfg;
     const std::size_t capacity =
         op.type.size() * static_cast<std::size_t>(op.count);
@@ -794,7 +717,7 @@ void Rank::handle_rts(RecvOp& op, const CtrlMsg& rts) {
 
 void Rank::handle_chunk(RecvOp& op, const CtrlMsg& msg) {
     sim::Process& self = cur_proc();
-    const sim::TraceScope trace(self, "rndv:recv_chunk", "p2p", msg.b);
+    const obs::Span span(self, {.name = "rndv:recv_chunk", .trace = "p2p", .bytes = msg.b});
     const Config& cfg = cluster_.options().cfg;
     SCIMPI_REQUIRE(!op.ring_mem.empty(), "chunk without ring");
     const std::size_t slot = msg.a;
@@ -816,43 +739,42 @@ void Rank::handle_chunk(RecvOp& op, const CtrlMsg& msg) {
         SCIMPI_REQUIRE(cluster_.memory(node_).free(op.ring_mem).is_ok(),
                        "ring memory release failed");
         op.ring_mem = {};
-        op.complete = true;
-        ops_.erase_recv(op.handle);
-        obs::EventGraph& g = self.engine().evgraph();
-        if (g.enabled()) {
-            op.ev_done = g.node(self.id(), obs::EvCat::proto, "recv:done",
-                                self.now(), self.now(), op.env.bytes);
-            if (msg.ev != 0) g.edge(msg.ev, op.ev_done, obs::EvCat::sched);
-            g.message(op.env.src, rank_, op.env.bytes,
-                      self.now() - op.env.post_time);
-        }
-        if (auto* ck = cluster_.checker()) ck->on_p2p(op.env.src, rank_);
-        pm_.lat_rndv->record(self.now() - op.env.post_time);
-        if (op.env.flow != 0)
-            self.engine().tracer().flow_end(self.id(), "msg", "p2p", self.now(),
-                                            op.env.flow);
+        finish_recv(op, msg, *pm_.lat_rndv);
     }
+}
+
+void Rank::finish_recv(RecvOp& op, const CtrlMsg& msg, obs::Histogram& latency) {
+    sim::Process& self = cur_proc();
+    op.complete = true;
+    ops_.erase_recv(op.handle);
+    // Completion node, reached from the message's last control packet; the
+    // message's flow arrow ends here too.
+    op.ev_done = obs::Span::point(
+        self, {.name = "recv:done", .ev = obs::EvCat::proto, .bytes = op.env.bytes});
+    self.engine().land(self, msg.cause, op.ev_done, obs::EvCat::sched, true);
+    self.engine().evgraph().message(op.env.src, rank_, op.env.bytes,
+                                    self.now() - op.env.post_time);
+    // Happens-before edge for scimpi-check: the sender's clock at delivery
+    // time (an over-approximation that only *adds* order, never races).
+    if (auto* ck = cluster_.checker()) ck->on_p2p(op.env.src, rank_);
+    latency.record(self.now() - op.env.post_time);  // post-to-delivery
 }
 
 // ---------------------------------------------------------------------------
 // Blocking wrappers
 // ---------------------------------------------------------------------------
 
-void Rank::note_wait(sim::Process& self, SimTime w0, std::uint64_t release,
-                     const char* name) {
-    obs::EventGraph& g = self.engine().evgraph();
-    if (!g.enabled() || self.now() <= w0) return;
-    const std::uint64_t n =
-        g.node(self.id(), obs::EvCat::wait_recv, name, w0, self.now());
-    if (release != 0) g.edge(release, n, obs::EvCat::sched);
+void Rank::end_wait(sim::Process& self, obs::Span& wait, std::uint64_t release) {
+    self.engine().land(self, {.node = release}, wait.close(), obs::EvCat::sched, false);
 }
 
-void Rank::wait(SendOp& op) {
+template <class Op>
+void Rank::wait_op(Op& op, const char* name) {
     if (!op.complete) {
         sim::Process& self = cur_proc();
-        const SimTime wait_t0 = self.now();
+        obs::Span wait(self, wait_span(name));
         while (!op.complete) progress_wait();
-        note_wait(self, wait_t0, op.ev_done, "wait:send");
+        end_wait(self, wait, op.ev_done);
     }
     if (op.check_id != 0) {
         // Wait success hands the buffer back to the application: close the
@@ -864,19 +786,8 @@ void Rank::wait(SendOp& op) {
     }
 }
 
-void Rank::wait(RecvOp& op) {
-    if (!op.complete) {
-        sim::Process& self = cur_proc();
-        const SimTime wait_t0 = self.now();
-        while (!op.complete) progress_wait();
-        note_wait(self, wait_t0, op.ev_done, "wait:recv");
-    }
-    if (op.check_id != 0) {
-        if (auto* ck = cluster_.checker())
-            ck->on_request_complete(rank_, op.check_id, proc().now());
-        op.check_id = 0;
-    }
-}
+void Rank::wait(SendOp& op) { wait_op(op, "wait:send"); }
+void Rank::wait(RecvOp& op) { wait_op(op, "wait:recv"); }
 
 Status Rank::send(const void* buf, int count, const Datatype& type, int dst, int tag,
                   int context) {
@@ -899,7 +810,7 @@ void Rank::charge_stream_to(int dst, std::size_t bytes, std::size_t src_traffic)
         self.delay(copy_model_.copy_cost(bytes, {}, {}));
         return;
     }
-    const sim::ProfScope io(self, obs::ProfState::pio_write);
+    const obs::Span io(self, {.prof = obs::ProfState::pio_write});
     self.delay(adapter().pio_stream_cost(bytes, src_traffic));
     cluster_.fabric().account(node_, peer.node(), bytes);
 }

@@ -29,6 +29,7 @@
 #include "mpi/req/table.hpp"
 #include "mpi/types.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "sci/adapter.hpp"
 #include "smi/region.hpp"
 #include "sim/sync.hpp"
@@ -62,6 +63,8 @@ struct SendOp {
     std::uint64_t next_chunk = 0;  ///< ring chunk index to fill next
     std::uint64_t check_id = 0;    ///< scimpi-check pending-buffer entry
     std::uint64_t ev_done = 0;     ///< causal-graph completion node (wait edges)
+    obs::Cause cause;              ///< flow arrow, opened when the message
+                                   ///< goes on the wire
 };
 
 struct RecvOp {
@@ -124,13 +127,16 @@ public:
     void wait(SendOp& op);
     void wait(RecvOp& op);
 
-    /// Record a transparent wait node [w0, now] on the calling track when
-    /// time actually passed, with a scheduling edge from the completion
-    /// event `release` that ended the wait (0 = unknown). Transparent nodes
-    /// carry no blame of their own; the critical-path walk chains through
-    /// them to the delay's originator.
-    void note_wait(sim::Process& self, SimTime w0, std::uint64_t release,
-                   const char* name);
+    /// A blocking wait on the calling track: a transparent graph node over
+    /// the time it actually blocked (none when it did not). Transparent
+    /// nodes carry no blame of their own; the critical-path walk chains
+    /// through them to the delay's originator.
+    static obs::SpanInfo wait_span(const char* name) {
+        return {.name = name, .ev = obs::EvCat::wait_recv, .drop_empty = true};
+    }
+    /// Close `wait` with a scheduling edge from `release`, the completion
+    /// node that ended it (0 = unknown).
+    static void end_wait(sim::Process& self, obs::Span& wait, std::uint64_t release);
 
     /// Probe for a pending message matching (src, tag) without receiving
     /// it. Blocking variant waits until one arrives.
@@ -226,6 +232,14 @@ private:
 
     [[nodiscard]] bool use_ff_side(const Datatype& type, PackMode mode,
                                    bool fp_match) const;
+    /// Count a pack/unpack in the ff/generic stats (`staged`: bytes a
+    /// generic pack copied into a staging buffer) and return its cost.
+    SimTime count_pack(const StreamMove& m, std::size_t staged = 0);
+    /// Complete a matched receive whose last packet `msg` just landed.
+    void finish_recv(RecvOp& op, const CtrlMsg& msg, obs::Histogram& latency);
+    /// Blocking completion of a send or receive (Rank::wait).
+    template <class Op>
+    void wait_op(Op& op, const char* name);
 
     Cluster& cluster_;
     int rank_;

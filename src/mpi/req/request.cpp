@@ -236,13 +236,17 @@ Status Engine::wait(Request& r) {
     State* s = r.st_.get();
     if (!needs_completion(s)) return s != nullptr ? s->status : Status::ok();
     const SimTime enter = rank_.proc().now();
+    sim::Process& self = rank_.cur_proc();
+    obs::Span wait(self, Rank::wait_span("wait:req"));
     pump();
     if (!op_complete(*s)) {
         while (!op_complete(*s)) {
             rank_.progress_wait();
             pump();
         }
-        rank_.note_wait(rank_.cur_proc(), enter, state_ev_done(*s), "wait:req");
+        Rank::end_wait(self, wait, state_ev_done(*s));
+    } else {
+        wait.cancel();
     }
     finalize(*s, enter);
     return s->status;
@@ -273,6 +277,8 @@ Status Engine::waitall(std::span<Request> rs) {
 
 int Engine::waitany(std::span<Request> rs) {
     const SimTime enter = rank_.proc().now();
+    sim::Process& self = rank_.cur_proc();
+    obs::Span wait(self, Rank::wait_span("wait:any"));
     for (;;) {
         rank_.progress_poll();
         pump();
@@ -282,13 +288,15 @@ int Engine::waitany(std::span<Request> rs) {
             if (!needs_completion(s)) continue;
             any_active = true;
             if (op_complete(*s)) {
-                rank_.note_wait(rank_.cur_proc(), enter, state_ev_done(*s),
-                                "wait:any");
+                Rank::end_wait(self, wait, state_ev_done(*s));
                 finalize(*s, enter);
                 return static_cast<int>(i);
             }
         }
-        if (!any_active) return -1;
+        if (!any_active) {
+            wait.cancel();
+            return -1;
+        }
         rank_.progress_wait();
     }
 }

@@ -8,9 +8,31 @@
 #include "mpi/rma/proto.hpp"
 #include "mpi/rma/window.hpp"
 #include "mpi/runtime.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::mpi {
+
+namespace {
+/// The window an op signal addresses.
+Win& window_of(const std::map<int, Win*>& windows, const smi::Signal& s) {
+    const auto it = windows.find(static_cast<int>(s.a));
+    SCIMPI_REQUIRE(it != windows.end(), "rma op for unknown window");
+    return *it->second;
+}
+
+/// Acknowledge an op to its origin: `c` names a waited-for op (0: a
+/// fire-and-forget op), `a` carries an Errc when the op failed.
+void post_ack(sim::Process& self, Rank& rank, int origin, std::uint64_t c,
+              std::uint64_t a) {
+    smi::Signal ack;
+    ack.from_rank = rank.rank();
+    ack.kind = rma_proto::kAck;
+    ack.c = c;
+    ack.a = a;
+    rank.cluster().rank_state(origin).rma().channel().post(self, rank.node(),
+                                                           std::move(ack));
+}
+}  // namespace
 
 void RmaState::start_handler() {
     static constexpr const char* kName = "rma-handler-rank";
@@ -54,7 +76,7 @@ void RmaState::handler_loop(sim::Process& self) {
                 const auto it = windows_.find(static_cast<int>(s.a));
                 SCIMPI_REQUIRE(it != windows_.end(), "post for unknown window");
                 sim::note_subject(it->second);
-                ++it->second->posts_seen_;
+                ++it->second->posts_seen_[s.from_rank];
                 notify_change();
                 break;
             }
@@ -62,7 +84,7 @@ void RmaState::handler_loop(sim::Process& self) {
                 const auto it = windows_.find(static_cast<int>(s.a));
                 SCIMPI_REQUIRE(it != windows_.end(), "complete for unknown window");
                 sim::note_subject(it->second);
-                ++it->second->completes_seen_;
+                ++it->second->completes_seen_[s.from_rank];
                 notify_change();
                 break;
             }
@@ -73,10 +95,8 @@ void RmaState::handler_loop(sim::Process& self) {
 }
 
 void RmaState::serve_put(sim::Process& self, const smi::Signal& s) {
-    sim::TraceScope trace(self, "rma:serve_put", "rma");
-    const auto wit = windows_.find(static_cast<int>(s.a));
-    SCIMPI_REQUIRE(wit != windows_.end(), "put for unknown window");
-    Win& win = *wit->second;
+    obs::Span span(self, {.name = "rma:serve_put", .trace = "rma"});
+    Win& win = window_of(windows_, s);
 
     std::size_t pos = 0;
     const auto blocks = rma_proto::parse_blocks(s.payload, pos);
@@ -88,28 +108,20 @@ void RmaState::serve_put(sim::Process& self, const smi::Signal& s) {
         moved += b.len;
     }
     self.delay(rank_.copy_model().copy_cost(moved, {}, {}, blocks.size()));
-    trace.set_bytes(moved);
+    span.set_bytes(moved);
     if (win.ck_ != nullptr)
         win.ck_->on_remote_apply(win.id(), s.from_rank, self.now(), self.id());
     // The op is done once the data sits in the target window: record the
     // post-to-done latency here and land the flow arrow in this handler span.
     win.rm_.lat_emulated->record(self.now() - s.post_time);
-    if (s.flow != 0)
-        self.engine().tracer().flow_end(self.id(), "rma", "rma", self.now(), s.flow);
+    self.engine().land(self, s.cause, 0, obs::EvCat::sched, true);
 
-    smi::Signal ack;
-    ack.from_rank = rank_.rank();
-    ack.kind = rma_proto::kAck;
-    ack.c = 0;
-    rank_.cluster().rank_state(s.from_rank).rma().channel().post(self, rank_.node(),
-                                                                 std::move(ack));
+    post_ack(self, rank_, s.from_rank, 0, 0);
 }
 
 void RmaState::serve_get(sim::Process& self, const smi::Signal& s) {
-    sim::TraceScope trace(self, "rma:serve_get", "rma");
-    const auto wit = windows_.find(static_cast<int>(s.a));
-    SCIMPI_REQUIRE(wit != windows_.end(), "get for unknown window");
-    Win& win = *wit->second;
+    obs::Span span(self, {.name = "rma:serve_get", .trace = "rma"});
+    Win& win = window_of(windows_, s);
 
     std::size_t pos = 0;
     const auto blocks = rma_proto::parse_blocks(s.payload, pos);
@@ -131,7 +143,7 @@ void RmaState::serve_get(sim::Process& self, const smi::Signal& s) {
         iov.push_back({win.local().data() + b.off, b.len});
         total += b.len;
     }
-    trace.set_bytes(total);
+    span.set_bytes(total);
     // The write back to the origin's staging segment crosses the fabric and
     // can hit injected faults; retry under the shared backoff policy and, if
     // the budget runs out, report the error through the ack instead of
@@ -144,23 +156,14 @@ void RmaState::serve_get(sim::Process& self, const smi::Signal& s) {
     if (out.status.is_ok()) rank_.adapter().store_barrier(self);
     if (win.ck_ != nullptr)
         win.ck_->on_remote_apply(win.id(), s.from_rank, self.now(), self.id());
-    if (s.flow != 0)
-        self.engine().tracer().flow_end(self.id(), "rma", "rma", self.now(), s.flow);
+    self.engine().land(self, s.cause, 0, obs::EvCat::sched, true);
 
-    smi::Signal ack;
-    ack.from_rank = rank_.rank();
-    ack.kind = rma_proto::kAck;
-    ack.c = s.c;
-    ack.a = static_cast<std::uint64_t>(out.status.code());
-    rank_.cluster().rank_state(s.from_rank).rma().channel().post(self, rank_.node(),
-                                                                 std::move(ack));
+    post_ack(self, rank_, s.from_rank, s.c, static_cast<std::uint64_t>(out.status.code()));
 }
 
 void RmaState::serve_accumulate(sim::Process& self, const smi::Signal& s) {
-    sim::TraceScope trace(self, "rma:serve_accumulate", "rma");
-    const auto wit = windows_.find(static_cast<int>(s.a));
-    SCIMPI_REQUIRE(wit != windows_.end(), "accumulate for unknown window");
-    Win& win = *wit->second;
+    obs::Span span(self, {.name = "rma:serve_accumulate", .trace = "rma"});
+    Win& win = window_of(windows_, s);
 
     std::size_t pos = 0;
     const auto blocks = rma_proto::parse_blocks(s.payload, pos);
@@ -180,19 +183,13 @@ void RmaState::serve_accumulate(sim::Process& self, const smi::Signal& s) {
     // Read-modify-write: two local streams plus the flops.
     self.delay(2 * rank_.copy_model().copy_cost(moved, {}, {}, blocks.size()) +
                static_cast<SimTime>(moved / sizeof(double)));
-    trace.set_bytes(moved);
+    span.set_bytes(moved);
     if (win.ck_ != nullptr)
         win.ck_->on_remote_apply(win.id(), s.from_rank, self.now(), self.id());
     win.rm_.lat_emulated->record(self.now() - s.post_time);
-    if (s.flow != 0)
-        self.engine().tracer().flow_end(self.id(), "rma", "rma", self.now(), s.flow);
+    self.engine().land(self, s.cause, 0, obs::EvCat::sched, true);
 
-    smi::Signal ack;
-    ack.from_rank = rank_.rank();
-    ack.kind = rma_proto::kAck;
-    ack.c = 0;
-    rank_.cluster().rank_state(s.from_rank).rma().channel().post(self, rank_.node(),
-                                                                 std::move(ack));
+    post_ack(self, rank_, s.from_rank, 0, 0);
 }
 
 }  // namespace scimpi::mpi

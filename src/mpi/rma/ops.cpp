@@ -2,23 +2,43 @@
 // (direct put, direct get, remote-put get, emulated put/accumulate).
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "mpi/comm.hpp"
 #include "mpi/rma/proto.hpp"
 #include "mpi/rma/window.hpp"
 #include "mpi/runtime.hpp"
-#include "obs/evgraph.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::mpi {
 
 namespace {
 
-/// Record an rma-category node covering [t0, now] when time passed.
-void note_rma(sim::Process& self, const char* name, SimTime t0, std::size_t bytes) {
-    obs::EventGraph& g = self.engine().evgraph();
-    if (g.enabled() && self.now() > t0)
-        g.node(self.id(), obs::EvCat::rma, name, t0, self.now(), bytes);
+/// An rma-category graph node over the op's execution (none if no time
+/// passed), optionally holding a profiler state.
+obs::SpanInfo rma_span(const char* name, std::size_t bytes,
+                       std::optional<obs::ProfState> prof = {}) {
+    return {.name = name,
+            .prof = prof,
+            .ev = obs::EvCat::rma,
+            .drop_empty = true,
+            .bytes = bytes};
+}
+
+/// The emulated paths' origin-side phases: pack into the signal payload,
+/// then stream it to the target with PIO.
+void pack_payload(sim::Process& self, smi::Signal& s, const Datatype& type, int count,
+                  const void* origin, std::size_t bytes, const mem::CopyModel& cm) {
+    const std::size_t header = s.payload.size();
+    s.payload.resize(header + bytes);
+    const obs::Span pack(self, {.prof = obs::ProfState::pack});
+    GenericPacker gp(type, count, const_cast<void*>(origin));
+    const PackWork work = gp.pack(0, bytes, s.payload.data() + header);
+    self.delay(GenericPacker::cost(work, cm));
+}
+void stream_payload(sim::Process& self, const smi::Signal& s, sci::SciAdapter& a) {
+    const obs::Span io(self, {.prof = obs::ProfState::pio_write});
+    self.delay(a.pio_stream_cost(s.payload.size()));
 }
 
 /// Collect the basic blocks of `count` x `type` as (offset, len) pairs in
@@ -52,38 +72,14 @@ Status Win::put(const void* origin, int count, const Datatype& type, int target,
     Datatype t = type;
     if (!t.committed()) t.commit(comm_->cluster().options().cfg);
     const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
-    const sim::TraceScope trace(rank_->proc(), "rma:put", "rma", bytes);
+    const obs::Span span(rank_->proc(), {.name = "rma:put", .trace = "rma", .bytes = bytes});
     if (bytes == 0) return Status::ok();
-    const std::size_t needed =
-        static_cast<std::size_t>(t.extent()) * static_cast<std::size_t>(count);
-    const int wtarget = comm_->world_rank(target);
-    sim::Process& self = rank_->proc();
-    if (disp + needed > peers_[static_cast<std::size_t>(target)].size) {
-        if (ck_ != nullptr)
-            ck_->on_oob(id_, rank_->rank(), wtarget, disp, needed,
-                        peers_[static_cast<std::size_t>(target)].size, self.now(),
-                        self.id());
-        return Status::error(Errc::invalid_argument, "put beyond window bounds");
-    }
-
-    if (target == my_rank()) {
-        if (ck_ != nullptr)
-            ck_->on_rma_op(id_, rank_->rank(), rank_->rank(),
-                           check::AccessKind::local_store, check_mode(target),
-                           check_blocks(t, count, disp), self.now(), self.id());
+    if (const Status st = admit(check::AccessKind::put, check::AccessKind::local_store,
+                                t, count, target, disp, false);
+        !st)
+        return st;
+    if (target == my_rank())
         return op_local(const_cast<void*>(origin), count, t, disp, /*is_put=*/true);
-    }
-    if (!epoch_allows(target)) {
-        if (ck_ != nullptr)
-            ck_->on_op_outside_epoch(id_, rank_->rank(), wtarget,
-                                     check::AccessKind::put,
-                                     {disp, disp + needed}, self.now(), self.id());
-        return Status::error(Errc::rma_sync_error, "put outside any access epoch");
-    }
-    if (ck_ != nullptr)
-        ck_->on_rma_op(id_, rank_->rank(), wtarget, check::AccessKind::put,
-                       check_mode(target), check_blocks(t, count, disp),
-                       self.now(), self.id());
     if (peers_[static_cast<std::size_t>(target)].shared &&
         comm_->cluster().options().cfg.osc_direct && direct_path_usable(target))
         return put_direct(origin, count, t, target, disp);
@@ -95,39 +91,14 @@ Status Win::get(void* origin, int count, const Datatype& type, int target,
     Datatype t = type;
     if (!t.committed()) t.commit(comm_->cluster().options().cfg);
     const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
-    const sim::TraceScope trace(rank_->proc(), "rma:get", "rma", bytes);
+    const obs::Span span(rank_->proc(), {.name = "rma:get", .trace = "rma", .bytes = bytes});
     if (bytes == 0) return Status::ok();
-    const std::size_t needed =
-        static_cast<std::size_t>(t.extent()) * static_cast<std::size_t>(count);
-    const int wtarget = comm_->world_rank(target);
-    sim::Process& self = rank_->proc();
-    if (disp + needed > peers_[static_cast<std::size_t>(target)].size) {
-        if (ck_ != nullptr)
-            ck_->on_oob(id_, rank_->rank(), wtarget, disp, needed,
-                        peers_[static_cast<std::size_t>(target)].size, self.now(),
-                        self.id());
-        return Status::error(Errc::invalid_argument, "get beyond window bounds");
-    }
-
+    if (const Status st = admit(check::AccessKind::get, check::AccessKind::local_load,
+                                t, count, target, disp, false);
+        !st)
+        return st;
+    if (target == my_rank()) return op_local(origin, count, t, disp, /*is_put=*/false);
     const Config& cfg = comm_->cluster().options().cfg;
-    if (target == my_rank()) {
-        if (ck_ != nullptr)
-            ck_->on_rma_op(id_, rank_->rank(), rank_->rank(),
-                           check::AccessKind::local_load, check_mode(target),
-                           check_blocks(t, count, disp), self.now(), self.id());
-        return op_local(origin, count, t, disp, /*is_put=*/false);
-    }
-    if (!epoch_allows(target)) {
-        if (ck_ != nullptr)
-            ck_->on_op_outside_epoch(id_, rank_->rank(), wtarget,
-                                     check::AccessKind::get,
-                                     {disp, disp + needed}, self.now(), self.id());
-        return Status::error(Errc::rma_sync_error, "get outside any access epoch");
-    }
-    if (ck_ != nullptr)
-        ck_->on_rma_op(id_, rank_->rank(), wtarget, check::AccessKind::get,
-                       check_mode(target), check_blocks(t, count, disp),
-                       self.now(), self.id());
     // Direct remote reads are slow on SCI: only up to the threshold, and
     // only when the target window is directly accessible (Section 4.2).
     if (peers_[static_cast<std::size_t>(target)].shared && cfg.osc_direct &&
@@ -136,6 +107,41 @@ Status Win::get(void* origin, int count, const Datatype& type, int target,
     if (peers_[static_cast<std::size_t>(target)].shared && cfg.osc_direct)
         rm_.get_conversions->inc();
     return get_remote_put(origin, count, t, target, disp);
+}
+
+Status Win::admit(check::AccessKind kind, check::AccessKind local_kind,
+                  const Datatype& t, int count, int target, std::size_t disp,
+                  bool doubles) {
+    const char* what = kind == check::AccessKind::put   ? "put"
+                       : kind == check::AccessKind::get ? "get"
+                                                        : "accumulate";
+    const std::size_t needed =
+        static_cast<std::size_t>(t.extent()) * static_cast<std::size_t>(count);
+    const int wtarget = comm_->world_rank(target);
+    sim::Process& self = rank_->proc();
+    const std::size_t size = peers_[static_cast<std::size_t>(target)].size;
+    if (disp + needed > size) {
+        if (ck_ != nullptr)
+            ck_->on_oob(id_, rank_->rank(), wtarget, disp, needed, size, self.now(),
+                        self.id());
+        return Status::error(Errc::invalid_argument,
+                             std::string(what) + " beyond window bounds");
+    }
+    if (doubles && (t.size() * static_cast<std::size_t>(count)) % sizeof(double) != 0)
+        return Status::error(Errc::invalid_argument, "accumulate needs doubles");
+    const bool local = target == my_rank();
+    if (!local && !epoch_allows(target)) {
+        if (ck_ != nullptr)
+            ck_->on_op_outside_epoch(id_, rank_->rank(), wtarget, kind,
+                                     {disp, disp + needed}, self.now(), self.id());
+        return Status::error(Errc::rma_sync_error,
+                             std::string(what) + " outside any access epoch");
+    }
+    if (ck_ != nullptr)
+        ck_->on_rma_op(id_, rank_->rank(), wtarget, local ? local_kind : kind,
+                       check_mode(target), check_blocks(t, count, disp), self.now(),
+                       self.id());
+    return Status::ok();
 }
 
 bool Win::direct_path_usable(int target) {
@@ -172,9 +178,8 @@ Status Win::op_local(void* origin, int count, const Datatype& type, std::size_t 
         moved += len;
         ++blocks;
     });
-    const SimTime t0 = self.now();
+    const obs::Span span(self, rma_span("rma:local", moved));
     self.delay(cm.copy_cost(moved, {}, {}, static_cast<std::size_t>(blocks)));
-    note_rma(self, "rma:local", t0, moved);
     return st;
 }
 
@@ -182,9 +187,10 @@ Status Win::put_direct(const void* origin, int count, const Datatype& type, int 
                        std::size_t disp) {
     ++stats_.direct_puts;
     rm_.direct_puts->inc();
-    rm_.direct_put_bytes->add(type.size() * static_cast<std::size_t>(count));
+    const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
+    rm_.direct_put_bytes->add(bytes);
     sim::Process& self = rank_->proc();
-    const sim::ProfScope io(self, obs::ProfState::pio_write);
+    const obs::Span io(self, rma_span("rma:put_direct", bytes, obs::ProfState::pio_write));
     const SimTime t0 = self.now();
     const sci::SciMapping& map = peer_mapping(target);
     const auto* user = static_cast<const std::byte*>(origin);
@@ -195,7 +201,6 @@ Status Win::put_direct(const void* origin, int count, const Datatype& type, int 
                                     user + off, len, len);
     });
     if (st) rm_.lat_direct->record(self.now() - t0);
-    note_rma(self, "rma:put_direct", t0, type.size() * static_cast<std::size_t>(count));
     return st;
 }
 
@@ -204,7 +209,9 @@ Status Win::get_direct(void* origin, int count, const Datatype& type, int target
     ++stats_.direct_gets;
     rm_.direct_gets->inc();
     sim::Process& self = rank_->proc();
-    const sim::ProfScope io(self, obs::ProfState::pio_write);
+    const obs::Span io(self, rma_span("rma:get_direct",
+                                      type.size() * static_cast<std::size_t>(count),
+                                      obs::ProfState::pio_write));
     const SimTime t0 = self.now();
     const sci::SciMapping& map = peer_mapping(target);
     auto* user = static_cast<std::byte*>(origin);
@@ -215,7 +222,6 @@ Status Win::get_direct(void* origin, int count, const Datatype& type, int target
                                    user + off, len);
     });
     if (st) rm_.lat_direct->record(self.now() - t0);
-    note_rma(self, "rma:get_direct", t0, type.size() * static_cast<std::size_t>(count));
     return st;
 }
 
@@ -227,7 +233,7 @@ Status Win::put_emulated(const void* origin, int count, const Datatype& type,
     const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
     rm_.emulated_puts->inc();
     rm_.emulated_put_bytes->add(bytes);
-    const SimTime ev_t0 = self.now();
+    const obs::Span span(self, rma_span("rma:put_emulated", bytes));
 
     smi::Signal s;
     s.from_rank = rank_->rank();  // world rank: acks route through the cluster
@@ -237,28 +243,13 @@ Status Win::put_emulated(const void* origin, int count, const Datatype& type,
     rma_proto::serialize_blocks(s.payload, layout_blocks(type, count, disp));
 
     // Pack the data in canonical order behind the descriptors.
-    const std::size_t header = s.payload.size();
-    s.payload.resize(header + bytes);
-    {
-        const sim::ProfScope prof(self, obs::ProfState::pack);
-        GenericPacker gp(type, count, const_cast<void*>(origin));
-        const PackWork work = gp.pack(0, bytes, s.payload.data() + header);
-        self.delay(GenericPacker::cost(work, rank_->copy_model()));
-    }
-    {
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
-        self.delay(rank_->adapter().pio_stream_cost(s.payload.size()));
-    }
+    pack_payload(self, s, type, count, origin, bytes, rank_->copy_model());
+    stream_payload(self, s, rank_->adapter());
 
-    sim::Tracer& tracer = self.engine().tracer();
-    if (tracer.enabled()) {
-        s.flow = tracer.new_flow_id();
-        tracer.flow_start(self.id(), "rma", "rma", self.now(), s.flow);
-    }
+    s.cause = self.engine().start_flow(self, obs::Flow::rma);
     rma.add_pending();
     Rank& peer = comm_->cluster().rank_state(comm_->world_rank(target));
     peer.rma().channel().post(self, rank_->node(), std::move(s));
-    note_rma(self, "rma:put_emulated", ev_t0, bytes);
     return Status::ok();
 }
 
@@ -279,7 +270,7 @@ Status Win::get_remote_put(void* origin, int count, const Datatype& type, int ta
 
     const std::uint64_t op_id = rma.next_op_id();
     auto done = rma.new_op_event(op_id);
-    const SimTime issue_t0 = self.now();
+    obs::Span issue(self, rma_span("rma:get_issue", bytes));
 
     smi::Signal s;
     s.from_rank = rank_->rank();
@@ -290,29 +281,21 @@ Status Win::get_remote_put(void* origin, int count, const Datatype& type, int ta
     s.c = op_id;
     s.post_time = self.now();
     rma_proto::serialize_blocks(s.payload, layout_blocks(type, count, disp));
-    {
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
-        self.delay(rank_->adapter().pio_stream_cost(s.payload.size()));
-    }
+    stream_payload(self, s, rank_->adapter());
 
-    sim::Tracer& tracer = self.engine().tracer();
-    if (tracer.enabled()) {
-        s.flow = tracer.new_flow_id();
-        tracer.flow_start(self.id(), "rma", "rma", self.now(), s.flow);
-    }
+    s.cause = self.engine().start_flow(self, obs::Flow::rma);
     const SimTime t0 = self.now();
     Rank& peer = cluster.rank_state(comm_->world_rank(target));
     peer.rma().channel().post(self, rank_->node(), std::move(s));
-    note_rma(self, "rma:get_issue", issue_t0, bytes);
+    issue.close();
     {
         // Blocked until the target handler writes + barriers, then acks.
-        const sim::ProfScope wait(self, obs::ProfState::wait_sync);
-        const SimTime wait_t0 = self.now();
+        const obs::Span wait(self, {.name = "rma:get_wait",
+                                    .prof = obs::ProfState::wait_sync,
+                                    .ev = obs::EvCat::wait_sync,
+                                    .drop_empty = true,
+                                    .bytes = bytes});
         done->wait(self);
-        obs::EventGraph& g = self.engine().evgraph();
-        if (g.enabled() && self.now() > wait_t0)
-            g.node(self.id(), obs::EvCat::wait_sync, "rma:get_wait", wait_t0,
-                   self.now(), bytes);
     }
     rm_.lat_remote_put->record(self.now() - t0);
 
@@ -327,7 +310,7 @@ Status Win::get_remote_put(void* origin, int count, const Datatype& type, int ta
     }
 
     // Scatter the staged stream into the origin layout (local copy).
-    const SimTime scatter_t0 = self.now();
+    obs::Span scatter(self, rma_span("rma:get_scatter", bytes));
     auto* user = static_cast<std::byte*>(origin);
     const std::byte* cursor = staging.value().data();
     std::int64_t blocks = 0;
@@ -338,7 +321,7 @@ Status Win::get_remote_put(void* origin, int count, const Datatype& type, int ta
     });
     self.delay(rank_->copy_model().copy_cost(bytes, {}, {},
                                              static_cast<std::size_t>(blocks)));
-    note_rma(self, "rma:get_scatter", scatter_t0, bytes);
+    scatter.close();
 
     SCIMPI_REQUIRE(cluster.directory().destroy(seg).is_ok(), "staging seg leak");
     SCIMPI_REQUIRE(cluster.memory(rank_->node()).free(staging.value()).is_ok(),
@@ -354,32 +337,13 @@ Status Win::accumulate(const void* origin, int count, const Datatype& type,
     Datatype t = type;
     if (!t.committed()) t.commit(comm_->cluster().options().cfg);
     const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
-    const sim::TraceScope trace(self, "rma:accumulate", "rma", bytes);
+    const obs::Span span(self, {.name = "rma:accumulate", .trace = "rma", .bytes = bytes});
     if (bytes == 0) return Status::ok();
-    const std::size_t needed =
-        static_cast<std::size_t>(t.extent()) * static_cast<std::size_t>(count);
-    const int wtarget = comm_->world_rank(target);
-    if (disp + needed > peers_[static_cast<std::size_t>(target)].size) {
-        if (ck_ != nullptr)
-            ck_->on_oob(id_, rank_->rank(), wtarget, disp, needed,
-                        peers_[static_cast<std::size_t>(target)].size, self.now(),
-                        self.id());
-        return Status::error(Errc::invalid_argument, "accumulate beyond window bounds");
-    }
-    if (bytes % sizeof(double) != 0)
-        return Status::error(Errc::invalid_argument, "accumulate needs doubles");
-    if (target != my_rank() && !epoch_allows(target)) {
-        if (ck_ != nullptr)
-            ck_->on_op_outside_epoch(id_, rank_->rank(), wtarget,
-                                     check::AccessKind::accumulate,
-                                     {disp, disp + needed}, self.now(), self.id());
-        return Status::error(Errc::rma_sync_error,
-                             "accumulate outside any access epoch");
-    }
-    if (ck_ != nullptr)
-        ck_->on_rma_op(id_, rank_->rank(), wtarget, check::AccessKind::accumulate,
-                       check_mode(target), check_blocks(t, count, disp),
-                       self.now(), self.id());
+    if (const Status st = admit(check::AccessKind::accumulate,
+                                check::AccessKind::accumulate, t, count, target, disp,
+                                /*doubles=*/true);
+        !st)
+        return st;
 
     if (target == my_rank()) {
         // Local read-modify-write straight on the window.
@@ -403,7 +367,7 @@ Status Win::accumulate(const void* origin, int count, const Datatype& type,
     // Accumulate always goes through the target handler: SCI offers no
     // remote read-modify-write, so the combination happens target-side.
     RmaState& rma = rank_->rma();
-    const SimTime ev_t0 = self.now();
+    const obs::Span op_span(self, rma_span("rma:accumulate", bytes));
     smi::Signal s;
     s.from_rank = rank_->rank();
     s.kind = rma_proto::kAccumulate;
@@ -411,28 +375,13 @@ Status Win::accumulate(const void* origin, int count, const Datatype& type,
     s.b = static_cast<std::uint64_t>(op);
     s.post_time = self.now();
     rma_proto::serialize_blocks(s.payload, layout_blocks(t, count, disp));
-    const std::size_t header = s.payload.size();
-    s.payload.resize(header + bytes);
-    {
-        const sim::ProfScope prof(self, obs::ProfState::pack);
-        GenericPacker gp(t, count, const_cast<void*>(origin));
-        const PackWork work = gp.pack(0, bytes, s.payload.data() + header);
-        self.delay(GenericPacker::cost(work, rank_->copy_model()));
-    }
-    {
-        const sim::ProfScope io(self, obs::ProfState::pio_write);
-        self.delay(rank_->adapter().pio_stream_cost(s.payload.size()));
-    }
+    pack_payload(self, s, t, count, origin, bytes, rank_->copy_model());
+    stream_payload(self, s, rank_->adapter());
 
-    sim::Tracer& tracer = self.engine().tracer();
-    if (tracer.enabled()) {
-        s.flow = tracer.new_flow_id();
-        tracer.flow_start(self.id(), "rma", "rma", self.now(), s.flow);
-    }
+    s.cause = self.engine().start_flow(self, obs::Flow::rma);
     rma.add_pending();
     Rank& peer = comm_->cluster().rank_state(comm_->world_rank(target));
     peer.rma().channel().post(self, rank_->node(), std::move(s));
-    note_rma(self, "rma:accumulate", ev_t0, bytes);
     return Status::ok();
 }
 

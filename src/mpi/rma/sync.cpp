@@ -3,19 +3,59 @@
 #include "mpi/rma/proto.hpp"
 #include "mpi/rma/window.hpp"
 #include "mpi/runtime.hpp"
-#include "obs/evgraph.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 #include <algorithm>
+#include <map>
+#include <optional>
 
 namespace scimpi::mpi {
 
 namespace {
-/// Transparent wait_sync node covering [t0, now]; zero-width nodes are kept
-/// so the checker's lock hand-over edges have a stable anchor.
-void note_sync(sim::Process& self, const char* name, SimTime t0) {
-    obs::EventGraph& g = self.engine().evgraph();
-    if (g.enabled()) g.node(self.id(), obs::EvCat::wait_sync, name, t0, self.now());
+/// Transparent wait_sync node over a synchronization call, optionally
+/// holding the profiler's wait_sync state. Zero-width nodes are kept so the
+/// checker's lock hand-over edges have a stable anchor; each span closes
+/// before the checker hook that may hang an edge off it.
+obs::SpanInfo sync_span(const char* name, bool waits) {
+    return {.name = name,
+            .prof = waits ? std::optional(obs::ProfState::wait_sync) : std::nullopt,
+            .ev = obs::EvCat::wait_sync};
+}
+
+/// True when every peer in `group` (communicator ranks) has an unconsumed
+/// signal in `seen` (keyed by world rank).
+bool all_signalled(const Comm& comm, const std::vector<int>& group,
+                   const std::map<int, int>& seen) {
+    return std::all_of(group.begin(), group.end(), [&](int r) {
+        const auto it = seen.find(comm.world_rank(r));
+        return it != seen.end() && it->second > 0;
+    });
+}
+
+/// World ranks of the communicator ranks in `group`.
+std::vector<int> world_ranks(const Comm& comm, const std::vector<int>& group) {
+    std::vector<int> out;
+    out.reserve(group.size());
+    for (const int r : group) out.push_back(comm.world_rank(r));
+    return out;
+}
+
+/// Send this window's `kind` signal (post/complete) to every rank in `group`.
+void signal_group(Comm& comm, Rank& rank, int win_id, int kind,
+                  const std::vector<int>& group) {
+    for (const int world : world_ranks(comm, group)) {
+        smi::Signal s;
+        s.from_rank = rank.rank();
+        s.kind = kind;
+        s.a = static_cast<std::uint64_t>(win_id);
+        comm.cluster().rank_state(world).rma().channel().post(rank.proc(), rank.node(),
+                                                              std::move(s));
+    }
+}
+
+/// Consume one signal from each peer in `group`.
+void consume(const Comm& comm, const std::vector<int>& group, std::map<int, int>& seen) {
+    for (const int r : group) --seen[comm.world_rank(r)];
 }
 }  // namespace
 
@@ -39,8 +79,7 @@ check::SyncMode Win::check_mode(int target) const {
 
 void Win::fence() {
     sim::Process& self = rank_->proc();
-    const sim::TraceScope trace(self, "rma:fence", "rma");
-    const SimTime t0 = self.now();
+    obs::Span span(self, {.name = "rma:fence", .trace = "rma", .ev = obs::EvCat::wait_sync});
     fence_epoch_ = true;  // a fence both closes the old epoch and opens a new one
     // 1. Direct puts of this epoch must have arrived at their targets.
     rank_->adapter().store_barrier(self);
@@ -48,30 +87,17 @@ void Win::fence() {
     rank_->rma().wait_all_pending(self);
     // 3. Epoch separation across the group.
     comm_->barrier();
-    note_sync(self, "rma:fence", t0);
+    span.close();
     if (ck_ != nullptr) ck_->on_fence(id_, rank_->rank(), self.now(), self.id());
 }
 
 void Win::post(std::span<const int> origin_group) {
     sim::Process& self = rank_->proc();
     exposure_group_.assign(origin_group.begin(), origin_group.end());
-    if (ck_ != nullptr) {
-        std::vector<int> origins;
-        origins.reserve(exposure_group_.size());
-        for (const int o : exposure_group_) origins.push_back(comm_->world_rank(o));
-        ck_->on_post(id_, rank_->rank(), origins, self.now(), self.id());
-    }
-    for (const int origin : exposure_group_) {
-        smi::Signal s;
-        s.from_rank = rank_->rank();
-        s.kind = rma_proto::kPost;
-        s.a = static_cast<std::uint64_t>(id_);
-        comm_->cluster()
-            .rank_state(comm_->world_rank(origin))
-            .rma()
-            .channel()
-            .post(self, rank_->node(), std::move(s));
-    }
+    if (ck_ != nullptr)
+        ck_->on_post(id_, rank_->rank(), world_ranks(*comm_, exposure_group_), self.now(),
+                     self.id());
+    signal_group(*comm_, *rank_, id_, rma_proto::kPost, exposure_group_);
 }
 
 void Win::start(std::span<const int> target_group) {
@@ -80,39 +106,27 @@ void Win::start(std::span<const int> target_group) {
     // increments when a kPost signal lands.
     sim::note_subject(this);
     access_group_.assign(target_group.begin(), target_group.end());
-    // Wait until every target in the group has posted its exposure epoch.
-    const sim::ProfScope wait(self, obs::ProfState::wait_sync);
-    const SimTime t0 = self.now();
-    while (posts_seen_ < static_cast<int>(access_group_.size()))
+    // Wait for, and consume, one post from each target in the group. A
+    // target that already ran ahead into its next exposure epoch may have
+    // posted twice; its second post stays for the next start().
+    obs::Span span(self, sync_span("rma:start", true));
+    while (!all_signalled(*comm_, access_group_, posts_seen_))
         rank_->rma().wait_signal_change(self);
-    posts_seen_ -= static_cast<int>(access_group_.size());
-    note_sync(self, "rma:start", t0);
-    if (ck_ != nullptr) {
-        std::vector<int> targets;
-        targets.reserve(access_group_.size());
-        for (const int t : access_group_) targets.push_back(comm_->world_rank(t));
-        ck_->on_start(id_, rank_->rank(), targets, self.now(), self.id());
-    }
+    consume(*comm_, access_group_, posts_seen_);
+    span.close();
+    if (ck_ != nullptr)
+        ck_->on_start(id_, rank_->rank(), world_ranks(*comm_, access_group_), self.now(),
+                      self.id());
 }
 
 void Win::complete() {
     sim::Process& self = rank_->proc();
-    const SimTime t0 = self.now();
+    obs::Span span(self, sync_span("rma:complete", false));
     rank_->adapter().store_barrier(self);
     rank_->rma().wait_all_pending(self);
-    note_sync(self, "rma:complete", t0);
+    span.close();
     if (ck_ != nullptr) ck_->on_complete(id_, rank_->rank(), self.now(), self.id());
-    for (const int target : access_group_) {
-        smi::Signal s;
-        s.from_rank = rank_->rank();
-        s.kind = rma_proto::kComplete;
-        s.a = static_cast<std::uint64_t>(id_);
-        comm_->cluster()
-            .rank_state(comm_->world_rank(target))
-            .rma()
-            .channel()
-            .post(self, rank_->node(), std::move(s));
-    }
+    signal_group(*comm_, *rank_, id_, rma_proto::kComplete, access_group_);
     access_group_.clear();
 }
 
@@ -120,8 +134,8 @@ bool Win::test() {
     // DPOR dependence: the order of this read against the rma handler's
     // kComplete increment decides whether the epoch looks open or closed.
     sim::note_subject(this);
-    if (completes_seen_ < static_cast<int>(exposure_group_.size())) return false;
-    completes_seen_ -= static_cast<int>(exposure_group_.size());
+    if (!all_signalled(*comm_, exposure_group_, completes_seen_)) return false;
+    consume(*comm_, exposure_group_, completes_seen_);
     // Only a test() that actually closes an open exposure epoch is a wait;
     // repeated calls with no epoch would read as unmatched waits otherwise.
     if (ck_ != nullptr && !exposure_group_.empty()) {
@@ -135,12 +149,11 @@ bool Win::test() {
 void Win::wait() {
     sim::Process& self = rank_->proc();
     sim::note_subject(this);
-    const sim::ProfScope wait(self, obs::ProfState::wait_sync);
-    const SimTime t0 = self.now();
-    while (completes_seen_ < static_cast<int>(exposure_group_.size()))
+    obs::Span span(self, sync_span("rma:wait", true));
+    while (!all_signalled(*comm_, exposure_group_, completes_seen_))
         rank_->rma().wait_signal_change(self);
-    completes_seen_ -= static_cast<int>(exposure_group_.size());
-    note_sync(self, "rma:wait", t0);
+    consume(*comm_, exposure_group_, completes_seen_);
+    span.close();
     if (ck_ != nullptr) ck_->on_wait(id_, rank_->rank(), self.now(), self.id());
     exposure_group_.clear();
 }
@@ -149,18 +162,16 @@ void Win::lock(int target, bool /*exclusive*/) {
     // Shared-memory lock owned by the target rank (paper ref. [14]). Only
     // exclusive locks are implemented — shared locks degrade to exclusive.
     sim::Process& self = rank_->proc();
-    const SimTime t0 = self.now();
     {
-        const sim::ProfScope wait(self, obs::ProfState::wait_sync);
+        // Closed before on_lock: the checker's hand-over edge (previous
+        // unlocker -> this acquisition) must land on this wait node.
+        const obs::Span span(self, sync_span("rma:lock", true));
         comm_->cluster()
             .rank_state(comm_->world_rank(target))
             .rma()
             .win_lock(id_)
             .acquire(self, rank_->node());
     }
-    // Recorded before on_lock: the checker's hand-over edge (previous
-    // unlocker -> this acquisition) must land on this wait node.
-    note_sync(self, "rma:lock", t0);
     locked_.push_back(target);
     if (ck_ != nullptr)
         ck_->on_lock(id_, rank_->rank(), comm_->world_rank(target), self.now(),
@@ -175,11 +186,7 @@ void Win::unlock(int target) {
     rank_->rma().wait_all_pending(self);
     // Recorded before on_unlock: the checker stashes this node as the
     // hand-over source for the next acquirer of the lock.
-    {
-        obs::EventGraph& g = self.engine().evgraph();
-        if (g.enabled())
-            g.node(self.id(), obs::EvCat::rma, "rma:unlock", self.now(), self.now());
-    }
+    obs::Span::point(self, {.name = "rma:unlock", .ev = obs::EvCat::rma});
     if (ck_ != nullptr)
         ck_->on_unlock(id_, rank_->rank(), comm_->world_rank(target), self.now(),
                        self.id());

@@ -3,7 +3,7 @@
 #include "mpi/comm.hpp"
 #include "mpi/rank.hpp"
 #include "mpi/runtime.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 #include <algorithm>
 
@@ -134,7 +134,7 @@ smi::SmiLock& RmaState::win_lock(int win_id) {
 }
 
 void RmaState::wait_all_pending(sim::Process& self) {
-    const sim::ProfScope wait(self, obs::ProfState::wait_sync);
+    const obs::Span wait(self, {.prof = obs::ProfState::wait_sync});
     while (pending_ > 0) pending_q_.park(self, "rma pending acks");
 }
 

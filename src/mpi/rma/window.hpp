@@ -33,6 +33,7 @@
 namespace scimpi::check {
 class Checker;
 enum class SyncMode : std::uint8_t;
+enum class AccessKind : std::uint8_t;
 }
 
 namespace scimpi::mpi {
@@ -131,6 +132,13 @@ private:
     Status op_local(void* origin_or_src, int count, const Datatype& type,
                     std::size_t disp, bool is_put);
 
+    /// Shared checks of put/get/accumulate: window bounds, (for
+    /// accumulate) double granularity, and the access epoch; reports the
+    /// access, or the violation, to the checker.
+    Status admit(check::AccessKind kind, check::AccessKind local_kind,
+                 const Datatype& t, int count, int target, std::size_t disp,
+                 bool doubles);
+
     /// Degraded-mode routing: false when the direct (mapped-segment) path to
     /// `target` is currently unusable and Config::rma_fallback redirects the
     /// op to the handler-based emulation (counted as a path fallback).
@@ -177,8 +185,11 @@ private:
 
     // post/start/complete/wait bookkeeping (counters incremented by the
     // handler daemon, waited on by the rank process).
-    int posts_seen_ = 0;       // RMA_POST notifications received (origin side)
-    int completes_seen_ = 0;   // RMA_COMPLETE notifications (target side)
+    // Unconsumed RMA_POST (origin side) and RMA_COMPLETE (target side)
+    // notifications per sending world rank, so an epoch is released only by
+    // its own peers' signals.
+    std::map<int, int> posts_seen_;
+    std::map<int, int> completes_seen_;
     std::vector<int> access_group_;
     std::vector<int> exposure_group_;
     bool fence_epoch_ = false;      // between two fences

@@ -107,10 +107,10 @@ Cluster::Cluster(ClusterOptions opt)
         opt_.cfg.use_direct_pack_ff = env_flag("SCIMPI_DIRECT_PACK");
     if (!opt_.stats_file.empty()) opt_.collect_stats = true;
     metrics_.enable(opt_.collect_stats);
-    engine_.profiler().enable(opt_.profile);
-    if (!opt_.trace_file.empty()) engine_.tracer().enable();
+    engine_.enable_views((opt_.profile ? sim::kViewProfile : 0u) |
+                         (opt_.trace_file.empty() ? 0u : sim::kViewTrace) |
+                         (opt_.evlog.empty() ? 0u : sim::kViewGraph));
     if (!opt_.evlog.empty()) {
-        engine_.evgraph().enable();
         if (opt_.evlog_cap == 0)
             opt_.evlog_cap = static_cast<std::size_t>(env_u64("SCIMPI_EVLOG_CAP"));
         if (opt_.evlog_cap > 0) engine_.evgraph().set_cap(opt_.evlog_cap);
@@ -269,17 +269,9 @@ void Cluster::flush_telemetry() {
         if (!st) SCIMPI_WARN("evlog dump failed: ", st.to_string());
     }
     if (!opt_.trace_file.empty()) {
-        // Critical-path overlay: replay the walk's attributed segments as
-        // spans on a dedicated track, so Perfetto shows *where* the path ran
+        // Critical-path overlay: Perfetto shows *where* the path ran
         // alongside the per-rank spans.
-        if (engine_.evgraph().enabled() && engine_.tracer().enabled()) {
-            const obs::CriticalPath cp =
-                obs::critical_path(engine_.evgraph(), engine_.now());
-            engine_.tracer().set_track_name(-2, "critical path");
-            for (const obs::CritSeg& s : cp.segments)
-                engine_.tracer().span(-2, obs::ev_cat_name(s.cat), "critpath",
-                                      s.t0, s.t1);
-        }
+        engine_.trace_critical_path();
         // Replay the recorded series as Chrome-trace counter tracks so
         // Perfetto shows utilization/queue-depth curves beside the spans.
         if (recorder_.enabled() && engine_.tracer().enabled()) {
@@ -357,20 +349,9 @@ obs::RunReport Cluster::stats_report() const {
     if (engine_.profiler().enabled()) {
         for (const auto& rk : ranks_) {
             if (rk->proc_ == nullptr) continue;  // run() never started
-            const obs::Profiler::Snapshot s =
-                engine_.profiler().snapshot(rk->proc_->id(), engine_.now());
-            obs::RunReport::RankProfile p;
-            p.rank = rk->rank();
-            p.state_ns = s.state_ns;
-            p.total_ns = s.total_ns;
-            p.late_senders = s.late_senders;
-            p.late_receivers = s.late_receivers;
-            p.late_sender_wait_ns = s.late_sender_wait_ns;
-            p.late_receiver_wait_ns = s.late_receiver_wait_ns;
-            p.overlap_ops = s.overlap_ops;
-            p.overlap_ns = s.overlap_ns;
-            p.comm_window_ns = s.comm_window_ns;
-            r.profiles.push_back(p);
+            r.profiles.push_back(
+                {engine_.profiler().snapshot(rk->proc_->id(), engine_.now()),
+                 rk->rank()});
         }
     }
     return r;

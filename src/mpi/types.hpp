@@ -6,6 +6,7 @@
 
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "obs/cause.hpp"
 
 namespace scimpi::mpi {
 
@@ -24,7 +25,6 @@ struct Envelope {
     bool sender_canonical = true; ///< sender's leaf-major order == type map
     SimTime post_time = 0;        ///< virtual time the send was posted
                                   ///< (post→delivery latency histograms)
-    std::uint64_t flow = 0;       ///< trace flow id (0 = tracing disabled)
 };
 
 /// How a rendezvous stream is packed on the wire.
@@ -56,10 +56,10 @@ struct CtrlMsg {
     std::vector<std::byte> inline_data;  ///< short payload
     SimTime arrived = 0;  ///< receiver-side arrival stamp (set when the message
                           ///< is parked in the unexpected queue)
-    std::uint64_t ev = 0;  ///< causal-graph node the message hangs off: the
-                           ///< sender's wire-push node at post_ctrl time,
-                           ///< rewritten to the receiver's arrival node by
-                           ///< dispatch (0 = event graph disabled)
+    obs::Cause cause;  ///< graph node the message hangs off (the sender's
+                       ///< wire-push node, rewritten to the receiver's
+                       ///< arrival node by dispatch) and the flow arrow of
+                       ///< the user message it belongs to
 };
 
 /// Result of a receive operation.

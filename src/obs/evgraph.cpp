@@ -33,15 +33,6 @@ bool ev_cat_parse(std::string_view s, EvCat& out) {
     return false;
 }
 
-std::uint32_t EventGraph::intern(std::string_view s) {
-    const auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(names_.size());
-    names_.emplace_back(s);
-    ids_.emplace(names_.back(), id);
-    return id;
-}
-
 std::uint64_t EventGraph::node(int track, EvCat cat, std::string_view name,
                                SimTime t0, SimTime t1, std::uint64_t bytes,
                                bool transparent) {
@@ -146,7 +137,7 @@ Status EventGraph::write_jsonl(const std::string& path, SimTime sim_time) const 
                       static_cast<unsigned long long>(i + 1), n.track,
                       ev_cat_name(n.cat));
         out += buf;
-        json_escape(out, names_[n.name]);
+        json_escape(out, names_.name(n.name));
         std::snprintf(buf, sizeof buf, "\",\"t0\":%lld,\"t1\":%lld",
                       static_cast<long long>(n.t0), static_cast<long long>(n.t1));
         out += buf;

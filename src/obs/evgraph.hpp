@@ -32,11 +32,11 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "obs/intern.hpp"
 
 namespace scimpi::obs {
 
@@ -93,7 +93,6 @@ public:
         enabled_ = true;
         if (nodes_.capacity() < kReserveNodes) nodes_.reserve(kReserveNodes);
     }
-    void disable() { enabled_ = false; }
     [[nodiscard]] bool enabled() const { return enabled_; }
 
     /// Cap on recorded nodes; once reached, node() drops (counted in the
@@ -110,9 +109,9 @@ public:
     }
     [[nodiscard]] int world() const;
 
-    std::uint32_t intern(std::string_view s);
+    std::uint32_t intern(std::string_view s) { return names_.intern(s); }
     [[nodiscard]] const std::string& name(std::uint32_t id) const {
-        return names_.at(id);
+        return names_.name(id);
     }
 
     /// Record an interval node, chained after the track's previous node.
@@ -155,17 +154,6 @@ public:
 private:
     static constexpr std::size_t kReserveNodes = 4096;
 
-    struct SvHash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view s) const {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-    struct SvEq {
-        using is_transparent = void;
-        bool operator()(std::string_view x, std::string_view y) const { return x == y; }
-    };
-
     bool enabled_ = false;
     std::size_t cap_ = 4u << 20;  // 4M nodes ≈ a few hundred MiB of JSONL
     std::uint64_t dropped_ = 0;
@@ -174,9 +162,7 @@ private:
     std::map<int, std::uint64_t> last_;
     std::map<int, int> track_rank_;
     std::map<std::pair<int, int>, EvMsgCell> traffic_;
-    std::vector<std::string> names_{std::string()};  // id 0 == ""
-    std::unordered_map<std::string, std::uint32_t, SvHash, SvEq> ids_{
-        {std::string(), 0}};
+    Interner names_;
 };
 
 /// An event log parsed back from disk (scimpi-analyze, tests).

@@ -269,20 +269,9 @@ struct RunReport {
 
     /// Per-rank time attribution (see obs/profiler.hpp); filled only when
     /// the run's Profiler was enabled. State times sum to sim_time_ns.
-    struct RankProfile {
+    /// A rank's profiler snapshot (JSON adds the derived overlap_ratio).
+    struct RankProfile : Profiler::Snapshot {
         int rank = 0;
-        std::array<std::uint64_t, kProfStates> state_ns{};
-        std::uint64_t total_ns = 0;
-        std::uint64_t late_senders = 0;
-        std::uint64_t late_receivers = 0;
-        std::uint64_t late_sender_wait_ns = 0;
-        std::uint64_t late_receiver_wait_ns = 0;
-        /// Nonblocking-request overlap (mpi/req): of comm_window_ns of
-        /// issue→completion time across overlap_ops requests, overlap_ns ran
-        /// hidden under compute. JSON adds the derived overlap_ratio.
-        std::uint64_t overlap_ops = 0;
-        std::uint64_t overlap_ns = 0;
-        std::uint64_t comm_window_ns = 0;
     };
     std::vector<RankProfile> profiles;
 

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace scimpi::sci {
 
@@ -46,8 +46,9 @@ DmaEngine::Handle DmaEngine::post_read(sim::Process& self, const SciMapping& map
 void DmaEngine::engine_loop(sim::Process& self) {
     for (;;) {
         Descriptor d = queue_.recv(self);
-        const sim::TraceScope trace(self, d.is_write ? "dma:write" : "dma:read",
-                                    "sci", d.len);
+        const obs::Span span(self, {.name = d.is_write ? "dma:write" : "dma:read",
+                                    .trace = "sci",
+                                    .bytes = d.len});
         if (d.is_write) {
             d.handle->result = adapter_.dma_write(self, d.map, d.off, d.src, d.len);
         } else {

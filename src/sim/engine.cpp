@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "obs/span.hpp"
 #include "sim/process.hpp"
 #include "sim/schedule.hpp"
 
@@ -66,6 +67,65 @@ void Engine::set_sampler(SimTime cadence, std::function<void(SimTime)> fn) {
     sampler_ = std::move(fn);
     // First boundary strictly after the current time.
     sampler_next_ = (now_ / cadence + 1) * cadence;
+}
+
+void Engine::enable_views(unsigned views) {
+    views_ |= views;
+    if ((views & kViewTrace) != 0) tracer_.enable();
+    if ((views & kViewProfile) != 0) profiler_.enable();
+    if ((views & kViewGraph) != 0) evgraph_.enable();
+}
+
+void Engine::open_span(obs::Span& s) {
+    s.t0_ = now_;
+    if (s.info_.prof && (views_ & kViewProfile) != 0)
+        profiler_.push(s.proc_->id(), *s.info_.prof, now_);
+}
+
+void Engine::close_span(obs::Span& s) {
+    const obs::SpanInfo& in = s.info_;
+    const int track = s.proc_->id();
+    if (in.prof && (views_ & kViewProfile) != 0) profiler_.pop(track, now_);
+    if (in.drop_empty && now_ == s.t0_) return;
+    const bool traced = in.trace != nullptr && (views_ & kViewTrace) != 0;
+    const bool graphed = in.ev && (views_ & kViewGraph) != 0;
+    if (!traced && !graphed) return;
+    std::string joined;
+    std::string_view label = in.name;
+    if (!in.detail.empty()) {
+        joined.append(in.name).append(":").append(in.detail);
+        label = joined;
+    }
+    if (traced)
+        tracer_.span(track, label, in.trace, s.t0_, now_, in.bytes);
+    if (graphed)
+        s.id_ = evgraph_.node(track, *in.ev, label, s.t0_, now_,
+                              in.bytes == Tracer::kNoArg ? 0 : in.bytes, in.transparent);
+}
+
+obs::Cause Engine::start_flow(Process& p, obs::Flow kind) {
+    if ((views_ & kViewTrace) == 0) return {};
+    const obs::Cause c{.flow = next_flow_++, .kind = kind};
+    const bool rma = kind == obs::Flow::rma;
+    tracer_.flow_start(p.id(), rma ? "rma" : "msg", rma ? "rma" : "p2p", now_, c.flow);
+    return c;
+}
+
+void Engine::land(Process& p, const obs::Cause& c, std::uint64_t to, obs::EvCat cat,
+                  bool ends_flow, int a, int b) {
+    evgraph_.edge(c.node, to, cat, a, b);
+    if (!ends_flow || c.flow == 0) return;
+    // Perfetto binds a flow's finish to its start by (name, category).
+    const bool rma = c.kind == obs::Flow::rma;
+    tracer_.flow_end(p.id(), rma ? "rma" : "msg", rma ? "rma" : "p2p", now_, c.flow);
+}
+
+void Engine::trace_critical_path() {
+    if (!evgraph_.enabled() || !tracer_.enabled()) return;
+    const obs::CriticalPath cp = obs::critical_path(evgraph_, now_);
+    tracer_.set_track_name(-2, "critical path");
+    for (const obs::CritSeg& seg : cp.segments)
+        tracer_.span(-2, obs::ev_cat_name(seg.cat), "critpath", seg.t0, seg.t1);
 }
 
 std::uint64_t Engine::wall_ns() const {

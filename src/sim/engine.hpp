@@ -20,14 +20,23 @@
 
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "obs/cause.hpp"
 #include "obs/evgraph.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "sim/trace.hpp"
+
+namespace scimpi::obs {
+class Span;
+}  // namespace scimpi::obs
 
 namespace scimpi::sim {
 
 class Process;
 class ScheduleController;
+
+/// The views an obs::Span can feed (bit flags for Engine::enable_views).
+enum View : unsigned { kViewTrace = 1, kViewProfile = 2, kViewGraph = 4 };
 
 class Engine {
 public:
@@ -66,19 +75,34 @@ public:
     /// cadence <= 0 removes the hook.
     void set_sampler(SimTime cadence, std::function<void(SimTime)> fn);
 
-    /// Event tracer (disabled by default; see sim/trace.hpp).
+    /// Turn on views (View bits, or-ed in); all are off by default. Spans
+    /// (obs/span.hpp) feed exactly the enabled views; the views themselves
+    /// are read by the exporters (trace JSON, RunReport, event log).
+    void enable_views(unsigned views);
+    [[nodiscard]] unsigned views() const { return views_; }
     [[nodiscard]] Tracer& tracer() { return tracer_; }
-
-    /// Per-track time-attribution profiler (disabled by default; see
-    /// obs/profiler.hpp and sim::ProfScope).
-    [[nodiscard]] obs::Profiler& profiler() { return profiler_; }
     [[nodiscard]] const obs::Profiler& profiler() const { return profiler_; }
-
-    /// Causal event graph for critical-path analysis (disabled by default;
-    /// see obs/evgraph.hpp). Lives on the engine like the tracer so deep
-    /// layers (protocol, fault retry) reach it without plumbing.
+    [[nodiscard]] obs::Profiler& profiler() { return profiler_; }
     [[nodiscard]] obs::EventGraph& evgraph() { return evgraph_; }
     [[nodiscard]] const obs::EventGraph& evgraph() const { return evgraph_; }
+
+    /// Called by obs::Span only: the one place where profiler states are
+    /// pushed and popped, trace slices recorded and graph nodes added.
+    void open_span(obs::Span& s);
+    void close_span(obs::Span& s);
+
+    /// A Cause carrying a fresh flow arrow of `kind` started at `p`'s
+    /// current time (empty while not tracing); callers set its node.
+    obs::Cause start_flow(Process& p, obs::Flow kind);
+    /// `c` caused graph node `to` on `p`'s track: records the edge c.node
+    /// -> to (gap charged to `cat`; a->b names the SCI link crossed) and,
+    /// when `ends_flow`, the tip of c's flow arrow there and now.
+    void land(Process& p, const obs::Cause& c, std::uint64_t to, obs::EvCat cat,
+              bool ends_flow, int a = -1, int b = -1);
+
+    /// Replay the graph's critical path as slices on a "critical path" trace
+    /// track (no-op unless both views run).
+    void trace_critical_path();
 
     /// Attach a metrics registry: the engine then feeds `sim.context_switches`
     /// (baton handovers) and `sim.deadlock_checks` (end-of-run blocked-process
@@ -137,6 +161,8 @@ private:
     SimTime sampler_next_ = 0;
     std::function<void(SimTime)> sampler_;
     Process* current_ = nullptr;
+    unsigned views_ = 0;
+    std::uint64_t next_flow_ = 1;
     Tracer tracer_;
     obs::Profiler profiler_;
     obs::EventGraph evgraph_;

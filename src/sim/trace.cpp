@@ -5,20 +5,8 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
-#include "sim/process.hpp"
 
 namespace scimpi::sim {
-
-std::uint32_t Tracer::intern(std::string_view s) {
-    if (s.empty()) return 0;
-    const auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(names_.size());
-    names_.emplace_back(s);
-    ids_.emplace(names_.back(), id);
-    return id;
-}
 
 std::string Tracer::to_chrome_json() const {
     std::string out = "[\n";
@@ -43,11 +31,11 @@ std::string Tracer::to_chrome_json() const {
         if (!first) out += ",\n";
         first = false;
         out += R"(  {"name": ")";
-        obs::json_escape(out, names_[e.name_id]);
+        obs::json_escape(out, names_.name(e.name_id));
         out += '"';
         if (e.cat_id != 0) {
             out += R"(, "cat": ")";
-            obs::json_escape(out, names_[e.cat_id]);
+            obs::json_escape(out, names_.name(e.cat_id));
             out += '"';
         }
         switch (e.kind) {
@@ -112,34 +100,6 @@ Status Tracer::write_chrome_json(const std::string& path) const {
         return Status::error(Errc::io_error, "trace: short write to '" + path +
                                                  "': " + std::strerror(write_errno));
     return Status::ok();
-}
-
-TraceScope::TraceScope(Process& proc, std::string_view name, std::string_view cat,
-                       std::uint64_t bytes)
-    : proc_(proc),
-      bytes_(bytes),
-      t0_(proc.now()),
-      armed_(proc.engine().tracer().enabled()) {
-    if (armed_) {
-        Tracer& tr = proc_.engine().tracer();
-        name_id_ = tr.intern(name);
-        cat_id_ = tr.intern(cat);
-    }
-}
-
-TraceScope::~TraceScope() {
-    if (armed_)
-        proc_.engine().tracer().span_ids(proc_.id(), name_id_, cat_id_, t0_,
-                                         proc_.now(), bytes_);
-}
-
-ProfScope::ProfScope(Process& proc, obs::ProfState state)
-    : proc_(proc), armed_(proc.engine().profiler().enabled()) {
-    if (armed_) proc_.engine().profiler().push(proc_.id(), state, proc_.now());
-}
-
-ProfScope::~ProfScope() {
-    if (armed_) proc_.engine().profiler().pop(proc_.id(), proc_.now());
 }
 
 }  // namespace scimpi::sim

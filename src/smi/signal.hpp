@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/cause.hpp"
 #include "obs/metrics.hpp"
 #include "sci/params.hpp"
 #include "sim/dispatcher.hpp"
@@ -20,7 +21,7 @@ struct Signal {
     int kind = 0;
     std::uint64_t a = 0, b = 0, c = 0;       ///< small scalar arguments
     std::vector<std::byte> payload;          ///< optional inline data
-    std::uint64_t flow = 0;                  ///< trace flow id (0 = no tracing)
+    obs::Cause cause;                        ///< flow arrow of the op it serves
     SimTime post_time = 0;                   ///< when the origin posted the op
 };
 

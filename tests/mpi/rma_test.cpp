@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -220,6 +221,39 @@ TEST(Rma, PostStartCompleteWait) {
         }
         comm.barrier();
     });
+}
+
+TEST(Rma, EarlyPostForTheNextEpochDoesNotReleaseTheCurrentStart) {
+    // Rank 0 runs two access epochs back to back: {1}, then {2}. Rank 2
+    // posts at once, long before rank 1 (which computes, writes its window,
+    // and only then posts). Rank 2's post belongs to rank 0's *second*
+    // epoch, so it must not release the first start(): the get from rank 1
+    // has to see rank 1's data.
+    Cluster c(nodes(3));
+    std::vector<double> got(8, -1.0);
+    c.run([&got](Comm& comm) {
+        auto win = shared_window(comm, 4_KiB);
+        const int origin[1] = {0};
+        if (comm.rank() == 0) {
+            const int first[1] = {1};
+            const int second[1] = {2};
+            win->start(first);
+            ASSERT_TRUE(win->get(got.data(), 8, Datatype::float64(), 1, 0));
+            win->complete();
+            win->start(second);
+            win->complete();
+        } else {
+            if (comm.rank() == 1) {
+                comm.proc().delay(200'000);  // compute
+                auto* d = reinterpret_cast<double*>(win->local().data());
+                std::fill(d, d + 8, 42.0);
+            }
+            win->post(origin);
+            win->wait();
+        }
+        comm.barrier();
+    });
+    for (const double v : got) EXPECT_EQ(v, 42.0);
 }
 
 TEST(Rma, LockUnlockPassiveTarget) {

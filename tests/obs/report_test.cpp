@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <tuple>
 #include <sstream>
 #include <vector>
 
@@ -348,7 +350,7 @@ TEST(StatsReport, ObservabilityDoesNotPerturbTheSimulation) {
         ClusterOptions opt = two_nodes_with_stats();
         opt.profile = true;
         Cluster c(opt);
-        c.engine().tracer().enable();
+        c.engine().enable_views(sim::kViewTrace);
         c.run(p2p_workload);
         time_on = static_cast<std::uint64_t>(c.engine().now());
         events_on = c.engine().events_dispatched();
@@ -360,6 +362,186 @@ TEST(StatsReport, ObservabilityDoesNotPerturbTheSimulation) {
     EXPECT_EQ(static_cast<std::uint64_t>(c.engine().now()), time_on);
     EXPECT_EQ(c.engine().events_dispatched(), events_on);
 }
+
+// ---- Observer-invariance matrix -------------------------------------------
+// Every observability toggle (and all of them together), on every workload
+// shape that drives a distinct instrumentation path, must leave the
+// simulation bit-identical to the all-off run: same end time, same event
+// count, same value for every counter of the all-off run.
+
+enum class Toggle { none, profile, trace, evlog, check, all };
+enum class Workload { seg_coll, rma_private, faults, async };
+
+const char* toggle_name(Toggle t) {
+    switch (t) {
+        case Toggle::none: return "none";
+        case Toggle::profile: return "profile";
+        case Toggle::trace: return "trace";
+        case Toggle::evlog: return "evlog";
+        case Toggle::check: return "check";
+        case Toggle::all: return "all";
+    }
+    return "?";
+}
+
+const char* workload_name(Workload w) {
+    switch (w) {
+        case Workload::seg_coll: return "seg_coll";
+        case Workload::rma_private: return "rma_private";
+        case Workload::faults: return "faults";
+        case Workload::async: return "async";
+    }
+    return "?";
+}
+
+/// Segment-path bcast/allreduce: payloads well above coll_seg_min.
+void seg_coll_workload(Comm& comm) {
+    std::vector<double> buf(8_KiB / sizeof(double), comm.rank() == 0 ? 1.0 : 0.0);
+    ASSERT_TRUE(comm.bcast(buf.data(), static_cast<int>(buf.size()),
+                           Datatype::float64(), 0));
+    std::vector<double> sum(buf.size());
+    ASSERT_TRUE(comm.allreduce_sum(buf.data(), sum.data(), static_cast<int>(buf.size())));
+}
+
+/// Fence, PSCW and lock epochs on a private (heap) window: every access
+/// takes the emulated, handler-driven path.
+void rma_private_workload(Comm& comm) {
+    constexpr std::size_t kWin = 4_KiB;
+    std::vector<std::byte> heap(kWin, std::byte{0});
+    auto win = comm.win_create(heap.data(), kWin);
+    std::vector<double> v(64, 1.0 + comm.rank());
+    const int peer = (comm.rank() + 1) % comm.size();
+    win->fence();
+    ASSERT_TRUE(win->put(v.data(), 64, Datatype::float64(), peer, 0));
+    ASSERT_TRUE(win->accumulate_sum(v.data(), 64, peer, 1_KiB));
+    win->fence();
+    ASSERT_TRUE(win->get(v.data(), 64, Datatype::float64(), peer, 0));
+    win->fence();
+    const int group[] = {comm.rank() == 0 ? 1 : 0};
+    if (comm.rank() < 2) {
+        win->post(group);
+        win->start(group);
+        ASSERT_TRUE(win->put(v.data(), 32, Datatype::float64(), group[0], 2_KiB));
+        win->complete();
+        win->wait();
+    }
+    comm.barrier();
+    win->lock(0);
+    ASSERT_TRUE(win->accumulate_sum(v.data(), 16, 0, 3_KiB));
+    win->unlock(0);
+    comm.barrier();
+}
+
+/// p2p traffic while link 0 flaps: sends back off and retry.
+void faults_workload(Comm& comm) {
+    std::vector<double> buf(2_KiB / sizeof(double), 1.0);
+    if (comm.rank() == 0)
+        ASSERT_TRUE(comm.send(buf.data(), static_cast<int>(buf.size()),
+                              Datatype::float64(), 1, 0));
+    else if (comm.rank() == 1)
+        comm.recv(buf.data(), static_cast<int>(buf.size()), Datatype::float64(), 0, 0);
+}
+
+/// Nonblocking ring exchange under the per-rank progress daemons.
+void async_workload(Comm& comm) {
+    std::vector<double> out(64_KiB / sizeof(double), 1.0);
+    std::vector<double> in(out.size());
+    const int n = static_cast<int>(out.size());
+    Request reqs[2] = {
+        comm.irecv(in.data(), n, Datatype::float64(),
+                   (comm.rank() + comm.size() - 1) % comm.size(), 3),
+        comm.isend(out.data(), n, Datatype::float64(), (comm.rank() + 1) % comm.size(), 3)};
+    ASSERT_TRUE(comm.wait_all(reqs));
+}
+
+struct CellResult {
+    std::uint64_t sim_time_ns = 0;
+    std::uint64_t events = 0;
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+};
+
+CellResult run_cell(Workload w, Toggle t) {
+    ClusterOptions opt;
+    opt.nodes = 4;
+    opt.collect_stats = true;
+    const std::string base = ::testing::TempDir() + "/scimpi_matrix_" +
+                             workload_name(w) + "_" + toggle_name(t);
+    const bool all = t == Toggle::all;
+    opt.profile = all || t == Toggle::profile;
+    if (all || t == Toggle::trace) opt.trace_file = base + ".trace.json";
+    if (all || t == Toggle::evlog) opt.evlog = base + ".evlog";
+    opt.check = all || t == Toggle::check;
+    void (*body)(Comm&) = nullptr;
+    switch (w) {
+        case Workload::seg_coll: body = seg_coll_workload; break;
+        case Workload::rma_private: body = rma_private_workload; break;
+        case Workload::faults:
+            opt.faults.flap(0, 0, 200_us);
+            body = faults_workload;
+            break;
+        case Workload::async:
+            opt.async_progress = true;
+            body = async_workload;
+            break;
+    }
+    CellResult out;
+    {
+        Cluster c(opt);
+        c.run(body);
+        const obs::RunReport r = c.stats_report();
+        out.sim_time_ns = r.sim_time_ns;
+        out.events = r.events_dispatched;
+        out.counters = r.counters;
+    }
+    std::remove((base + ".trace.json").c_str());
+    std::remove((base + ".evlog").c_str());
+    return out;
+}
+
+class ObserverMatrix : public ::testing::TestWithParam<std::tuple<Workload, Toggle>> {};
+
+TEST_P(ObserverMatrix, MatchesTheAllOffRun) {
+    const auto [w, t] = GetParam();
+    const CellResult off = run_cell(w, Toggle::none);
+    const CellResult on = run_cell(w, t);
+    // Each workload really drives the path it stands for.
+    const std::map<std::string, std::uint64_t> base(off.counters.begin(),
+                                                    off.counters.end());
+    const auto count = [&](const char* name) {
+        const auto it = base.find(name);
+        return it == base.end() ? 0u : it->second;
+    };
+    switch (w) {
+        case Workload::seg_coll: EXPECT_GT(count("coll.seg_ops"), 0u); break;
+        case Workload::rma_private: EXPECT_GT(count("rma.emulated_puts"), 0u); break;
+        case Workload::faults: EXPECT_GT(count("mpi.send_retries"), 0u); break;
+        case Workload::async: EXPECT_GT(count("mpi.sends_rndv"), 0u); break;
+    }
+    EXPECT_EQ(on.sim_time_ns, off.sim_time_ns);
+    EXPECT_EQ(on.events, off.events);
+    // Every counter of the all-off run keeps its value; the only extra
+    // counters an observer may add are its own (the checker's check.*).
+    std::map<std::string, std::uint64_t> seen(on.counters.begin(), on.counters.end());
+    for (const auto& [name, value] : off.counters) {
+        const auto it = seen.find(name);
+        ASSERT_NE(it, seen.end()) << name;
+        EXPECT_EQ(it->second, value) << name;
+        seen.erase(it);
+    }
+    for (const auto& [name, value] : seen)
+        EXPECT_EQ(name.rfind("check.", 0), 0u) << "observer-only counter " << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StatsReport, ObserverMatrix,
+    ::testing::Combine(::testing::Values(Workload::seg_coll, Workload::rma_private,
+                                         Workload::faults, Workload::async),
+                       ::testing::Values(Toggle::none, Toggle::profile, Toggle::trace,
+                                         Toggle::evlog, Toggle::check, Toggle::all)),
+    [](const ::testing::TestParamInfo<ObserverMatrix::ParamType>& p) {
+        return std::string(workload_name(std::get<0>(p.param))) + "_" +
+               toggle_name(std::get<1>(p.param));
+    });
 
 TEST(StatsReport, OmitsHistogramsThatRecordedNoSamples) {
     // v4: the report drops all-zero histogram snapshots. The RMA latency

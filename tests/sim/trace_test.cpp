@@ -7,15 +7,29 @@
 
 #include "mpi/comm.hpp"
 #include "mpi/rma/window.hpp"
+#include "obs/span.hpp"
 #include "sim/sync.hpp"
 
 namespace scimpi::sim {
 namespace {
 
+TEST(Tracer, SpanDetailJoinsTheLabelOnlyWhenRecorded) {
+    Engine eng;
+    eng.enable_views(kViewTrace);
+    eng.spawn("p", [](Process& p) {
+        const obs::Span scope(p, {.name = "bcast", .detail = "binomial", .trace = "coll"});
+        p.delay(10);
+    });
+    eng.run();
+    ASSERT_EQ(eng.tracer().event_count(), 1u);
+    EXPECT_EQ(eng.tracer().name_of(eng.tracer().events()[0]), "bcast:binomial");
+    EXPECT_EQ(eng.tracer().cat_of(eng.tracer().events()[0]), "coll");
+}
+
 TEST(Tracer, DisabledByDefaultRecordsNothing) {
     Engine eng;
     eng.spawn("p", [](Process& p) {
-        const TraceScope scope(p, "work");
+        const obs::Span scope(p, {.name = "work", .trace = ""});
         p.delay(100);
     });
     eng.run();
@@ -24,14 +38,14 @@ TEST(Tracer, DisabledByDefaultRecordsNothing) {
 
 TEST(Tracer, SpansCaptureSimulatedDurations) {
     Engine eng;
-    eng.tracer().enable();
+    eng.enable_views(kViewTrace);
     eng.spawn("p", [](Process& p) {
         p.delay(50);
         {
-            const TraceScope scope(p, "phase-one");
+            const obs::Span scope(p, {.name = "phase-one", .trace = ""});
             p.delay(200);
         }
-        const TraceScope scope(p, "phase-two");
+        const obs::Span scope(p, {.name = "phase-two", .trace = ""});
         p.delay(300);
     });
     eng.run();
@@ -46,7 +60,7 @@ TEST(Tracer, SpansCaptureSimulatedDurations) {
 
 TEST(Tracer, InstantMarkers) {
     Engine eng;
-    eng.tracer().enable();
+    eng.enable_views(kViewTrace);
     eng.spawn("p", [&](Process& p) {
         p.delay(42);
         eng.tracer().instant(p.id(), "marker", p.now());
@@ -59,9 +73,9 @@ TEST(Tracer, InstantMarkers) {
 
 TEST(Tracer, ChromeJsonIsWellFormed) {
     Engine eng;
-    eng.tracer().enable();
+    eng.enable_views(kViewTrace);
     eng.spawn("p", [](Process& p) {
-        const TraceScope scope(p, R"(weird "name" \ here)");
+        const obs::Span scope(p, {.name = R"(weird "name" \ here)", .trace = ""});
         p.delay(10);
     });
     eng.run();
@@ -79,7 +93,7 @@ TEST(Tracer, MpiWorkloadProducesProtocolSpans) {
     mpi::ClusterOptions opt;
     opt.nodes = 2;
     mpi::Cluster c(opt);
-    c.engine().tracer().enable();
+    c.engine().enable_views(kViewTrace);
     c.run([](mpi::Comm& comm) {
         std::vector<double> buf(64_KiB / 8, 1.0);
         if (comm.rank() == 0)
@@ -106,7 +120,7 @@ TEST(Tracer, FlowEventsPairUpAcrossMpiRanks) {
     mpi::ClusterOptions opt;
     opt.nodes = 2;
     mpi::Cluster c(opt);
-    c.engine().tracer().enable();
+    c.engine().enable_views(kViewTrace);
     c.run([](mpi::Comm& comm) {
         std::vector<double> small(16, 1.0);   // 128 B -> short path
         std::vector<double> mid(128, 1.0);    // 1 KiB -> eager path
@@ -148,7 +162,7 @@ TEST(Tracer, FlowEndpointsLandOnSenderAndReceiverTracks) {
     mpi::ClusterOptions opt;
     opt.nodes = 2;
     mpi::Cluster c(opt);
-    c.engine().tracer().enable();
+    c.engine().enable_views(kViewTrace);
     c.run([](mpi::Comm& comm) {
         std::vector<double> buf(128, 1.0);
         if (comm.rank() == 0)
@@ -176,7 +190,7 @@ TEST(Tracer, RmaOpsEmitFlowArrows) {
     mpi::ClusterOptions opt;
     opt.nodes = 2;
     mpi::Cluster c(opt);
-    c.engine().tracer().enable();
+    c.engine().enable_views(kViewTrace);
     c.run([](mpi::Comm& comm) {
         constexpr std::size_t kWin = 8_KiB;
         std::vector<std::byte> heap(kWin, std::byte{0});  // private -> emulated
@@ -203,7 +217,7 @@ TEST(Tracer, ChromeJsonNamesTracksAndSerializesFlows) {
     mpi::ClusterOptions opt;
     opt.nodes = 2;
     mpi::Cluster c(opt);
-    c.engine().tracer().enable();
+    c.engine().enable_views(kViewTrace);
     c.run([](mpi::Comm& comm) {
         std::vector<double> buf(128, 1.0);
         if (comm.rank() == 0)
@@ -244,9 +258,9 @@ TEST(Tracer, TrackNamesAreRecordedEvenWhileDisabled) {
 
 TEST(Tracer, WriteToFileRoundTrips) {
     Engine eng;
-    eng.tracer().enable();
+    eng.enable_views(kViewTrace);
     eng.spawn("p", [](Process& p) {
-        const TraceScope scope(p, "io");
+        const obs::Span scope(p, {.name = "io", .trace = ""});
         p.delay(5);
     });
     eng.run();
@@ -258,6 +272,145 @@ TEST(Tracer, WriteToFileRoundTrips) {
     ASSERT_EQ(std::fread(head, 1, 1, f), 1u);
     std::fclose(f);
     EXPECT_EQ(head[0], '[');
+}
+
+// ---- obs::Span: one record, three views ----
+
+TEST(Span, OneSpanFeedsAllThreeViewsOverTheSameInterval) {
+    Engine eng;
+    eng.enable_views(kViewTrace | kViewProfile | kViewGraph);
+    int track = -1;
+    eng.spawn("p", [&](Process& p) {
+        track = p.id();
+        p.delay(40);
+        {
+            const obs::Span span(p, {.name = "pack:stage",
+                                     .trace = "p2p",
+                                     .prof = obs::ProfState::pack,
+                                     .ev = obs::EvCat::pack,
+                                     .bytes = 512});
+            p.delay(100);
+        }
+        p.delay(10);
+    });
+    eng.run();
+    // Chrome trace: exactly one "X" slice.
+    const Tracer& tr = eng.tracer();
+    ASSERT_EQ(tr.event_count(), 1u);
+    const Tracer::Event& x = tr.events()[0];
+    EXPECT_EQ(x.kind, Tracer::Kind::span);
+    EXPECT_EQ(tr.name_of(x), "pack:stage");
+    EXPECT_EQ(x.t0, 40);
+    EXPECT_EQ(x.t1, 140);
+    EXPECT_EQ(x.arg, 512u);
+    // Profiler: the interval, and only it, is attributed to `pack`.
+    const obs::Profiler::Snapshot snap = eng.profiler().snapshot(track, eng.now());
+    EXPECT_EQ(snap.state_ns[static_cast<std::size_t>(obs::ProfState::pack)], 100u);
+    EXPECT_EQ(snap.state_ns[static_cast<std::size_t>(obs::ProfState::compute)], 50u);
+    // Event graph: exactly one node over the same [t0, t1].
+    const obs::EventGraph& g = eng.evgraph();
+    ASSERT_EQ(g.nodes().size(), 1u);
+    const obs::EvNode& n = g.nodes()[0];
+    EXPECT_EQ(n.cat, obs::EvCat::pack);
+    EXPECT_EQ(g.name(n.name), "pack:stage");
+    EXPECT_EQ(n.t0, x.t0);
+    EXPECT_EQ(n.t1, x.t1);
+    EXPECT_EQ(n.bytes, 512u);
+}
+
+TEST(Span, AllViewsOffRecordsAndInternsNothing) {
+    Engine eng;
+    std::uint64_t id = 99;
+    eng.spawn("p", [&](Process& p) {
+        obs::Span span(p, {.name = "work",
+                           .detail = "phase",
+                           .trace = "p2p",
+                           .prof = obs::ProfState::pack,
+                           .ev = obs::EvCat::pack,
+                           .bytes = 64});
+        p.delay(100);
+        id = span.close();
+    });
+    eng.run();
+    EXPECT_EQ(id, 0u);
+    EXPECT_EQ(eng.tracer().event_count(), 0u);
+    EXPECT_TRUE(eng.evgraph().nodes().empty());
+    // Nothing was interned: the first name either view sees gets id 1.
+    EXPECT_EQ(eng.tracer().intern("x"), 1u);
+    EXPECT_EQ(eng.evgraph().intern("x"), 1u);
+}
+
+TEST(Span, NestedSpanWithoutEvCatLeavesTheProgramOrderChain) {
+    Engine eng;
+    eng.enable_views(kViewTrace | kViewProfile | kViewGraph);
+    std::uint64_t first = 0, outer = 0;
+    eng.spawn("p", [&](Process& p) {
+        first = obs::Span::point(p, {.name = "a", .ev = obs::EvCat::proto});
+        obs::Span span(p, {.name = "b", .ev = obs::EvCat::pio});
+        {
+            const obs::Span inner(p, {.name = "inner",
+                                      .trace = "p2p",
+                                      .prof = obs::ProfState::pio_write});
+            p.delay(30);
+        }
+        outer = span.close();
+    });
+    eng.run();
+    const obs::EventGraph& g = eng.evgraph();
+    ASSERT_EQ(g.nodes().size(), 2u);  // the inner span made no node
+    ASSERT_NE(first, 0u);
+    ASSERT_NE(outer, 0u);
+    EXPECT_EQ(g.at(outer).prev, first);
+    EXPECT_EQ(g.at(outer).t1 - g.at(outer).t0, 30);
+    EXPECT_EQ(eng.tracer().event_count(), 1u);  // the inner slice
+}
+
+TEST(Span, DropEmptyRecordsOnlySpansThatTookTime) {
+    Engine eng;
+    eng.enable_views(kViewTrace | kViewGraph);
+    eng.spawn("p", [](Process& p) {
+        const obs::SpanInfo info{.name = "wait", .trace = "p2p",
+                                 .ev = obs::EvCat::wait_recv, .drop_empty = true};
+        { const obs::Span idle(p, info); }
+        const obs::Span busy(p, info);
+        p.delay(5);
+    });
+    eng.run();
+    EXPECT_EQ(eng.tracer().event_count(), 1u);
+    ASSERT_EQ(eng.evgraph().nodes().size(), 1u);
+    EXPECT_TRUE(eng.evgraph().nodes()[0].transparent);
+}
+
+TEST(Span, LandDrawsTheGraphEdgeAndTheFlowArrowFromOneCause) {
+    Engine eng;
+    eng.enable_views(kViewTrace | kViewGraph);
+    obs::Cause cause;
+    eng.spawn("tx", [&](Process& p) {
+        cause = p.engine().start_flow(p, obs::Flow::msg);
+        cause.node = obs::Span::point(p, {.name = "push", .ev = obs::EvCat::pio});
+    });
+    eng.spawn("rx", [&](Process& p) {
+        p.delay(100);
+        const std::uint64_t to =
+            obs::Span::point(p, {.name = "arrive", .ev = obs::EvCat::proto});
+        p.engine().land(p, cause, to, obs::EvCat::link, true, 0, 1);
+    });
+    eng.run();
+    const obs::EventGraph& g = eng.evgraph();
+    ASSERT_EQ(g.edges().size(), 1u);
+    EXPECT_EQ(g.edges()[0].from, cause.node);
+    EXPECT_EQ(g.edges()[0].cat, obs::EvCat::link);
+    int starts = 0, ends = 0;
+    for (const auto& e : eng.tracer().events()) {
+        if (e.kind == Tracer::Kind::flow_start) ++starts;
+        if (e.kind == Tracer::Kind::flow_end) {
+            ++ends;
+            EXPECT_EQ(e.arg, cause.flow);
+            EXPECT_EQ(e.t0, 100);
+        }
+    }
+    EXPECT_EQ(starts, 1);
+    EXPECT_EQ(ends, 1);
 }
 
 }  // namespace

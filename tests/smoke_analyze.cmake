@@ -4,8 +4,10 @@
 #       blamed ranks and the per-rank-pair communication matrix are printed,
 #   (b) --json output is well-formed JSON (json_check),
 #   (c) --diff of the log against itself reports a zero end-to-end delta,
-#   (d) the RunReport (schema v5) carries the critical_path section, so the
-#       offline tool and the in-run report stay wired to the same walk.
+#   (d) the RunReport (schema v6) carries the critical_path section, so the
+#       offline tool and the in-run report stay wired to the same walk,
+#   (e) the views are independent: re-running with the profiler and the
+#       Chrome trace on as well leaves the event log byte-identical.
 #
 # Expects: QUICKSTART, ANALYZE, JSON_CHECK, OUT_DIR.
 set(evlog_file "${OUT_DIR}/smoke_analyze.evlog")
@@ -71,7 +73,7 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "self-diff did not report a zero delta:\n${diff_text}")
 endif()
 
-# (d) The in-run report carries the same walk (RunReport schema v5).
+# (d) The in-run report carries the same walk (RunReport schema v6).
 file(READ "${stats_file}" stats_text)
 foreach(needle IN ITEMS "\"schema_version\": 6" "\"critical_path\"")
   string(FIND "${stats_text}" "${needle}" pos)
@@ -79,3 +81,31 @@ foreach(needle IN ITEMS "\"schema_version\": 6" "\"critical_path\"")
     message(FATAL_ERROR "stats report lacks ${needle}: ${stats_file}")
   endif()
 endforeach()
+
+# (e) All views at once: the spans that feed the graph also feed the
+# profiler and the trace, and neither may change what the graph records.
+set(all_evlog "${OUT_DIR}/smoke_analyze_all.evlog")
+set(all_trace "${OUT_DIR}/smoke_analyze_all.trace.json")
+file(REMOVE "${all_evlog}" "${all_trace}")
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env
+          "SCIMPI_CHECK=1"
+          "SCIMPI_PROFILE=1"
+          "SCIMPI_EVLOG=${all_evlog}"
+          "SCIMPI_TRACE_FILE=${all_trace}"
+          "${QUICKSTART}"
+  OUTPUT_QUIET
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "quickstart with every view on exited with ${rc}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${evlog_file}" "${all_evlog}"
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "event log changed when the profiler and the trace were "
+                      "also on: ${evlog_file} vs ${all_evlog}")
+endif()
+execute_process(COMMAND "${JSON_CHECK}" "${all_trace}" RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "trace written alongside the event log is not valid JSON")
+endif()
