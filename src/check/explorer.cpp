@@ -12,8 +12,8 @@
 namespace scimpi::check {
 namespace {
 
-/// One baton slice: everything a process did between receiving the baton and
-/// giving it back. The unit of the DPOR dependence relation.
+/// One slice: everything a process did between being switched in and
+/// switching back to the scheduler. The unit of the DPOR dependence relation.
 struct Slice {
     int proc = -1;
     VectorClock vc;                     ///< proc's clock at slice start

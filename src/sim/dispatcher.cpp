@@ -13,8 +13,8 @@ void Dispatcher::at(SimTime t, std::function<void()> fn) {
     SCIMPI_REQUIRE(t >= engine_.now(), "Dispatcher::at() into the past");
     note_subject(this);
     items_.push(Item{t, seq_++, std::move(fn)});
-    // The service process is suspended (we hold the baton); make sure it
-    // wakes no later than the new item's deadline.
+    // The service process is suspended (the caller is running); make sure
+    // it wakes no later than the new item's deadline.
     engine_.reschedule_earlier(*proc_, t);
 }
 

@@ -147,8 +147,8 @@ void Engine::run() {
     } catch (...) {
         // A schedule controller threw on the engine thread (replay
         // divergence, choice out of range). Unwind the parked process
-        // threads *now*, while the objects their stacks reference are still
-        // alive — the caller's members die before this engine does.
+        // stacks *now*, while the objects they reference are still alive —
+        // the caller's members die before this engine does.
         running_ = false;
         shutdown_remaining();
         throw;
@@ -240,8 +240,8 @@ void Engine::resume(Process& p) {
 }
 
 void Engine::shutdown_remaining() {
-    // ~Process signals shutdown_ (parked threads throw ShutdownSignal through
-    // the user stack, running destructors) and joins each thread.
+    // ~Process switches into each parked fiber with shutdown_ set, so it
+    // throws ShutdownSignal through the user stack, running destructors.
     processes_.clear();
     while (!queue_.empty()) queue_.pop();
 }

@@ -1,10 +1,11 @@
 // Deterministic discrete-event simulation engine.
 //
-// Every simulated MPI rank is a sim::Process backed by an OS thread, but the
-// engine hands a single execution "baton" around: exactly one thread (a
-// process or the scheduler) runs at any moment. Rank code therefore calls
-// blocking library routines naturally, while results stay bit-deterministic
-// on any host regardless of core count.
+// Every simulated MPI rank is a sim::Process running as a fiber: a stackful
+// user-space context on the engine's own OS thread. The run loop switches
+// into one fiber at a time and the fiber switches back when it delays or
+// blocks, so exactly one process (or the scheduler) runs at any moment. Rank
+// code therefore calls blocking library routines naturally, while results
+// stay bit-deterministic on any host regardless of core count.
 //
 // Scheduling is a min-heap ordered by (wakeup time, insertion sequence), so
 // simultaneous events run in FIFO order of scheduling.
@@ -105,8 +106,9 @@ public:
     void trace_critical_path();
 
     /// Attach a metrics registry: the engine then feeds `sim.context_switches`
-    /// (baton handovers) and `sim.deadlock_checks` (end-of-run blocked-process
-    /// scans). Handles resolve once; increments are no-ops while disabled.
+    /// (switches into a process) and `sim.deadlock_checks` (end-of-run
+    /// blocked-process scans). Handles resolve once; increments are no-ops
+    /// while disabled.
     void bind_metrics(obs::MetricsRegistry& m);
 
     /// The bound registry, nullptr before bind_metrics(). Lets deep layers
@@ -146,9 +148,9 @@ private:
         }
     };
 
-    void resume(Process& p);      // hand baton to p, wait for it back
+    void resume(Process& p);      // switch into p until it suspends
     void run_loop();              // dispatch until quiescent or error
-    void shutdown_remaining();    // unwind parked threads before throwing/destroying
+    void shutdown_remaining();    // unwind parked fibers before throwing/destroying
 
     std::vector<std::unique_ptr<Process>> processes_;
     std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue_;

@@ -1,44 +1,205 @@
 #include "sim/process.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <cxxabi.h>
+#include <utility>
+
 #include "common/status.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
 
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SCIMPI_FIBER_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define SCIMPI_FIBER_TSAN 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define SCIMPI_FIBER_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define SCIMPI_FIBER_TSAN 1
+#endif
+
+#ifdef SCIMPI_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef SCIMPI_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace scimpi::sim {
+
+namespace {
+
+/// The reservation a default thread stack gets; MAP_NORESERVE, so only the
+/// pages a fiber actually touches cost memory.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+constexpr std::size_t kGuardBytes = 4096;
+
+/// The C++ runtime's per-thread exception state (the Itanium ABI's
+/// __cxa_eh_globals: caught-exception stack, uncaught count). Every fiber
+/// keeps its own copy, swapped at each switch, so a fiber parked inside a
+/// catch block cannot corrupt another's.
+struct EhGlobals {
+    void* caught = nullptr;
+    unsigned int uncaught = 0;
+};
+
+/// Installs `mine` as the thread's exception state; returns the one it
+/// replaces in `mine`.
+void swap_eh_globals(EhGlobals& mine) {
+    void* const live = abi::__cxa_get_globals();
+    EhGlobals prev;
+    std::memcpy(&prev, live, sizeof prev);
+    std::memcpy(live, &mine, sizeof mine);
+    mine = prev;
+}
+
+}  // namespace
+
+/// A process's stack and saved contexts. Exactly one side runs at a time:
+/// the fiber (between enter() and leave()/exit()) or its caller, the
+/// scheduler whose context enter() saves. Every switch is annotated for the
+/// sanitizer in use.
+struct Process::Fiber {
+    std::byte* map;            // guard page, then the stack
+    ucontext_t self{};         // the fiber, while parked
+    ucontext_t caller{};       // the scheduler, while the fiber runs
+    EhGlobals parked_eh;       // exception state of the side not running
+#ifdef SCIMPI_FIBER_ASAN
+    void* fake = nullptr;         // the fiber's fake stack while parked
+    void* caller_fake = nullptr;  // the caller's while the fiber runs
+    const void* caller_lo = nullptr;
+    std::size_t caller_size = 0;
+#endif
+#ifdef SCIMPI_FIBER_TSAN
+    void* tsan = __tsan_create_fiber(0);
+    void* caller_tsan = nullptr;
+#endif
+
+    explicit Fiber(Process& p) : map(map_stack(p.name())) {
+        ::getcontext(&self);
+        self.uc_stack.ss_sp = map + kGuardBytes;
+        self.uc_stack.ss_size = kStackBytes;
+        self.uc_link = nullptr;
+        const auto addr = reinterpret_cast<std::uintptr_t>(&p);
+        ::makecontext(&self, reinterpret_cast<void (*)()>(&Process::fiber_entry), 2,
+                      static_cast<unsigned>(addr >> 32), static_cast<unsigned>(addr));
+    }
+
+    ~Fiber() {
+#ifdef SCIMPI_FIBER_ASAN
+        // Frames left by switches keep their redzones poisoned; a later
+        // mapping at this address must not inherit them.
+        __asan_unpoison_memory_region(map + kGuardBytes, kStackBytes);
+#endif
+        ::munmap(map, kGuardBytes + kStackBytes);
+#ifdef SCIMPI_FIBER_TSAN
+        __tsan_destroy_fiber(tsan);
+#endif
+    }
+
+    Fiber(const Fiber&) = delete;
+    Fiber& operator=(const Fiber&) = delete;
+
+    /// Maps a stack with a PROT_NONE guard page below it, or panics naming
+    /// the process.
+    static std::byte* map_stack(const std::string& proc) {
+        void* m = ::mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+        if (m != MAP_FAILED && ::mprotect(m, kGuardBytes, PROT_NONE) == 0)
+            return static_cast<std::byte*>(m);
+        const int err = errno;
+        if (m != MAP_FAILED) ::munmap(m, kGuardBytes + kStackBytes);
+        panic("sim: cannot map a fiber stack for process " + proc + ": " +
+              std::strerror(err));
+    }
+
+    /// Caller side: run the fiber until it leaves or exits.
+    void enter() {
+        swap_eh_globals(parked_eh);
+#ifdef SCIMPI_FIBER_ASAN
+        __sanitizer_start_switch_fiber(&caller_fake, map + kGuardBytes, kStackBytes);
+#endif
+#ifdef SCIMPI_FIBER_TSAN
+        caller_tsan = __tsan_get_current_fiber();
+        __tsan_switch_to_fiber(tsan, 0);
+#endif
+        ::swapcontext(&caller, &self);
+#ifdef SCIMPI_FIBER_ASAN
+        __sanitizer_finish_switch_fiber(caller_fake, nullptr, nullptr);
+#endif
+    }
+
+    /// Fiber side, on arrival: learn the caller's stack for the way back.
+    void arrived() {
+#ifdef SCIMPI_FIBER_ASAN
+        __sanitizer_finish_switch_fiber(fake, &caller_lo, &caller_size);
+#endif
+    }
+
+    /// Fiber side: park and return to the caller until entered again.
+    void leave() {
+        switch_to_caller(false);
+        arrived();
+    }
+
+    /// Fiber side, last switch: the stack is never resumed.
+    [[noreturn]] void exit() {
+        switch_to_caller(true);
+        std::abort();  // unreachable: nothing enters a finished fiber
+    }
+
+private:
+    void switch_to_caller([[maybe_unused]] bool last) {
+        swap_eh_globals(parked_eh);
+#ifdef SCIMPI_FIBER_ASAN
+        __sanitizer_start_switch_fiber(last ? nullptr : &fake, caller_lo, caller_size);
+#endif
+#ifdef SCIMPI_FIBER_TSAN
+        __tsan_switch_to_fiber(caller_tsan, 0);
+#endif
+        ::swapcontext(&self, &caller);
+    }
+};
 
 Process::Process(Engine& engine, int id, std::string name,
                  std::function<void(Process&)> body)
     : engine_(engine), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 Process::~Process() {
-    if (thread_.joinable()) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            shutdown_ = true;
-            cv_.notify_all();
-        }
-        thread_.join();
+    if (fiber_ && state_ != State::finished) {
+        // Parked mid-body: the stack unwinds (suspend() throws
+        // ShutdownSignal), running every destructor on it.
+        shutdown_ = true;
+        resume_from_engine();
     }
 }
 
 SimTime Process::now() const { return engine_.now(); }
 
-void Process::start_thread() {
-    thread_ = std::thread([this] { thread_main(); });
+void Process::fiber_entry(unsigned hi, unsigned lo) {
+    const auto addr = (static_cast<std::uintptr_t>(hi) << 32) | lo;
+    auto* const p = reinterpret_cast<Process*>(addr);
+    // Complete the switch before anything else runs on this stack: the
+    // compiler may treat fiber_main() as noreturn and let the sanitizer
+    // inspect the stack right before calling it.
+    p->fiber_->arrived();
+    p->fiber_main();
 }
 
-void Process::thread_main() {
+void Process::fiber_main() {
     try {
-        {
-            // Wait for the first baton.
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] { return baton_ || shutdown_; });
-            if (shutdown_) throw ShutdownSignal{};
-            baton_ = false;
-        }
-        // Bind this OS thread to its engine so argument-less primitives can
-        // reach the schedule controller (see sim::current_engine()).
-        set_current_engine(&engine_);
         state_ = State::running;
         body_(*this);
     } catch (const ShutdownSignal&) {
@@ -49,30 +210,25 @@ void Process::thread_main() {
         engine_.pending_error_ = name_ + ": unknown exception";
     }
     state_ = State::finished;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    returned_ = true;
-    cv_.notify_all();
+    fiber_->exit();
 }
 
 void Process::resume_from_engine() {
-    std::unique_lock<std::mutex> lock(mutex_);
     if (state_ == State::created) {
+        fiber_ = std::make_unique<Fiber>(*this);
         state_ = State::ready;
-        start_thread();
     }
-    returned_ = false;
-    baton_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return returned_; });
+    // Argument-less primitives reach the schedule controller through
+    // sim::current_engine(); bind it for the slice, restore it after.
+    Engine* const outer = current_engine();
+    set_current_engine(&engine_);
+    fiber_->enter();
+    set_current_engine(outer);
 }
 
 void Process::suspend() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    returned_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return baton_ || shutdown_; });
+    if (!shutdown_) fiber_->leave();
     if (shutdown_) throw ShutdownSignal{};
-    baton_ = false;
     state_ = State::running;
 }
 

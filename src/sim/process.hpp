@@ -1,11 +1,9 @@
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "common/units.hpp"
 
@@ -16,6 +14,11 @@ class Engine;
 /// A simulated thread of control (an MPI rank, a DMA engine, a handler
 /// thread...). Created via Engine::spawn. All member functions except those
 /// documented as engine-side must be called from the process's own body.
+///
+/// Each process runs on its own stack as a fiber (a ucontext on the engine's
+/// OS thread): resuming it and suspending it are plain context switches to
+/// and from the engine's scheduler context, so exactly one fiber or the
+/// scheduler runs at any moment.
 class Process {
 public:
     ~Process();
@@ -51,24 +54,21 @@ private:
     friend class Engine;
     enum class State { created, ready, running, blocked, finished };
     struct ShutdownSignal {};
+    struct Fiber;  // stack, contexts and sanitizer state (process.cpp)
 
     Process(Engine& engine, int id, std::string name, std::function<void(Process&)> body);
-    void start_thread();
-    void thread_main();
-    void suspend();          // give baton back to engine, wait to be resumed
-    void resume_from_engine();  // engine-side: give baton to this process
+    static void fiber_entry(unsigned hi, unsigned lo);
+    void fiber_main();
+    void suspend();             // switch back to the scheduler until resumed
+    void resume_from_engine();  // engine-side: run this fiber until it suspends
 
     Engine& engine_;
     const int id_;
     const std::string name_;
     std::function<void(Process&)> body_;
 
-    std::thread thread_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool baton_ = false;       // true: the process may run
-    bool returned_ = false;    // true: the process gave the baton back
-    bool shutdown_ = false;    // true: unwind instead of resuming
+    std::unique_ptr<Fiber> fiber_;  // made on the first resume
+    bool shutdown_ = false;         // true: unwind instead of resuming
 
     State state_ = State::created;
     std::string wait_why_;        // wait-object label while blocked

@@ -50,9 +50,9 @@ struct ChoicePoint {
 };
 
 /// Base controller: deterministic defaults, no perturbation. Exploration and
-/// replay derive from this. All hooks are invoked with the baton held (either
-/// by the engine loop or by the current process), so implementations need no
-/// locking.
+/// replay derive from this. All hooks are invoked on the engine's one OS
+/// thread (from the run loop or the running process), so implementations
+/// need no locking.
 class ScheduleController {
 public:
     virtual ~ScheduleController() = default;
@@ -74,7 +74,7 @@ public:
     /// dependence relation.
     virtual void on_subject(int proc, const void* subject) { (void)proc, (void)subject; }
 
-    /// Process `proc` was handed the baton at time `t` (one "slice" begins).
+    /// Process `proc` was switched in at time `t` (one "slice" begins).
     virtual void on_dispatch(int proc, SimTime t) { (void)proc, (void)t; }
 };
 
@@ -122,13 +122,13 @@ private:
 
 class Engine;
 
-/// The engine whose process currently holds the baton on this thread, or
-/// nullptr outside any simulated process. Lets argument-less primitives
-/// (Mailbox::send, Event::set) report subjects without plumbing a Process&.
+/// The engine whose process is running on this thread, or nullptr outside
+/// any simulated process. Lets argument-less primitives (Mailbox::send,
+/// Event::set) report subjects without plumbing a Process&.
 Engine* current_engine();
 
-/// Internal: bound by Process to its OS thread when it first receives the
-/// baton. Not for user code.
+/// Internal: bound by Process::resume_from_engine for each slice it runs,
+/// and restored when the process switches back. Not for user code.
 void set_current_engine(Engine* e);
 
 /// Report `subject` as touched by the currently running process, if a

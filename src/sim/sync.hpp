@@ -1,6 +1,7 @@
 // Synchronization primitives for simulated processes. All of them rely on
-// the engine's single-active-thread invariant: their internal state is only
-// ever touched by the baton holder, so no host-level locking is needed.
+// the engine running one fiber at a time on one OS thread: their internal
+// state is only ever touched by the running process (or the scheduler), so
+// no host-level locking is needed.
 //
 // Every primitive reports itself to the schedule controller (when one is
 // installed) via sim::note_subject, and the points where several parked

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <string>
 
 #include "common/units.hpp"
 
@@ -54,6 +57,44 @@ TEST(NodeMemory, FreeForeignRegionRejected) {
 TEST(NodeMemory, ExhaustionSurfacesAsOutOfMemory) {
     NodeMemory nm(0, 256);
     EXPECT_EQ(nm.allocate(4_KiB).status().code(), Errc::out_of_memory);
+}
+
+TEST(NodeMemory, FreshRegionsReadAsZero) {
+    // The arena's untouched pages must read as zero, as the value-initialised
+    // buffer it replaced did.
+    NodeMemory nm(0, 4_MiB);
+    for (const std::size_t bytes : {std::size_t{1}, std::size_t{4096}, std::size_t{3} << 20}) {
+        auto r = nm.allocate(bytes, 64);
+        ASSERT_TRUE(r);
+        const std::span<std::byte> s = r.value();
+        EXPECT_TRUE(std::all_of(s.begin(), s.end(), [](std::byte b) { return b == std::byte{0}; }))
+            << bytes << "-byte region";
+    }
+}
+
+TEST(NodeMemory, GigabyteArenaConstructsWithoutTouchingIt) {
+    // Best of a few tries, so one preempted construction cannot fail it.
+    auto best = std::chrono::nanoseconds::max();
+    for (int i = 0; i < 5; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const NodeMemory nm(0, 1_GiB);
+        best = std::min(best, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                  std::chrono::steady_clock::now() - t0));
+        EXPECT_EQ(nm.capacity(), 1_GiB);
+    }
+    EXPECT_LT(best, std::chrono::microseconds(200));
+}
+
+TEST(NodeMemory, UnmappableArenaPanicsNamingTheNode) {
+    // Far beyond any host's address space: the mapping itself fails.
+    try {
+        const NodeMemory nm(7, std::size_t{1} << 62);
+        FAIL() << "expected Panic";
+    } catch (const Panic& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("node 7"), std::string::npos) << what;
+        EXPECT_NE(what.find("arena"), std::string::npos) << what;
+    }
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <tuple>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -369,7 +370,7 @@ TEST(StatsReport, ObservabilityDoesNotPerturbTheSimulation) {
 // simulation bit-identical to the all-off run: same end time, same event
 // count, same value for every counter of the all-off run.
 
-enum class Toggle { none, profile, trace, evlog, check, all };
+enum class Toggle { none, profile, trace, evlog, check, all, record };
 enum class Workload { seg_coll, rma_private, faults, async };
 
 const char* toggle_name(Toggle t) {
@@ -380,6 +381,7 @@ const char* toggle_name(Toggle t) {
         case Toggle::evlog: return "evlog";
         case Toggle::check: return "check";
         case Toggle::all: return "all";
+        case Toggle::record: return "record";
     }
     return "?";
 }
@@ -458,6 +460,9 @@ struct CellResult {
     std::uint64_t sim_time_ns = 0;
     std::uint64_t events = 0;
     std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<std::string, double>> gauges;
+    std::set<std::string> recorded;  // the flight recorder's series names
+    std::size_t samples = 0;         // flight-recorder samples taken
 };
 
 CellResult run_cell(Workload w, Toggle t) {
@@ -471,6 +476,7 @@ CellResult run_cell(Workload w, Toggle t) {
     if (all || t == Toggle::trace) opt.trace_file = base + ".trace.json";
     if (all || t == Toggle::evlog) opt.evlog = base + ".evlog";
     opt.check = all || t == Toggle::check;
+    if (all || t == Toggle::record) opt.record = 1_us;
     void (*body)(Comm&) = nullptr;
     switch (w) {
         case Workload::seg_coll: body = seg_coll_workload; break;
@@ -492,6 +498,9 @@ CellResult run_cell(Workload w, Toggle t) {
         out.sim_time_ns = r.sim_time_ns;
         out.events = r.events_dispatched;
         out.counters = r.counters;
+        out.gauges = r.gauges;
+        for (const obs::TimeSeries& ts : c.recorder().series()) out.recorded.insert(ts.name);
+        out.samples = c.recorder().sample_count();
     }
     std::remove((base + ".trace.json").c_str());
     std::remove((base + ".evlog").c_str());
@@ -517,10 +526,14 @@ TEST_P(ObserverMatrix, MatchesTheAllOffRun) {
         case Workload::faults: EXPECT_GT(count("mpi.send_retries"), 0u); break;
         case Workload::async: EXPECT_GT(count("mpi.sends_rndv"), 0u); break;
     }
+    if (t == Toggle::record || t == Toggle::all) {
+        EXPECT_GT(on.samples, 0u);
+    }
     EXPECT_EQ(on.sim_time_ns, off.sim_time_ns);
     EXPECT_EQ(on.events, off.events);
-    // Every counter of the all-off run keeps its value; the only extra
-    // counters an observer may add are its own (the checker's check.*).
+    // Every counter and gauge of the all-off run keeps its value; the only
+    // extras an observer may add are its own: the checker's check.*
+    // counters and the gauges the flight recorder samples.
     std::map<std::string, std::uint64_t> seen(on.counters.begin(), on.counters.end());
     for (const auto& [name, value] : off.counters) {
         const auto it = seen.find(name);
@@ -530,6 +543,15 @@ TEST_P(ObserverMatrix, MatchesTheAllOffRun) {
     }
     for (const auto& [name, value] : seen)
         EXPECT_EQ(name.rfind("check.", 0), 0u) << "observer-only counter " << name;
+    std::map<std::string, double> gauges(on.gauges.begin(), on.gauges.end());
+    for (const auto& [name, value] : off.gauges) {
+        const auto it = gauges.find(name);
+        ASSERT_NE(it, gauges.end()) << name;
+        EXPECT_EQ(it->second, value) << name;
+        gauges.erase(it);
+    }
+    for (const auto& [name, value] : gauges)
+        EXPECT_EQ(on.recorded.count(name), 1u) << "observer-only gauge " << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -537,7 +559,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Workload::seg_coll, Workload::rma_private,
                                          Workload::faults, Workload::async),
                        ::testing::Values(Toggle::none, Toggle::profile, Toggle::trace,
-                                         Toggle::evlog, Toggle::check, Toggle::all)),
+                                         Toggle::evlog, Toggle::check, Toggle::all,
+                                         Toggle::record)),
     [](const ::testing::TestParamInfo<ObserverMatrix::ParamType>& p) {
         return std::string(workload_name(std::get<0>(p.param))) + "_" +
                toggle_name(std::get<1>(p.param));

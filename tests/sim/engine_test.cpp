@@ -1,7 +1,16 @@
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -207,6 +216,199 @@ TEST(Engine, DelayFromForeignThreadPanics) {
         EXPECT_THROW(other->delay(1), Panic);
     });
     eng.run();
+}
+
+TEST(Engine, ThousandsOfYieldingProcessesRunRoundRobin) {
+    constexpr int kProcs = 2048;
+    constexpr int kYields = 3;
+    auto run_once = [] {
+        Engine eng;
+        std::vector<int> order;
+        order.reserve(static_cast<std::size_t>(kProcs) * (kYields + 1));
+        for (int i = 0; i < kProcs; ++i)
+            eng.spawn("p" + std::to_string(i), [&order, i](Process& p) {
+                for (int y = 0; y < kYields; ++y) {
+                    order.push_back(i);
+                    p.yield();
+                }
+                order.push_back(i);
+            });
+        eng.run();
+        EXPECT_EQ(eng.now(), 0);
+        return order;
+    };
+    const std::vector<int> order = run_once();
+    // Each yield goes behind every peer already queued: kYields+1 full
+    // rounds in spawn order.
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kProcs) * (kYields + 1));
+    for (std::size_t k = 0; k < order.size(); ++k)
+        ASSERT_EQ(order[k], static_cast<int>(k % kProcs)) << "at " << k;
+    EXPECT_EQ(run_once(), order);
+}
+
+/// Counts destructor runs: proof that a stack was unwound.
+struct Unwound {
+    int* count;
+    explicit Unwound(int* c) : count(c) {}
+    Unwound(const Unwound&) = delete;
+    Unwound& operator=(const Unwound&) = delete;
+    ~Unwound() { ++*count; }
+};
+
+TEST(Engine, ThrowWhilePeersParkedUnwindsEveryParkedStack) {
+    constexpr int kParked = 16;
+    int unwound = 0;
+    int reached = 0;
+    {
+        Engine eng;
+        for (int i = 0; i < kParked; ++i)
+            eng.spawn("parked" + std::to_string(i), [&, i](Process& p) {
+                const Unwound outer(&unwound);
+                p.delay(i);
+                const Unwound inner(&unwound);
+                ++reached;
+                p.block("parked peer");
+                ADD_FAILURE() << "a parked peer resumed";
+            });
+        eng.spawn("thrower", [](Process& p) {
+            p.delay(100);
+            throw std::runtime_error("kaboom");
+        });
+        try {
+            eng.run();
+            FAIL() << "expected Panic";
+        } catch (const Panic& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("thrower"), std::string::npos) << what;
+            EXPECT_NE(what.find("kaboom"), std::string::npos) << what;
+        }
+        // run() unwound every parked stack before it rethrew, while the
+        // engine (and anything the stacks reference) is still alive.
+        EXPECT_EQ(reached, kParked);
+        EXPECT_EQ(unwound, 2 * kParked);
+    }
+    EXPECT_EQ(unwound, 2 * kParked);
+}
+
+TEST(Engine, SpawnFromInsideAFiberKeepsStacksApart) {
+    Engine eng;
+    std::vector<std::string> order;
+    bool parent_stack_intact = false;
+    eng.spawn("parent", [&](Process& p) {
+        std::vector<char> pattern(4096);
+        char local[4096];
+        for (std::size_t i = 0; i < sizeof local; ++i)
+            local[i] = pattern[i] = static_cast<char>(i * 7);
+        p.delay(50);
+        Process& child = p.engine().spawn("child", [&](Process& c) {
+            order.push_back("child@" + std::to_string(c.now()));
+            // Deep enough recursion to scribble well past one page of stack.
+            std::function<int(int)> dig = [&](int n) {
+                volatile char pad[512];
+                pad[0] = static_cast<char>(n);
+                return n == 0 ? pad[0] : dig(n - 1) + pad[0];
+            };
+            (void)dig(256);
+            c.engine().spawn("grandchild", [&](Process& g) {
+                g.delay(5);
+                order.push_back("grandchild@" + std::to_string(g.now()));
+            });
+            c.delay(10);
+            order.push_back("child-done@" + std::to_string(c.now()));
+        });
+        EXPECT_FALSE(child.finished());
+        p.delay(100);
+        parent_stack_intact = std::equal(pattern.begin(), pattern.end(), local);
+        order.push_back("parent-done@" + std::to_string(p.now()));
+    });
+    eng.run();
+    EXPECT_TRUE(parent_stack_intact);
+    EXPECT_EQ(order, (std::vector<std::string>{"child@50", "grandchild@55", "child-done@60",
+                                              "parent-done@150"}));
+    EXPECT_EQ(eng.process_count(), 3u);
+}
+
+TEST(Engine, DestroyingUnstartedOrAllBlockedEnginesNeitherLeaksNorHangs) {
+    int unwound = 0;
+    {
+        Engine never_run;
+        for (int i = 0; i < 64; ++i)
+            never_run.spawn("idle" + std::to_string(i),
+                            [&](Process& p) { const Unwound u(&unwound); p.block(); });
+    }
+    EXPECT_EQ(unwound, 0);  // bodies never started: nothing to unwind
+
+    auto eng = std::make_unique<Engine>();
+    for (int i = 0; i < 64; ++i)
+        eng->spawn_daemon("daemon" + std::to_string(i), [&](Process& p) {
+            const Unwound u(&unwound);
+            p.block("forever");
+        });
+    eng->run();  // daemons may block forever: no deadlock panic
+    EXPECT_EQ(unwound, 0);
+    eng.reset();
+    EXPECT_EQ(unwound, 64);
+}
+
+TEST(Engine, FiberKeepsItsOwnExceptionState) {
+    // Two processes each park inside a catch block; each must rethrow its
+    // own exception, not the one most recently caught on the OS thread.
+    Engine eng;
+    std::vector<int> rethrown;
+    Process* first = nullptr;
+    auto body = [&](int value, Process* other) {
+        return [&, value, other](Process& p) {
+            try {
+                try {
+                    throw value;
+                } catch (int) {
+                    if (other != nullptr) p.engine().wake(*other);
+                    p.block("inside catch");
+                    throw;
+                }
+            } catch (int v) {
+                rethrown.push_back(v);
+            }
+        };
+    };
+    first = &eng.spawn("first", body(1, nullptr));
+    Process& second = eng.spawn("second", body(2, first));
+    eng.spawn("waker", [&](Process& p) {
+        p.delay(10);
+        p.engine().wake(second);
+    });
+    eng.run();
+    EXPECT_EQ(rethrown, (std::vector<int>{1, 2}));
+}
+
+/// Bytes of address space the calling process has mapped.
+std::size_t mapped_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(EngineDeathTest, UnmappableStackPanicsNamingTheProcess) {
+    EXPECT_EXIT(
+        {
+            // Cap the address space a little above its current size, below
+            // one fiber stack's reservation.
+            rlimit lim{};
+            ::getrlimit(RLIMIT_AS, &lim);
+            lim.rlim_cur = mapped_bytes() + (std::size_t{4} << 20);
+            ::setrlimit(RLIMIT_AS, &lim);
+            Engine eng;
+            eng.spawn("stackless-rank", [](Process& p) { p.delay(1); });
+            try {
+                eng.run();
+            } catch (const Panic& e) {
+                std::fputs(e.what(), stderr);
+                std::_Exit(0);
+            }
+            std::_Exit(1);
+        },
+        ::testing::ExitedWithCode(0), "fiber stack for process stackless-rank");
 }
 
 }  // namespace

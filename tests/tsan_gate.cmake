@@ -1,10 +1,14 @@
-# ThreadSanitizer gate over the engine and checker suites. The simulator is
-# deterministic by construction, but it *is* built from real OS threads and
-# a condvar baton — exactly the code TSan understands — so the sim/ and
-# check/ suites (which exercise spawn/suspend/shutdown, the schedule
-# controller hooks, and the explorer's repeated engine teardown) run under
-# the existing `tsan` preset as part of verify. Configures and builds the
-# preset's tree on demand so the gate works from a fresh checkout.
+# ThreadSanitizer gate over the engine and checker suites. Every simulated
+# process is a fiber on the engine's one OS thread, and each context switch
+# is annotated for TSan (__tsan_create_fiber / __tsan_switch_to_fiber /
+# __tsan_destroy_fiber). The gate runs those annotated switches under TSan,
+# together with the explorer's repeated engine construction and teardown,
+# which unwinds parked fiber stacks many times per run. TSan sees one OS
+# thread either way, so the gate checks that the annotations are used
+# correctly and that no host-level race appears, not that every switch is
+# annotated. The sim/ and check/ suites run under the existing `tsan`
+# preset as part of verify; the preset's tree is configured and built on
+# demand so the gate works from a fresh checkout.
 #
 # Expects: SOURCE_DIR.
 set(tsan_dir "${SOURCE_DIR}/build-tsan")
