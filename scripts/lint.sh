@@ -29,6 +29,32 @@ if [ -n "$stream_calls" ]; then
     exit 1
 fi
 
+# One description per collective algorithm: in src/mpi/coll and src/mpi/req
+# only the executors move data. A transport call (Rank::send/recv/isend/
+# irecv, CollSegmentSet::run_streams) anywhere else would be an algorithm
+# written against one transport again. Exempt: the round executors
+# (sched.cpp issue_round/run_seg), the segment set's p2p fallback path
+# (fallback_send/fallback_recv and the flag barrier's tokens) and the
+# request engine's point-to-point requests (request.cpp issue).
+transport_calls=$(awk '
+    FNR == 1 { fn = "" }
+    /^[A-Za-z][^;]*\(/ && !/^(namespace|static_assert)/ {
+        head = $0; sub(/\(.*/, "", head); n = split(head, w, /[ :*&]+/); fn = w[n]
+    }
+    /(\.|->)(send|recv|isend|irecv|run_streams)\(/ {
+        key = FILENAME ":" fn
+        if (key !~ /^src\/mpi\/coll\/sched\.cpp:(issue_round|run_seg)$/ &&
+            key !~ /^src\/mpi\/coll\/segment_set\.cpp:(fallback_send|fallback_recv|barrier_flags)$/ &&
+            key !~ /^src\/mpi\/req\/request\.cpp:issue$/)
+            print FILENAME ":" FNR ": " $0
+    }' $(find src/mpi/coll src/mpi/req -name '*.cpp' -o -name '*.hpp' | sort))
+if [ -n "$transport_calls" ]; then
+    echo "lint: transport calls outside the collective executors" \
+         "(describe the algorithm as a coll::Sched instead):" >&2
+    echo "$transport_calls" >&2
+    exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then
     echo "lint: clang-tidy ($(clang-tidy --version | head -n1))"
     # shellcheck disable=SC2086

@@ -1,12 +1,13 @@
 // Engine dispatch: Comm's collective methods land here, an algorithm is
 // selected (tuning.hpp), the per-communicator segment set is bootstrapped on
-// first segment-routed use, and the call is recorded in coll.* metrics and
-// the trace.
+// first segment-routed use, the algorithm's round schedule runs on the
+// executor its table entry names (sched.hpp), and the call is recorded in
+// coll.* metrics and the trace.
 #include <cstring>
 #include <string>
 
-#include "mpi/coll/algos.hpp"
 #include "mpi/coll/coll.hpp"
+#include "mpi/coll/sched.hpp"
 #include "mpi/coll/segment_set.hpp"
 #include "mpi/comm.hpp"
 #include "sim/engine.hpp"
@@ -53,12 +54,6 @@ CollSegmentSet* CollRuntime::ensure_set(Comm& comm) {
 
 namespace {
 
-bool is_seg_alg(Alg a) {
-    return a == Alg::flat || a == Alg::binomial || a == Alg::ring ||
-           a == Alg::pairwise || a == Alg::flags || a == Alg::reduce_bcast ||
-           a == Alg::scatter_ag || a == Alg::spread;
-}
-
 /// Select the algorithm and, when it is a segment one, bootstrap the set.
 /// Selection is deterministic in (op, bytes, comm shape), so every member
 /// reaches the bootstrap (and its internal allgather) together; when the
@@ -76,7 +71,7 @@ Alg choose(Comm& c, Op op, std::size_t bytes, CollSegmentSet** set_out) {
         .procs_per_node = opt.procs_per_node,
     };
     Alg a = rt.tuning().select(op, ctx);
-    if (is_seg_alg(a)) {
+    if (find_alg(op, a)->seg) {
         CollSegmentSet* s = rt.ensure_set(c);
         if (s == nullptr) {
             ctx.segments_ok = false;
@@ -152,181 +147,114 @@ private:
     std::uint64_t seq_ = 0;
 };
 
-}  // namespace
-
-void barrier(Comm& c) {
-    if (c.size() <= 1) return;
+/// Select, route and run one collective call (`bytes` of payload per rank).
+Status run(Comm& c, Op op, std::size_t bytes, const Args& a) {
     CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::barrier, 0, &set);
-    const OpCall call(c, Op::barrier, a, 0, set != nullptr);
-    if (a == Alg::flags && set != nullptr)
+    const Alg alg = choose(c, op, bytes, &set);
+    const AlgEntry& e = *find_alg(op, alg);
+    const OpCall call(c, op, alg, bytes, set != nullptr);
+    if (alg == Alg::rdouble && bytes <= c.cluster().options().cfg.coll_small_allreduce)
+        c.cluster().coll_runtime().metrics().small_allreduce->inc();
+    SCIMPI_REQUIRE(!e.seg || set != nullptr, "coll: segment algorithm without a set");
+    if (e.build == nullptr) {
         set->barrier_flags(c);
-    else
-        p2p::barrier(c);
-}
-
-Status bcast(Comm& c, void* buf, int count, const Datatype& ty, int root) {
-    if (c.size() <= 1) return Status::ok();
-    Datatype type = ty;
-    if (!type.committed()) type.commit(c.cluster().options().cfg);
-    const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-    CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::bcast, bytes, &set);
-    const OpCall call(c, Op::bcast, a, bytes, set != nullptr);
-    if (a == Alg::flat) return seg::bcast_flat(c, *set, buf, count, type, root);
-    if (a == Alg::binomial)
-        return seg::bcast_binomial(c, *set, buf, count, type, root);
-    if (a == Alg::scatter_ag)
-        return seg::bcast_scatter_ag(c, *set, buf, count, type, root);
-    return p2p::bcast(c, buf, count, type, root);
-}
-
-Status reduce_sum(Comm& c, const double* in, double* out, int n, int root) {
-    if (c.size() <= 1) {
-        std::memcpy(out, in, static_cast<std::size_t>(n) * sizeof(double));
         return Status::ok();
     }
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
-    CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::reduce, bytes, &set);
-    const OpCall call(c, Op::reduce, a, bytes, set != nullptr);
-    if (a == Alg::binomial) return seg::reduce_binomial(c, *set, in, out, n, root);
-    return p2p::reduce_sum(c, in, out, n, root);
+    const Sched s = e.build(c, a);
+    return e.seg ? run_seg(c, *set, s) : run_p2p(c, op, s);
 }
 
-Status allreduce_sum(Comm& c, const double* in, double* out, int n) {
-    if (c.size() <= 1) {
-        std::memcpy(out, in, static_cast<std::size_t>(n) * sizeof(double));
-        return Status::ok();
-    }
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
-    CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::allreduce, bytes, &set);
-    const OpCall call(c, Op::allreduce, a, bytes, set != nullptr);
-    CollMetrics& m = c.cluster().coll_runtime().metrics();
-    if (a == Alg::rdouble) {
-        if (bytes <= c.cluster().options().cfg.coll_small_allreduce)
-            m.small_allreduce->inc();
-        return p2p::allreduce_rdouble(c, in, out, n);
-    }
-    if (a == Alg::ring) return seg::allreduce_ring(c, *set, in, out, n);
-    if (a == Alg::reduce_bcast) {
-        Status st = seg::reduce_binomial(c, *set, in, out, n, 0);
-        if (!st) return st;
-        Datatype byte = Datatype::byte_();
-        byte.commit(c.cluster().options().cfg);
-        return seg::bcast_binomial(c, *set, out, static_cast<int>(bytes), byte, 0);
-    }
-    // The seed composition, kept as the explicit "p2p" behaviour.
-    Status st = p2p::reduce_sum(c, in, out, n, 0);
-    if (!st) return st;
-    return p2p::bcast(c, out, static_cast<int>(bytes), Datatype::byte_(), 0);
-}
-
-Status allgather(Comm& c, const void* in, std::size_t bytes_each, void* out) {
-    if (c.size() <= 1) {
-        std::memcpy(out, in, bytes_each);
-        return Status::ok();
-    }
-    CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::allgather, bytes_each, &set);
-    const OpCall call(c, Op::allgather, a, bytes_each, set != nullptr);
-    if (a == Alg::ring || a == Alg::flat)
-        return seg::allgather_ring(c, *set, in, bytes_each, out);
-    return p2p::allgather(c, in, bytes_each, out);
-}
-
-Status allgather_typed(Comm& c, const void* in, int count, const Datatype& ty,
-                       void* out) {
-    Datatype type = ty;
-    if (!type.committed()) type.commit(c.cluster().options().cfg);
-    const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-    if (c.size() <= 1) {
-        // Self-block copy through the canonical stream.
-        std::vector<std::byte> tmp(bytes);
-        std::size_t pos = 0;
-        Status st = c.pack(in, count, type, tmp, &pos);
-        if (!st) return st;
-        pos = 0;
-        return c.unpack(tmp, &pos, out, count, type);
-    }
-    CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::allgather, bytes, &set);
-    const OpCall call(c, Op::allgather, a, bytes, set != nullptr);
-    if (a == Alg::ring || a == Alg::flat)
-        return seg::allgather_flat_typed(c, *set, in, count, type, out);
-    return p2p::allgather_typed(c, in, count, type, out);
-}
-
-Status gather(Comm& c, const void* in, std::size_t bytes_each, void* out, int root) {
-    if (c.size() <= 1) {
-        std::memcpy(out, in, bytes_each);
-        return Status::ok();
-    }
-    const OpCall call(c, Op::gather, Alg::p2p, bytes_each, false);
-    return p2p::gather(c, in, bytes_each, out, root);
-}
-
-Status scatter(Comm& c, const void* in, std::size_t bytes_each, void* out, int root) {
-    if (c.size() <= 1) {
-        std::memcpy(out, in, bytes_each);
-        return Status::ok();
-    }
-    const OpCall call(c, Op::scatter, Alg::p2p, bytes_each, false);
-    return p2p::scatter(c, in, bytes_each, out, root);
-}
-
-Status alltoall(Comm& c, const void* in, std::size_t bytes_each, void* out) {
-    if (c.size() <= 1) {
-        std::memcpy(out, in, bytes_each);
-        return Status::ok();
-    }
-    CollSegmentSet* set = nullptr;
-    const Alg a = choose(c, Op::alltoall, bytes_each, &set);
-    const OpCall call(c, Op::alltoall, a, bytes_each, set != nullptr);
-    if (a == Alg::spread) return seg::alltoall_spread(c, *set, in, bytes_each, out);
-    if (a == Alg::pairwise)
-        return seg::alltoall_pairwise(c, *set, in, bytes_each, out);
-    return p2p::alltoall(c, in, bytes_each, out);
-}
+}  // namespace
 
 }  // namespace scimpi::mpi::coll
 
-// ---- Comm collective methods: thin forwards into the engine ----
+// ---- Comm collective methods ----
 namespace scimpi::mpi {
 
-void Comm::barrier() { coll::barrier(*this); }
+using coll::Op;
 
-Status Comm::bcast(void* buf, int count, const Datatype& type, int root) {
-    return coll::bcast(*this, buf, count, type, root);
+void Comm::barrier() {
+    if (size() > 1) (void)coll::run(*this, Op::barrier, 0, {});
+}
+
+Status Comm::bcast(void* buf, int count, const Datatype& ty, int root) {
+    if (size() <= 1) return Status::ok();
+    Datatype type = ty;
+    if (!type.committed()) type.commit(cluster_->options().cfg);
+    return coll::run(*this, Op::bcast, type.size() * static_cast<std::size_t>(count),
+                     {.out = buf, .count = count, .type = &type, .root = root});
 }
 
 Status Comm::reduce_sum(const double* in, double* out, int n, int root) {
-    return coll::reduce_sum(*this, in, out, n, root);
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+    if (size() <= 1) {
+        std::memcpy(out, in, bytes);
+        return Status::ok();
+    }
+    return coll::run(*this, Op::reduce, bytes,
+                     {.in = in, .out = out, .bytes = bytes, .root = root});
 }
 
 Status Comm::allreduce_sum(const double* in, double* out, int n) {
-    return coll::allreduce_sum(*this, in, out, n);
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+    if (size() <= 1) {
+        std::memcpy(out, in, bytes);
+        return Status::ok();
+    }
+    return coll::run(*this, Op::allreduce, bytes, {.in = in, .out = out, .bytes = bytes});
 }
 
 Status Comm::allgather(const void* in, std::size_t bytes_each, void* out) {
-    return coll::allgather(*this, in, bytes_each, out);
+    if (size() <= 1) {
+        std::memcpy(out, in, bytes_each);
+        return Status::ok();
+    }
+    return coll::run(*this, Op::allgather, bytes_each,
+                     {.in = in, .out = out, .bytes = bytes_each});
 }
 
-Status Comm::allgather(const void* in, int count, const Datatype& type, void* out) {
-    return coll::allgather_typed(*this, in, count, type, out);
+Status Comm::allgather(const void* in, int count, const Datatype& ty, void* out) {
+    Datatype type = ty;
+    if (!type.committed()) type.commit(cluster_->options().cfg);
+    const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
+    if (size() <= 1) {
+        // Self-block copy through the canonical stream.
+        std::vector<std::byte> tmp(bytes);
+        std::size_t pos = 0;
+        Status st = pack(in, count, type, tmp, &pos);
+        if (!st) return st;
+        pos = 0;
+        return unpack(tmp, &pos, out, count, type);
+    }
+    return coll::run(*this, Op::allgather, bytes,
+                     {.in = in, .out = out, .count = count, .type = &type});
 }
 
 Status Comm::gather(const void* in, std::size_t bytes_each, void* out, int root) {
-    return coll::gather(*this, in, bytes_each, out, root);
+    if (size() <= 1) {
+        std::memcpy(out, in, bytes_each);
+        return Status::ok();
+    }
+    return coll::run(*this, Op::gather, bytes_each,
+                     {.in = in, .out = out, .bytes = bytes_each, .root = root});
 }
 
 Status Comm::scatter(const void* in, std::size_t bytes_each, void* out, int root) {
-    return coll::scatter(*this, in, bytes_each, out, root);
+    if (size() <= 1) {
+        std::memcpy(out, in, bytes_each);
+        return Status::ok();
+    }
+    return coll::run(*this, Op::scatter, bytes_each,
+                     {.in = in, .out = out, .bytes = bytes_each, .root = root});
 }
 
 Status Comm::alltoall(const void* in, std::size_t bytes_each, void* out) {
-    return coll::alltoall(*this, in, bytes_each, out);
+    if (size() <= 1) {
+        std::memcpy(out, in, bytes_each);
+        return Status::ok();
+    }
+    return coll::run(*this, Op::alltoall, bytes_each,
+                     {.in = in, .out = out, .bytes = bytes_each});
 }
 
 }  // namespace scimpi::mpi

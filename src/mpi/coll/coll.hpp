@@ -1,8 +1,8 @@
 // The SCI-native collective engine (DESIGN.md §11). Comm's collective
-// methods forward here; the engine selects an algorithm (tuning.hpp), lazily
-// bootstraps a per-communicator collective segment set (segment_set.hpp) and
-// dispatches to the p2p or segment implementation, recording coll.* metrics
-// and a trace span per call.
+// methods (api.cpp) select an algorithm (tuning.hpp), lazily bootstrap a
+// per-communicator collective segment set (segment_set.hpp) and run the
+// algorithm's round schedule (sched.hpp) over p2p or the segments,
+// recording coll.* metrics and a trace span per call.
 #pragma once
 
 #include <algorithm>
@@ -12,9 +12,7 @@
 #include <string>
 #include <utility>
 
-#include "common/status.hpp"
 #include "mpi/coll/tuning.hpp"
-#include "mpi/datatype/datatype.hpp"
 #include "obs/metrics.hpp"
 
 namespace scimpi::mpi {
@@ -27,16 +25,14 @@ namespace scimpi::mpi::coll {
 class CollSegmentSet;
 
 // Reserved tags (context-scoped, never matched by user ANY_TAG receives).
-// The seed p2p algorithms keep their historical tags (-16..-200-s); the
-// segment engine claims the -1024 region for stream fallbacks and -1100 for
-// barrier tokens.
-inline constexpr int kTagBarrier = -16;
-inline constexpr int kTagBcast = -32;
-inline constexpr int kTagReduce = -48;
-inline constexpr int kTagGather = -64;
-inline constexpr int kTagRdouble = -300;
+// The blocking p2p executor gives round r of operation op the tag
+// kTagColl - op * kTagBand - r; the segment engine claims the -1024 region
+// for stream fallbacks and -1100 for barrier tokens; nonblocking schedules
+// draw their bands below req::kTagNbcBase.
 inline constexpr int kTagStreamFbk = -1024;  ///< minus the stream slot
 inline constexpr int kTagBarrierFbk = -1100; ///< minus the dissemination round
+inline constexpr int kTagColl = -(1 << 16);
+inline constexpr int kTagBand = 1 << 16;     ///< rounds per operation
 
 /// Cluster-wide registry slots for the engine, resolved once.
 struct CollMetrics {
@@ -118,17 +114,5 @@ private:
     std::map<std::pair<int, std::uint64_t>, CollEpoch> epochs_;
     std::map<std::pair<int, int>, std::uint64_t> coll_seq_;
 };
-
-// ---- engine entry points (called by the Comm methods) ----
-void barrier(Comm& c);
-Status bcast(Comm& c, void* buf, int count, const Datatype& type, int root);
-Status reduce_sum(Comm& c, const double* in, double* out, int n, int root);
-Status allreduce_sum(Comm& c, const double* in, double* out, int n);
-Status allgather(Comm& c, const void* in, std::size_t bytes_each, void* out);
-Status allgather_typed(Comm& c, const void* in, int count, const Datatype& type,
-                       void* out);
-Status gather(Comm& c, const void* in, std::size_t bytes_each, void* out, int root);
-Status scatter(Comm& c, const void* in, std::size_t bytes_each, void* out, int root);
-Status alltoall(Comm& c, const void* in, std::size_t bytes_each, void* out);
 
 }  // namespace scimpi::mpi::coll

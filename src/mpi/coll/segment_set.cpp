@@ -4,7 +4,6 @@
 
 #include "check/checker.hpp"
 #include "fault/retry.hpp"
-#include "mpi/coll/algos.hpp"
 #include "mpi/coll/coll.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/datatype/pack_ff.hpp"
@@ -94,7 +93,9 @@ void CollSegmentSet::init_member(Comm& c) {
     // all ranks take identical paths even when one arena is exhausted.
     std::uint8_t mine = ok ? 1 : 0;
     std::vector<std::uint8_t> all(static_cast<std::size_t>(n_));
-    const Status st = p2p::allgather(c, &mine, 1, all.data());
+    const Args args{.in = &mine, .out = all.data(), .bytes = 1};
+    const Status st =
+        run_p2p(c, Op::allgather, find_alg(Op::allgather, Alg::p2p)->build(c, args));
     SCIMPI_REQUIRE(st.is_ok(),
                    "collective segment-set bootstrap failed: " + st.to_string());
     bool every = true;
@@ -483,40 +484,16 @@ Status CollSegmentSet::pump_all(Comm& c, std::span<ActiveSend> sends,
     return rst;
 }
 
-Status CollSegmentSet::run_streams(Comm& c, std::span<const StreamOp> sends,
-                                   std::span<const StreamOp> recvs) {
+Status CollSegmentSet::run_streams(Comm& c, std::span<const Step> steps) {
     std::vector<ActiveSend> ss;
-    ss.reserve(sends.size());
-    for (const StreamOp& o : sends)
-        ss.push_back({.to = o.peer, .slot = o.slot, .v = o.v, .pos = o.pos,
-                      .len = o.len});
     std::vector<ActiveRecv> rr;
-    rr.reserve(recvs.size());
-    for (const StreamOp& o : recvs)
-        rr.push_back({.from = o.peer, .slot = o.slot, .v = o.v, .pos = o.pos,
-                      .len = o.len});
+    for (const Step& st : steps) {
+        if (st.send)
+            ss.push_back({.to = st.peer, .v = st.v, .pos = st.pos, .len = st.len});
+        else
+            rr.push_back({.from = st.peer, .v = st.v, .pos = st.pos, .len = st.len});
+    }
     return pump_all(c, ss, rr);
-}
-
-Status CollSegmentSet::send_stream(Comm& c, int to, int slot, const XferView& v,
-                                   std::size_t pos, std::size_t len) {
-    ActiveSend s{.to = to, .slot = slot, .v = v, .pos = pos, .len = len};
-    return pump_all(c, {&s, 1}, {});
-}
-
-Status CollSegmentSet::recv_stream(Comm& c, int from, int slot, const XferView& v,
-                                   std::size_t pos, std::size_t len) {
-    ActiveRecv r{.from = from, .slot = slot, .v = v, .pos = pos, .len = len};
-    return pump_all(c, {}, {&r, 1});
-}
-
-Status CollSegmentSet::xchg_streams(Comm& c, int to, int sslot, const XferView& sv,
-                                    std::size_t spos, std::size_t slen, int from,
-                                    int rslot, const XferView& rv, std::size_t rpos,
-                                    std::size_t rlen) {
-    ActiveSend s{.to = to, .slot = sslot, .v = sv, .pos = spos, .len = slen};
-    ActiveRecv r{.from = from, .slot = rslot, .v = rv, .pos = rpos, .len = rlen};
-    return pump_all(c, {&s, 1}, {&r, 1});
 }
 
 void CollSegmentSet::barrier_flags(Comm& c) {

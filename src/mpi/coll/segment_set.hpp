@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "mpi/datatype/datatype.hpp"
+#include "mpi/coll/sched.hpp"
 #include "sci/segment.hpp"
 #include "sim/sync.hpp"
 #include "smi/region.hpp"
@@ -48,20 +48,11 @@ namespace scimpi::mpi::coll {
 
 struct CollMetrics;
 
-/// One side of a collective transfer in packed-stream terms. `type` null
-/// means raw bytes (stream position p maps to `data` + p); otherwise the
-/// stream is the canonical packed form of `count` x `type` at `data`, packed
-/// with direct_pack_ff straight into the remote segment when order-safe.
-struct XferView {
-    void* data = nullptr;  ///< treated as const on the send side
-    int count = 0;
-    const Datatype* type = nullptr;
-};
-
 class CollSegmentSet {
 public:
-    /// Chunk streams per (writer, reader) pair; tree algorithms use
-    /// slot = round % kSlots, sequential ring steps alternate slots.
+    /// Chunk streams per (writer, reader) pair. Every transfer runs on slot
+    /// 0 (run_streams); slot 1's chunk areas and flag words are reserved
+    /// but unused.
     static constexpr int kSlots = 2;
     static constexpr int kBarrierRounds = 32;
 
@@ -71,7 +62,8 @@ public:
     CollSegmentSet& operator=(const CollSegmentSet&) = delete;
 
     /// First-use bootstrap (collective): export this member's segments, then
-    /// agree over a p2p allgather that every member allocated successfully.
+    /// agree over a p2p ring allgather that every member allocated
+    /// successfully.
     /// After it returns, usable() is identical on every member.
     void init_member(Comm& comm);
     [[nodiscard]] bool initialized(int local) const {
@@ -81,32 +73,12 @@ public:
 
     [[nodiscard]] std::size_t chunk() const { return chunk_; }
 
-    /// One direction of a multi-stream pump batch. `peer` is the remote
-    /// local rank (writer for recvs, reader for sends); a batch must not
-    /// contain two ops on the same (peer, slot, direction) stream.
-    struct StreamOp {
-        int peer = 0;
-        int slot = 0;
-        XferView v;
-        std::size_t pos = 0;
-        std::size_t len = 0;
-    };
-
-    // ---- stream transfers (local ranks; blocking, collective-internal) ----
-    Status send_stream(Comm& c, int to, int slot, const XferView& v,
-                       std::size_t pos, std::size_t len);
-    Status recv_stream(Comm& c, int from, int slot, const XferView& v,
-                       std::size_t pos, std::size_t len);
-    /// Full-duplex send+recv pump (ring/pairwise steps): neither direction
-    /// blocks the other, which is what makes >2-chunk ring steps safe.
-    Status xchg_streams(Comm& c, int to, int sslot, const XferView& sv,
-                        std::size_t spos, std::size_t slen, int from, int rslot,
-                        const XferView& rv, std::size_t rpos, std::size_t rlen);
-    /// Pump any number of concurrent sends and recvs to completion (the
-    /// scatter/spread schedules): every stream progresses independently, so
-    /// one slow or degraded edge never stalls the others.
-    Status run_streams(Comm& c, std::span<const StreamOp> sends,
-                       std::span<const StreamOp> recvs);
+    /// Pump one round's steps (sched.hpp; peers are local ranks) on slot 0
+    /// to completion: every stream progresses independently, so neither
+    /// direction of an exchange blocks the other and one slow or degraded
+    /// edge never stalls the rest. A round must not hold two steps on the
+    /// same (peer, direction) stream.
+    Status run_streams(Comm& c, std::span<const Step> steps);
 
     /// Dissemination barrier on the control-segment flag words, degrading
     /// per edge to short p2p tokens (which ride the hardware-reliable

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstddef>
 
+#include "mpi/coll/sched.hpp"
+
 namespace scimpi::mpi::coll {
 
 namespace {
@@ -18,33 +20,8 @@ constexpr std::array<const char*, 11> kAlgNames = {
     "scatter_ag", "spread",
 };
 
-/// Which algorithms make sense for which operation (p2p/auto fit all).
-bool valid_for(Op op, Alg a) {
-    switch (a) {
-        case Alg::auto_:
-        case Alg::p2p:
-            return true;
-        case Alg::flat:
-            return op == Op::bcast || op == Op::allgather;
-        case Alg::binomial:
-            return op == Op::bcast || op == Op::reduce;
-        case Alg::ring:
-            return op == Op::allgather || op == Op::allreduce;
-        case Alg::pairwise:
-            return op == Op::alltoall;
-        case Alg::flags:
-            return op == Op::barrier;
-        case Alg::rdouble:
-            return op == Op::allreduce;
-        case Alg::reduce_bcast:
-            return op == Op::allreduce;
-        case Alg::scatter_ag:
-            return op == Op::bcast;
-        case Alg::spread:
-            return op == Op::alltoall;
-    }
-    return false;
-}
+/// Which algorithms make sense for which operation: the table rows.
+bool valid_for(Op op, Alg a) { return a == Alg::auto_ || find_alg(op, a) != nullptr; }
 
 bool parse_op(const std::string& s, Op* out) {
     for (int i = 0; i < kOps; ++i) {
@@ -117,8 +94,7 @@ Result<Tuning> Tuning::parse(const std::string& spec, const Config& cfg) {
                                      alg_name(alg) + "' not valid for '" +
                                      op_name(op) + "'");
         t.force_[static_cast<std::size_t>(op)] = alg;
-        if (alg != Alg::p2p && alg != Alg::auto_ && alg != Alg::rdouble)
-            t.seg_allowed_ = true;
+        if (alg != Alg::auto_ && find_alg(op, alg)->seg) t.seg_allowed_ = true;
         if (pos > spec.size()) break;
     }
     return t;
@@ -130,11 +106,7 @@ Alg Tuning::select(Op op, const SelectCtx& c) const {
     if (a == Alg::auto_) a = pick_auto(op, c);
     // A segment algorithm without a usable segment set degrades to the
     // matching p2p implementation (same happens under cfg.coll_segments=0).
-    const bool seg = a == Alg::flat || a == Alg::binomial || a == Alg::ring ||
-                     a == Alg::pairwise || a == Alg::flags ||
-                     a == Alg::reduce_bcast || a == Alg::scatter_ag ||
-                     a == Alg::spread;
-    if (seg && !c.segments_ok) {
+    if (find_alg(op, a)->seg && !c.segments_ok) {
         if (op == Op::allreduce) return Alg::rdouble;
         return Alg::p2p;
     }

@@ -14,6 +14,15 @@ std::shared_ptr<const CommGroup> world_group(const Cluster& cluster) {
         g->members[static_cast<std::size_t>(r)] = r;
     return g;
 }
+
+/// Run (op, alg)'s description on the nonblocking executor.
+Request start_nbc(Comm& c, coll::Op op, coll::Alg alg, const coll::Args& a) {
+    coll::Sched s = coll::find_alg(op, alg)->build(c, a);
+    req::Engine& eng = c.rank_state().requests();
+    const int tag = eng.nbc_tag_band(c.context(), s.rounds.size());
+    return eng.start_coll(std::make_shared<req::NbcSched>(
+        c.rank_state(), c.members(), c.context(), tag, std::move(s)));
+}
 }  // namespace
 
 Comm::Comm(Cluster& cluster, Rank& rank)
@@ -130,33 +139,23 @@ void Comm::start(Request& req) { rank_->requests().start(req); }
 void Comm::start_all(std::span<Request> reqs) { rank_->requests().startall(reqs); }
 
 Request Comm::ibarrier() {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_ibarrier(*rank_, group_->members, local_rank_,
-                                             context(),
-                                             eng.nbc_tag_base(context())));
+    return start_nbc(*this, coll::Op::barrier, coll::Alg::p2p, {});
 }
 
 Request Comm::ibcast(void* buf, std::size_t bytes, int root) {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_ibcast(*rank_, group_->members, local_rank_,
-                                           context(), eng.nbc_tag_base(context()),
-                                           buf, bytes, root));
+    return start_nbc(*this, coll::Op::bcast, coll::Alg::p2p,
+                     {.out = buf, .bytes = bytes, .root = root});
 }
 
 Request Comm::iallreduce_sum(const double* in, double* out, int n) {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_iallreduce(*rank_, group_->members, local_rank_,
-                                               context(),
-                                               eng.nbc_tag_base(context()), in, out,
-                                               n));
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+    return start_nbc(*this, coll::Op::allreduce, coll::Alg::rdouble,
+                     {.in = in, .out = out, .bytes = bytes});
 }
 
 Request Comm::iallgather(const void* in, std::size_t bytes_each, void* out) {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_iallgather(*rank_, group_->members, local_rank_,
-                                               context(),
-                                               eng.nbc_tag_base(context()), in,
-                                               bytes_each, out));
+    return start_nbc(*this, coll::Op::allgather, coll::Alg::p2p,
+                     {.in = in, .out = out, .bytes = bytes_each});
 }
 
 Status Comm::sendrecv(const void* sbuf, int scount, const Datatype& stype, int dst,

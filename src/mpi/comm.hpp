@@ -44,6 +44,8 @@ public:
         return group_->members.at(static_cast<std::size_t>(local));
     }
     [[nodiscard]] int context() const { return group_->context; }
+    /// World ranks of the members, indexed by communicator-local rank.
+    [[nodiscard]] std::span<const int> members() const { return group_->members; }
     /// Communicator-local rank of a world rank (-1 if not a member).
     [[nodiscard]] int local_of_world(int world) const {
         for (std::size_t i = 0; i < group_->members.size(); ++i)
@@ -87,8 +89,9 @@ public:
     void start(Request& req);
     void start_all(std::span<Request> reqs);
 
-    // ---- nonblocking collectives (req/nbc.hpp schedules; byte-oriented
-    // like allgather(in, bytes_each, out); complete via wait/test) ----
+    // ---- nonblocking collectives (the blocking algorithms' round
+    // schedules on the req/nbc.hpp executor; byte-oriented like
+    // allgather(in, bytes_each, out); complete via wait/test) ----
     Request ibarrier();
     Request ibcast(void* buf, std::size_t bytes, int root);
     Request iallreduce_sum(const double* in, double* out, int n);

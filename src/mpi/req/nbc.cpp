@@ -1,34 +1,20 @@
 #include "mpi/req/nbc.hpp"
 
-#include <cstring>
-
-#include "mpi/datatype/datatype.hpp"
 #include "mpi/rank.hpp"
 
 namespace scimpi::mpi::req {
 
-NbcSched::NbcSched(Rank& rank, int context, int tag_base, std::string label)
-    : rank_(rank), context_(context), tag_base_(tag_base), label_(std::move(label)) {}
-
-void NbcSched::issue(const NbcRound& r) {
-    const int tag = tag_base_ - static_cast<int>(next_round_);
-    // Pre-post the receives of the round before its sends: a peer's send
-    // for this round can then always land on a posted receive.
-    for (const NbcStep& st : r.steps)
-        if (!st.send)
-            live_r_.push_back(rank_.irecv(st.rbuf, static_cast<int>(st.bytes),
-                                          Datatype::byte_(), st.peer, tag,
-                                          context_));
-    for (const NbcStep& st : r.steps)
-        if (st.send)
-            live_s_.push_back(rank_.isend(st.sbuf, static_cast<int>(st.bytes),
-                                          Datatype::byte_(), st.peer, tag,
-                                          context_));
-}
+NbcSched::NbcSched(Rank& rank, std::span<const int> members, int context, int tag_base,
+                   coll::Sched sched)
+    : rank_(rank),
+      members_(members.begin(), members.end()),
+      context_(context),
+      tag_base_(tag_base),
+      sched_(std::move(sched)) {}
 
 bool NbcSched::pump() {
     if (done_) return true;
-    SCIMPI_REQUIRE(rounds.size() <= kNbcMaxRounds, "NBC schedule too long");
+    const std::vector<coll::Round>& rounds = sched_.rounds;
     for (;;) {
         bool inflight = false;
         for (const auto& s : live_s_)
@@ -49,206 +35,20 @@ bool NbcSched::pump() {
         }
         live_s_.clear();
         live_r_.clear();
-        if (next_round_ > 0 && rounds[next_round_ - 1].post) rounds[next_round_ - 1].post();
+        if (next_round_ > 0 && rounds[next_round_ - 1].post)
+            rounds[next_round_ - 1].post();
         if (next_round_ >= rounds.size()) {
             done_ = true;
             break;
         }
-        issue(rounds[next_round_]);
+        coll::issue_round(rank_, rounds[next_round_], members_,
+                          tag_base_ - static_cast<int>(next_round_), context_, live_s_,
+                          live_r_);
         ++next_round_;
         // Loop: short/eager steps may have completed synchronously, in which
         // case the next round can be issued right away.
     }
     return done_;
-}
-
-// ---------------------------------------------------------------------------
-// Schedule builders
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<NbcSched> make_ibarrier(Rank& rk, const std::vector<int>& members,
-                                        int me, int context, int tag_base) {
-    auto sched = std::make_shared<NbcSched>(rk, context, tag_base, "ibarrier");
-    const int n = static_cast<int>(members.size());
-    if (n <= 1) return sched;
-    // Dissemination: after round t every rank has heard (transitively) from
-    // 2^(t+1) predecessors; ceil(log2 n) rounds synchronize everyone.
-    sched->scratch.emplace_back(1);  // send token
-    auto* token = sched->scratch.back().data();
-    for (int dist = 1; dist < n; dist *= 2) {
-        NbcRound round;
-        sched->scratch.emplace_back(1);
-        NbcStep tx;
-        tx.send = true;
-        tx.sbuf = token;
-        tx.bytes = 1;
-        tx.peer = members[static_cast<std::size_t>((me + dist) % n)];
-        NbcStep rx;
-        rx.rbuf = sched->scratch.back().data();
-        rx.bytes = 1;
-        rx.peer = members[static_cast<std::size_t>((me - dist + n) % n)];
-        round.steps.push_back(rx);
-        round.steps.push_back(tx);
-        sched->rounds.push_back(std::move(round));
-    }
-    return sched;
-}
-
-std::shared_ptr<NbcSched> make_ibcast(Rank& rk, const std::vector<int>& members,
-                                      int me, int context, int tag_base, void* buf,
-                                      std::size_t bytes, int root) {
-    auto sched = std::make_shared<NbcSched>(rk, context, tag_base, "ibcast");
-    const int n = static_cast<int>(members.size());
-    if (n <= 1) return sched;
-    // Binomial doubling with globally aligned rounds: in round t (mask=2^t)
-    // every rank that already holds the data (vr < mask) forwards it to
-    // vr + mask; vr in [mask, 2*mask) receives. Ranks idle in a round carry
-    // an empty round so tags line up across the communicator.
-    const int vr = (me - root + n) % n;
-    for (int mask = 1; mask < n; mask <<= 1) {
-        NbcRound round;
-        if (vr < mask && vr + mask < n) {
-            NbcStep tx;
-            tx.send = true;
-            tx.sbuf = buf;
-            tx.bytes = bytes;
-            tx.peer = members[static_cast<std::size_t>((vr + mask + root) % n)];
-            round.steps.push_back(tx);
-        } else if (vr >= mask && vr < 2 * mask) {
-            NbcStep rx;
-            rx.rbuf = buf;
-            rx.bytes = bytes;
-            rx.peer = members[static_cast<std::size_t>((vr - mask + root) % n)];
-            round.steps.push_back(rx);
-        }
-        sched->rounds.push_back(std::move(round));
-    }
-    return sched;
-}
-
-std::shared_ptr<NbcSched> make_iallreduce(Rank& rk, const std::vector<int>& members,
-                                          int me, int context, int tag_base,
-                                          const double* in, double* out, int n_elems) {
-    auto sched = std::make_shared<NbcSched>(rk, context, tag_base, "iallreduce");
-    const int n = static_cast<int>(members.size());
-    const std::size_t bytes = static_cast<std::size_t>(n_elems) * sizeof(double);
-    sched->scratch.emplace_back(bytes);  // acc
-    sched->scratch.emplace_back(bytes);  // tmp
-    auto* acc = reinterpret_cast<double*>(sched->scratch[0].data());
-    auto* tmp = reinterpret_cast<double*>(sched->scratch[1].data());
-    std::memcpy(acc, in, bytes);
-    Rank* rp = &rk;
-    auto reduce_post = [rp, acc, tmp, n_elems] {
-        rp->cur_proc().delay(n_elems);  // one flop per element, as in coll/
-        for (int i = 0; i < n_elems; ++i)
-            acc[static_cast<std::size_t>(i)] += tmp[static_cast<std::size_t>(i)];
-    };
-    if (n > 1) {
-        // Recursive doubling with the MPICH non-power-of-two fold/unfold
-        // (mirrors coll/p2p_algos.cpp allreduce_rdouble), one round per
-        // exchange so every member agrees on the round→tag mapping.
-        int pof2 = 1;
-        while (pof2 * 2 <= n) pof2 *= 2;
-        const int rem = n - pof2;
-        int newrank = 0;
-        {
-            NbcRound fold;
-            if (me < 2 * rem) {
-                NbcStep st;
-                st.bytes = bytes;
-                if ((me % 2) != 0) {
-                    st.send = true;
-                    st.sbuf = acc;
-                    st.peer = members[static_cast<std::size_t>(me - 1)];
-                    newrank = -1;
-                } else {
-                    st.rbuf = tmp;
-                    st.peer = members[static_cast<std::size_t>(me + 1)];
-                    fold.post = reduce_post;
-                    newrank = me / 2;
-                }
-                fold.steps.push_back(st);
-            } else {
-                newrank = me - rem;
-            }
-            sched->rounds.push_back(std::move(fold));
-        }
-        for (int mask = 1; mask < pof2; mask <<= 1) {
-            NbcRound xchg;
-            if (newrank >= 0) {
-                const int partner_new = newrank ^ mask;
-                const int partner =
-                    partner_new < rem ? partner_new * 2 : partner_new + rem;
-                NbcStep tx;
-                tx.send = true;
-                tx.sbuf = acc;
-                tx.bytes = bytes;
-                tx.peer = members[static_cast<std::size_t>(partner)];
-                NbcStep rx;
-                rx.rbuf = tmp;
-                rx.bytes = bytes;
-                rx.peer = tx.peer;
-                xchg.steps.push_back(rx);
-                xchg.steps.push_back(tx);
-                // The send reads acc and completes before the round's post
-                // runs, so reducing into acc here never corrupts the stream.
-                xchg.post = reduce_post;
-            }
-            sched->rounds.push_back(std::move(xchg));
-        }
-        {
-            NbcRound unfold;
-            if (me < 2 * rem) {
-                NbcStep st;
-                st.bytes = bytes;
-                if ((me % 2) != 0) {
-                    st.rbuf = acc;
-                    st.peer = members[static_cast<std::size_t>(me - 1)];
-                } else {
-                    st.send = true;
-                    st.sbuf = acc;
-                    st.peer = members[static_cast<std::size_t>(me + 1)];
-                }
-                unfold.steps.push_back(st);
-            }
-            sched->rounds.push_back(std::move(unfold));
-        }
-    }
-    NbcRound fin;
-    fin.post = [acc, out, bytes] { std::memcpy(out, acc, bytes); };
-    sched->rounds.push_back(std::move(fin));
-    return sched;
-}
-
-std::shared_ptr<NbcSched> make_iallgather(Rank& rk, const std::vector<int>& members,
-                                          int me, int context, int tag_base,
-                                          const void* in, std::size_t bytes_each,
-                                          void* out) {
-    auto sched = std::make_shared<NbcSched>(rk, context, tag_base, "iallgather");
-    const int n = static_cast<int>(members.size());
-    auto* dst = static_cast<std::byte*>(out);
-    std::memcpy(dst + static_cast<std::size_t>(me) * bytes_each, in, bytes_each);
-    // Ring: in step s, pass along the block that originated at (me - s).
-    // The block sent in round s was received in round s-1, which the round
-    // barrier orders before this round's send.
-    for (int s = 0; s < n - 1; ++s) {
-        NbcRound round;
-        const int send_block = (me - s + n) % n;
-        const int recv_block = (me - s - 1 + n) % n;
-        NbcStep tx;
-        tx.send = true;
-        tx.sbuf = dst + static_cast<std::size_t>(send_block) * bytes_each;
-        tx.bytes = bytes_each;
-        tx.peer = members[static_cast<std::size_t>((me + 1) % n)];
-        NbcStep rx;
-        rx.rbuf = dst + static_cast<std::size_t>(recv_block) * bytes_each;
-        rx.bytes = bytes_each;
-        rx.peer = members[static_cast<std::size_t>((me - 1 + n) % n)];
-        round.steps.push_back(rx);
-        round.steps.push_back(tx);
-        sched->rounds.push_back(std::move(round));
-    }
-    return sched;
 }
 
 }  // namespace scimpi::mpi::req

@@ -1,25 +1,23 @@
-// Nonblocking collectives as resumable step programs (libNBC style).
+// The nonblocking executor of the collective round schedules (libNBC
+// style; the descriptions are coll/sched.hpp's, shared with the blocking
+// executors).
 //
-// A schedule is a list of rounds; a round is a set of point-to-point steps
-// (posted together) plus an optional post-action (reduction, copy) that runs
-// once every step of the round has completed. Rounds are separated by an
-// implicit barrier: round r+1 is only issued after all of round r's sends
-// and receives finished locally — which also means a round's messages can
-// never be confused with a later round's (each round gets its own tag).
-//
-// Round indices are globally aligned: a rank that does not communicate in
-// some round carries an empty round at that index, so "round r" means the
-// same thing — and carries the same tag — on every member. The schedules
-// are pumped by the request engine (req::Engine::pump) from Wait/Test and,
-// when async progress is on, by the per-rank progress daemon.
+// A schedule is pumped round by round: round r+1 is only issued after all
+// of round r's sends and receives finished locally, and a round's post-
+// action (reduction, copy) runs in between. Every schedule draws a band of
+// tags, one per round, so a message can only ever match the receive of its
+// own round of its own schedule. Rounds are globally aligned, so every
+// member's schedule has the same length and the members' per-context band
+// cursors advance in step. Schedules are pumped by the request engine
+// (req::Engine::pump) from Wait/Test and, when async progress is on, by the
+// per-rank progress daemon.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
+#include "mpi/coll/sched.hpp"
 #include "mpi/types.hpp"
 
 namespace scimpi::mpi {
@@ -30,35 +28,19 @@ struct RecvOp;
 
 namespace req {
 
-/// Base of the nonblocking-collective tag space. Step tags are
-/// kTagNbcBase - (seq % 512) * 64 - round, far below every other reserved
-/// internal tag (the closest is -1100), so schedules never cross-match
-/// with barrier/bcast/stream traffic. 512 concurrently-live schedules per
-/// context and 64 rounds per schedule are enforced limits.
-inline constexpr int kTagNbcBase = -4096;
-inline constexpr int kNbcMaxRounds = 64;
-inline constexpr int kNbcSeqWindow = 512;
-
-/// One point-to-point step of a round (peer is a world rank).
-struct NbcStep {
-    bool send = false;
-    const void* sbuf = nullptr;
-    void* rbuf = nullptr;
-    std::size_t bytes = 0;
-    int peer = -1;
-};
-
-struct NbcRound {
-    std::vector<NbcStep> steps;
-    /// Runs once, after every step of this round completed locally
-    /// (reductions, final copies). May charge simulated time to the
-    /// process currently driving progress.
-    std::function<void()> post;
-};
+/// Nonblocking-schedule tags: each schedule takes the band
+/// [base - rounds + 1, base] from a per-context cursor that starts at
+/// kTagNbcBase and wraps at kTagNbcFloor, far below every other reserved
+/// internal tag (the blocking executor's lowest is about -590k).
+inline constexpr int kTagNbcBase = -(1 << 20);
+inline constexpr int kTagNbcFloor = -(1 << 30);
 
 class NbcSched {
 public:
-    NbcSched(Rank& rank, int context, int tag_base, std::string label);
+    /// `members` maps the schedule's communicator-local peers to world
+    /// ranks; `tag_base` is from req::Engine::nbc_tag_band.
+    NbcSched(Rank& rank, std::span<const int> members, int context, int tag_base,
+             coll::Sched sched);
     NbcSched(const NbcSched&) = delete;
     NbcSched& operator=(const NbcSched&) = delete;
 
@@ -69,42 +51,19 @@ public:
 
     [[nodiscard]] bool done() const { return done_; }
     [[nodiscard]] const Status& status() const { return status_; }
-    [[nodiscard]] const std::string& label() const { return label_; }
-
-    std::vector<NbcRound> rounds;
-    /// Scratch buffers referenced by steps/posts; owned by the schedule so
-    /// they live until completion.
-    std::vector<std::vector<std::byte>> scratch;
 
 private:
-    void issue(const NbcRound& r);
-
     Rank& rank_;
+    std::vector<int> members_;
     int context_;
     int tag_base_;
-    std::string label_;
+    coll::Sched sched_;
     std::size_t next_round_ = 0;  ///< next round index to issue
     std::vector<std::shared_ptr<SendOp>> live_s_;
     std::vector<std::shared_ptr<RecvOp>> live_r_;
     bool done_ = false;
     Status status_;
 };
-
-// Schedule builders. `members` are the communicator's world ranks, `me` the
-// local rank within it, `tag_base` from req::Engine::nbc_tag_base(context).
-// Datatypes are handled by the caller (Comm) — schedules move raw bytes.
-std::shared_ptr<NbcSched> make_ibarrier(Rank& rk, const std::vector<int>& members,
-                                        int me, int context, int tag_base);
-std::shared_ptr<NbcSched> make_ibcast(Rank& rk, const std::vector<int>& members,
-                                      int me, int context, int tag_base, void* buf,
-                                      std::size_t bytes, int root);
-std::shared_ptr<NbcSched> make_iallreduce(Rank& rk, const std::vector<int>& members,
-                                          int me, int context, int tag_base,
-                                          const double* in, double* out, int n);
-std::shared_ptr<NbcSched> make_iallgather(Rank& rk, const std::vector<int>& members,
-                                          int me, int context, int tag_base,
-                                          const void* in, std::size_t bytes_each,
-                                          void* out);
 
 }  // namespace req
 }  // namespace scimpi::mpi

@@ -1,5 +1,7 @@
 #include "mpi/req/request.hpp"
 
+#include <algorithm>
+
 #include "mpi/rank.hpp"
 #include "mpi/req/nbc.hpp"
 #include "mpi/runtime.hpp"
@@ -167,12 +169,19 @@ Request Engine::start_coll(std::shared_ptr<NbcSched> sched) {
     return r;
 }
 
-int Engine::nbc_tag_base(int context) {
-    for (auto& [ctx, seq] : nbc_seq_)
-        if (ctx == context)
-            return kTagNbcBase - (seq++ % kNbcSeqWindow) * kNbcMaxRounds;
-    nbc_seq_.emplace_back(context, 1);
-    return kTagNbcBase;
+int Engine::nbc_tag_band(int context, std::size_t rounds) {
+    const int len = static_cast<int>(rounds);
+    SCIMPI_REQUIRE(rounds <= static_cast<std::size_t>(kTagNbcBase - kTagNbcFloor),
+                   "NBC schedule longer than the tag space");
+    auto it = std::find_if(nbc_next_.begin(), nbc_next_.end(),
+                           [context](const auto& e) { return e.first == context; });
+    if (it == nbc_next_.end()) it = nbc_next_.insert(it, {context, kTagNbcBase});
+    // Wrap to the top once the band would cross the floor; a live schedule
+    // is only overrun after ~1e9 rounds of later schedules on its context.
+    if (it->second - len < kTagNbcFloor) it->second = kTagNbcBase;
+    const int top = it->second;
+    it->second -= len;
+    return top;
 }
 
 void Engine::pump() {

@@ -113,10 +113,11 @@ public:
     /// Register a built nonblocking-collective schedule and issue its first
     /// round; the returned request completes when the program runs dry.
     Request start_coll(std::shared_ptr<NbcSched> sched);
-    /// Tag base for the next collective on `context` (advances a per-context
-    /// sequence number; members of a communicator issue collectives in the
-    /// same order, so the bases agree across ranks).
-    int nbc_tag_base(int context);
+    /// Tag band of `rounds` tags for the next schedule on `context`; returns
+    /// its top (round r uses top - r). Members of a communicator issue
+    /// collectives in the same order with equally long schedules, so the
+    /// bands agree across ranks.
+    int nbc_tag_band(int context, std::size_t rounds);
 
     // Completion.
     Status wait(Request& r);
@@ -144,7 +145,7 @@ private:
 
     Rank& rank_;
     std::vector<std::shared_ptr<NbcSched>> scheds_;
-    std::vector<std::pair<int, int>> nbc_seq_;  ///< context -> next sequence
+    std::vector<std::pair<int, int>> nbc_next_;  ///< context -> next band top
     bool pumping_ = false;
     obs::Histogram* overlap_pct_ = nullptr;  ///< req.overlap_pct
     obs::Counter* c_ops_ = nullptr;          ///< req.nonblocking_ops

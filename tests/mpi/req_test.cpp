@@ -171,46 +171,90 @@ TEST(Req, IbarrierCompletes) {
     });
 }
 
+// The nonblocking executor runs the blocking algorithms' own descriptions;
+// sweep communicator sizes (powers of two and not) and every root.
+constexpr int kSweepSizes[] = {1, 2, 3, 5, 8, 13};
+
 TEST(Req, IbcastMatchesBlockingBcast) {
-    Cluster c(nodes(4));
-    c.run([](Comm& comm) {
-        std::vector<double> nb(256, -1.0);
-        std::vector<double> bl(256, -1.0);
-        if (comm.rank() == 1)
-            for (std::size_t i = 0; i < nb.size(); ++i)
-                nb[i] = bl[i] = static_cast<double>(i) + 0.5;
-        Request r = comm.ibcast(nb.data(), nb.size() * sizeof(double), 1);
-        ASSERT_TRUE(comm.wait(r).is_ok());
-        ASSERT_TRUE(comm.bcast(bl.data(), 256, Datatype::float64(), 1));
-        EXPECT_EQ(nb, bl);
-    });
+    for (const int n : kSweepSizes) {
+        Cluster c(nodes(n));
+        c.run([](Comm& comm) {
+            for (int root = 0; root < comm.size(); ++root) {
+                std::vector<double> nb(256, -1.0);
+                std::vector<double> bl(256, -1.0);
+                if (comm.rank() == root)
+                    for (std::size_t i = 0; i < nb.size(); ++i)
+                        nb[i] = bl[i] = static_cast<double>(i) + 0.5 + root;
+                Request r = comm.ibcast(nb.data(), nb.size() * sizeof(double), root);
+                ASSERT_TRUE(comm.wait(r).is_ok());
+                ASSERT_TRUE(comm.bcast(bl.data(), 256, Datatype::float64(), root));
+                EXPECT_EQ(nb, bl) << "n=" << comm.size() << " root=" << root;
+                EXPECT_EQ(bl.back(), 255.5 + root);
+            }
+        });
+    }
 }
 
 TEST(Req, IallreduceMatchesBlockingAllreduce) {
-    Cluster c(nodes(4));
-    c.run([](Comm& comm) {
-        std::vector<double> in(97);
-        std::iota(in.begin(), in.end(), static_cast<double>(comm.rank()));
-        std::vector<double> nb(97, 0.0);
-        std::vector<double> bl(97, 0.0);
-        Request r = comm.iallreduce_sum(in.data(), nb.data(), 97);
-        ASSERT_TRUE(comm.wait(r).is_ok());
-        ASSERT_TRUE(comm.allreduce_sum(in.data(), bl.data(), 97));
-        EXPECT_EQ(nb, bl);
-    });
+    for (const int n : kSweepSizes) {
+        Cluster c(nodes(n));
+        c.run([](Comm& comm) {
+            std::vector<double> in(97);
+            std::iota(in.begin(), in.end(), static_cast<double>(comm.rank()));
+            std::vector<double> nb(97, 0.0);
+            std::vector<double> bl(97, 0.0);
+            Request r = comm.iallreduce_sum(in.data(), nb.data(), 97);
+            ASSERT_TRUE(comm.wait(r).is_ok());
+            ASSERT_TRUE(comm.allreduce_sum(in.data(), bl.data(), 97));
+            EXPECT_EQ(nb, bl) << "n=" << comm.size();
+            const int sz = comm.size();
+            EXPECT_EQ(bl[0], sz * (sz - 1) / 2.0);
+        });
+    }
 }
 
 TEST(Req, IallgatherMatchesBlockingAllgather) {
-    Cluster c(nodes(4));
+    for (const int n : kSweepSizes) {
+        Cluster c(nodes(n));
+        c.run([](Comm& comm) {
+            const std::size_t each = 512;
+            const auto sz = static_cast<std::size_t>(comm.size());
+            std::vector<std::byte> in(each, static_cast<std::byte>(comm.rank() + 1));
+            std::vector<std::byte> nb(each * sz);
+            std::vector<std::byte> bl(each * sz);
+            Request r = comm.iallgather(in.data(), each, nb.data());
+            ASSERT_TRUE(comm.wait(r).is_ok());
+            ASSERT_TRUE(comm.allgather(in.data(), each, bl.data()));
+            EXPECT_EQ(nb, bl) << "n=" << comm.size();
+            EXPECT_EQ(bl.back(), static_cast<std::byte>(comm.size()));
+        });
+    }
+}
+
+TEST(Req, NbcSchedulesLongerThan64RoundsComplete) {
+    // An 80-rank ring allgather is 79 rounds, past what a fixed 64-tag band
+    // per schedule can name: each schedule's band is sized to its rounds.
+    Cluster c(nodes(80));
     c.run([](Comm& comm) {
-        const std::size_t each = 512;
+        const std::size_t each = 64;
         std::vector<std::byte> in(each, static_cast<std::byte>(comm.rank() + 1));
-        std::vector<std::byte> nb(each * 4);
-        std::vector<std::byte> bl(each * 4);
+        std::vector<std::byte> nb(each * 80);
+        std::vector<std::byte> bl(each * 80);
         Request r = comm.iallgather(in.data(), each, nb.data());
         ASSERT_TRUE(comm.wait(r).is_ok());
         ASSERT_TRUE(comm.allgather(in.data(), each, bl.data()));
         EXPECT_EQ(nb, bl);
+        std::vector<double> bnb(64, -1.0);
+        std::vector<double> bbl(64, -1.0);
+        if (comm.rank() == 77) {
+            std::iota(bnb.begin(), bnb.end(), 0.25);
+            bbl = bnb;
+        }
+        Request b = comm.ibcast(bnb.data(), bnb.size() * sizeof(double), 77);
+        ASSERT_TRUE(comm.wait(b).is_ok());
+        ASSERT_TRUE(comm.bcast(bbl.data(), 64, Datatype::float64(), 77));
+        EXPECT_EQ(bnb, bbl);
+        EXPECT_EQ(bbl.back(), 63.25);
     });
 }
 
