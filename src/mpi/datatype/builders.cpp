@@ -1,6 +1,6 @@
 // Datatype constructors: the MPI-1 type-constructor family. Each builder
-// computes size, bounds, depth and the per-instance block/step counts used
-// by the packers' cost accounting.
+// computes size, bounds, depth, the per-instance block/step counts used by
+// the packers' cost accounting, and the run summary used by the walker.
 #include <algorithm>
 #include <array>
 #include <vector>
@@ -24,6 +24,32 @@ const char* type_kind_name(TypeKind k) {
     return "?";
 }
 
+/// Folds a node's pieces, in canonical order, into its run summary: the node
+/// is one run iff every nonempty piece is one run and starts where the
+/// previous one ended.
+struct Datatype::RunFold {
+    bool ok = true;
+    bool any = false;
+    std::ptrdiff_t start = 0;
+    std::ptrdiff_t end = 0;
+
+    /// `k` instances of `c`, extent apart, at displacement `d`.
+    void piece(std::ptrdiff_t d, std::int64_t k, const Node& c) {
+        if (k <= 0 || c.size == 0) return;
+        if (!c.one_run || (k > 1 && !c.dense()) || (any && d + c.run_off != end)) {
+            ok = false;
+            return;
+        }
+        if (!any) start = d + c.run_off;
+        any = true;
+        end = d + c.run_off + static_cast<std::ptrdiff_t>(k * c.size);
+    }
+    void store(Node& n) const {
+        n.one_run = ok && any;
+        n.run_off = start;
+    }
+};
+
 Datatype Datatype::make_basic(std::string name, std::size_t bytes) {
     auto n = std::make_shared<Node>();
     n->kind = TypeKind::basic;
@@ -31,6 +57,7 @@ Datatype Datatype::make_basic(std::string name, std::size_t bytes) {
     n->size = bytes;
     n->lb = 0;
     n->ub = static_cast<std::ptrdiff_t>(bytes);
+    n->one_run = bytes > 0;
     return Datatype(std::move(n));
 }
 
@@ -54,6 +81,9 @@ Datatype Datatype::contiguous(int count, const Datatype& base) {
     n->depth = base.depth() + 1;
     n->blocks = count * base.blocks_per_item();
     n->steps = 1 + count * base.traversal_steps_per_item();
+    RunFold run;
+    run.piece(0, count, *base.node_);
+    run.store(*n);
     return Datatype(std::move(n));
 }
 
@@ -91,6 +121,12 @@ Datatype Datatype::hvector(int count, int blocklen, std::ptrdiff_t stride_bytes,
     n->blocks = static_cast<std::int64_t>(count) * blocklen * base.blocks_per_item();
     n->steps = 1 + static_cast<std::int64_t>(count) * blocklen *
                        base.traversal_steps_per_item();
+    // Replication i is the piece (i * stride, blocklen x base); all share the
+    // shape, so the first two decide the rest.
+    RunFold run;
+    for (int i = 0; i < std::min(count, 2); ++i)
+        run.piece(i * stride_bytes, blocklen, *base.node_);
+    run.store(*n);
     return Datatype(std::move(n));
 }
 
@@ -118,8 +154,10 @@ Datatype Datatype::hindexed(std::span<const int> blocklens,
     std::ptrdiff_t hi = std::numeric_limits<std::ptrdiff_t>::min();
     std::int64_t blocks = 0;
     std::int64_t steps = 1;
+    RunFold run;
     for (std::size_t i = 0; i < blocklens.size(); ++i) {
         SCIMPI_REQUIRE(blocklens[i] >= 0, "hindexed: negative blocklen");
+        run.piece(displs_bytes[i], blocklens[i], *base.node_);
         sz += static_cast<std::size_t>(blocklens[i]) * base.size();
         if (blocklens[i] > 0) {
             lo = std::min(lo, displs_bytes[i] + base.lb());
@@ -136,6 +174,7 @@ Datatype Datatype::hindexed(std::span<const int> blocklens,
     n->depth = base.depth() + 1;
     n->blocks = blocks;
     n->steps = steps;
+    run.store(*n);
     return Datatype(std::move(n));
 }
 
@@ -155,9 +194,11 @@ Datatype Datatype::structure(std::span<const int> blocklens,
     std::int64_t blocks = 0;
     std::int64_t steps = 1;
     int depth = 1;
+    RunFold run;
     for (std::size_t i = 0; i < types.size(); ++i) {
         SCIMPI_REQUIRE(types[i].valid(), "struct: invalid member type");
         SCIMPI_REQUIRE(blocklens[i] >= 0, "struct: negative blocklen");
+        run.piece(displs_bytes[i], blocklens[i], *types[i].node_);
         n->children.push_back(types[i].node_);
         sz += static_cast<std::size_t>(blocklens[i]) * types[i].size();
         if (blocklens[i] > 0) {
@@ -176,6 +217,7 @@ Datatype Datatype::structure(std::span<const int> blocklens,
     n->depth = depth;
     n->blocks = blocks;
     n->steps = steps;
+    run.store(*n);
     return Datatype(std::move(n));
 }
 
@@ -192,6 +234,8 @@ Datatype Datatype::resized(const Datatype& base, std::ptrdiff_t lb,
     n->depth = base.depth() + 1;
     n->blocks = base.blocks_per_item();
     n->steps = base.traversal_steps_per_item();
+    n->one_run = base.node_->one_run;
+    n->run_off = base.node_->run_off;
     return Datatype(std::move(n));
 }
 

@@ -27,9 +27,8 @@ std::ptrdiff_t Datatype::lb() const {
 
 bool Datatype::is_contiguous() const {
     SCIMPI_REQUIRE(valid(), "is_contiguous() on invalid datatype");
-    if (node_->kind == TypeKind::basic) return true;
-    return node_->lb == 0 &&
-           static_cast<std::size_t>(node_->extent()) == node_->size;
+    const Node& n = *node_;
+    return n.one_run && n.run_off == 0 && n.lb == 0 && n.dense();
 }
 
 int Datatype::depth() const {
@@ -134,69 +133,94 @@ void Datatype::flatten_into(const Node& n, std::ptrdiff_t base,
     panic("flatten_into: unknown type kind");
 }
 
-void Datatype::walk_blocks(const Node& n, std::ptrdiff_t base,
-                           const std::function<void(std::ptrdiff_t, std::size_t)>& f) {
+namespace {
+
+/// Merges adjacent (offset, len) pieces into maximal blocks before handing
+/// them to `f`; a false return from `f` stops the walk.
+struct Coalescer {
+    const std::function<bool(std::ptrdiff_t, std::size_t)>& f;
+    std::ptrdiff_t off = 0;
+    std::size_t len = 0;
+
+    bool operator()(std::ptrdiff_t o, std::size_t l) {
+        if (len > 0 && off + static_cast<std::ptrdiff_t>(len) == o) {
+            len += l;
+            return true;
+        }
+        if (len > 0 && !f(off, len)) return false;
+        off = o;
+        len = l;
+        return true;
+    }
+    bool flush() const { return len == 0 || f(off, len); }
+};
+
+}  // namespace
+
+// The walk emits one piece per contiguous run it can prove from the run
+// summaries, so its cost is O(runs x depth); the coalescer then merges runs
+// that happen to abut, exactly as it would merge single elements.
+template <class Sink>
+bool Datatype::walk_blocks(const Node& n, std::ptrdiff_t base, Sink& sink) {
+    if (n.one_run) return sink(base + n.run_off, n.size);
     switch (n.kind) {
         case TypeKind::basic:
-            if (n.size > 0) f(base, n.size);
-            return;
-        case TypeKind::contiguous: {
-            const std::ptrdiff_t ext = n.children[0]->extent();
-            for (int i = 0; i < n.count; ++i)
-                walk_blocks(*n.children[0], base + i * ext, f);
-            return;
-        }
+            return true;  // only an empty basic type gets here: nothing to emit
+        case TypeKind::contiguous:
+            return walk_reps(*n.children[0], base, n.count, sink);
         case TypeKind::vector:
-        case TypeKind::hvector: {
-            const std::ptrdiff_t ext = n.children[0]->extent();
+        case TypeKind::hvector:
             for (int i = 0; i < n.count; ++i)
-                for (int j = 0; j < n.blocklen; ++j)
-                    walk_blocks(*n.children[0], base + i * n.stride_bytes + j * ext, f);
-            return;
-        }
+                if (!walk_reps(*n.children[0], base + i * n.stride_bytes, n.blocklen,
+                               sink))
+                    return false;
+            return true;
         case TypeKind::indexed:
-        case TypeKind::hindexed: {
-            const std::ptrdiff_t ext = n.children[0]->extent();
+        case TypeKind::hindexed:
             for (std::size_t i = 0; i < n.blocklens.size(); ++i)
-                for (int j = 0; j < n.blocklens[i]; ++j)
-                    walk_blocks(*n.children[0], base + n.displs[i] + j * ext, f);
-            return;
-        }
-        case TypeKind::strukt: {
-            for (std::size_t i = 0; i < n.blocklens.size(); ++i) {
-                const std::ptrdiff_t ext = n.children[i]->extent();
-                for (int j = 0; j < n.blocklens[i]; ++j)
-                    walk_blocks(*n.children[i], base + n.displs[i] + j * ext, f);
-            }
-            return;
-        }
+                if (!walk_reps(*n.children[0], base + n.displs[i], n.blocklens[i], sink))
+                    return false;
+            return true;
+        case TypeKind::strukt:
+            for (std::size_t i = 0; i < n.blocklens.size(); ++i)
+                if (!walk_reps(*n.children[i], base + n.displs[i], n.blocklens[i], sink))
+                    return false;
+            return true;
         case TypeKind::resized:
-            walk_blocks(*n.children[0], base, f);
-            return;
+            return walk_blocks(*n.children[0], base, sink);
     }
     panic("walk_blocks: unknown type kind");
+}
+
+/// `k` back-to-back instances of `c` (extent apart) at `base`; dense
+/// one-run instances form a single piece.
+template <class Sink>
+bool Datatype::walk_reps(const Node& c, std::ptrdiff_t base, std::int64_t k,
+                         Sink& sink) {
+    if (k <= 0 || c.size == 0) return true;
+    if (c.one_run && (k == 1 || c.dense()))
+        return sink(base + c.run_off, static_cast<std::size_t>(k) * c.size);
+    const std::ptrdiff_t ext = c.extent();
+    for (std::int64_t j = 0; j < k; ++j)
+        if (!walk_blocks(c, base + j * ext, sink)) return false;
+    return true;
+}
+
+bool Datatype::for_each_block_while(
+    std::ptrdiff_t base, int count,
+    const std::function<bool(std::ptrdiff_t, std::size_t)>& f) const {
+    SCIMPI_REQUIRE(valid(), "for_each_block() on invalid datatype");
+    Coalescer sink{f};
+    return walk_reps(*node_, base, count, sink) && sink.flush();
 }
 
 void Datatype::for_each_block(
     std::ptrdiff_t base, int count,
     const std::function<void(std::ptrdiff_t, std::size_t)>& f) const {
-    SCIMPI_REQUIRE(valid(), "for_each_block() on invalid datatype");
-    // Coalesce adjacent basic blocks: contiguous runs (e.g. the elements
-    // inside one vector block) are one copy for any reasonable packer.
-    std::ptrdiff_t pend_off = 0;
-    std::size_t pend_len = 0;
-    const auto emit = [&](std::ptrdiff_t off, std::size_t len) {
-        if (pend_len > 0 && pend_off + static_cast<std::ptrdiff_t>(pend_len) == off) {
-            pend_len += len;
-            return;
-        }
-        if (pend_len > 0) f(pend_off, pend_len);
-        pend_off = off;
-        pend_len = len;
-    };
-    for (int c = 0; c < count; ++c)
-        walk_blocks(*node_, base + c * node_->extent(), emit);
-    if (pend_len > 0) f(pend_off, pend_len);
+    for_each_block_while(base, count, [&f](std::ptrdiff_t off, std::size_t len) {
+        f(off, len);
+        return true;
+    });
 }
 
 void Datatype::describe_into(const Node& n, int indent, std::string& out) {

@@ -77,7 +77,9 @@ public:
     /// Memory span per type instance (ub - lb).
     [[nodiscard]] std::ptrdiff_t extent() const;
     [[nodiscard]] std::ptrdiff_t lb() const;
-    /// True if one instance is a single dense block (size == extent, lb 0).
+    /// True if the type map of one instance is the dense block [0, size) in
+    /// increasing order (lb 0, size == extent, one contiguous run). Permuted
+    /// or duplicated layouts of the same bounds are not contiguous.
     [[nodiscard]] bool is_contiguous() const;
     /// Depth of the constructor tree (basic type = 1).
     [[nodiscard]] int depth() const;
@@ -93,10 +95,16 @@ public:
     /// Flattened representation; requires committed().
     [[nodiscard]] const FlatRep& flat() const;
 
-    /// Visit the basic blocks of `count` instances at `base` displacement in
-    /// canonical type-map order: f(byte_offset, length).
+    /// Visit the blocks of `count` instances at `base` displacement in
+    /// canonical type-map order, adjacent basic elements coalesced into one
+    /// block: f(byte_offset, length). Costs O(blocks x depth), not O(elements).
     void for_each_block(std::ptrdiff_t base, int count,
                         const std::function<void(std::ptrdiff_t, std::size_t)>& f) const;
+    /// As for_each_block, but stops as soon as f returns false. Returns false
+    /// iff it stopped early.
+    bool for_each_block_while(
+        std::ptrdiff_t base, int count,
+        const std::function<bool(std::ptrdiff_t, std::size_t)>& f) const;
 
     /// Structural fingerprint of the flattened layout (used by the protocol
     /// layer to decide whether both ends may use leaf-major ff order).
@@ -128,14 +136,26 @@ private:
         int depth = 1;
         std::int64_t blocks = 1;          // basic blocks per instance
         std::int64_t steps = 1;           // recursive traversal node visits
+        // Run summary: the canonical walk of one instance is the single
+        // increasing contiguous run [run_off, run_off + size).
+        bool one_run = false;
+        std::ptrdiff_t run_off = 0;
         std::optional<FlatRep> flat;      // built at commit
 
         [[nodiscard]] std::ptrdiff_t extent() const { return ub - lb; }
+        /// Replications tile without gaps or overlap.
+        [[nodiscard]] bool dense() const {
+            return size == static_cast<std::size_t>(extent());
+        }
     };
+    struct RunFold;
 
     static Datatype make_basic(std::string name, std::size_t bytes);
-    static void walk_blocks(const Node& n, std::ptrdiff_t base,
-                            const std::function<void(std::ptrdiff_t, std::size_t)>& f);
+    template <class Sink>
+    static bool walk_blocks(const Node& n, std::ptrdiff_t base, Sink& sink);
+    template <class Sink>
+    static bool walk_reps(const Node& c, std::ptrdiff_t base, std::int64_t k,
+                          Sink& sink);
     static void flatten_into(const Node& n, std::ptrdiff_t base,
                              std::vector<FFStackItem>& stack, FlatRep& out);
     static void describe_into(const Node& n, int indent, std::string& out);

@@ -23,10 +23,10 @@ PackWork GenericPacker::run(std::size_t pos, std::size_t len, std::byte* stream)
     work.min_block = std::numeric_limits<std::size_t>::max();
     std::size_t cursor = 0;  // position in the packed stream
     const std::size_t end = pos + len;
-    type_.for_each_block(0, count_, [&](std::ptrdiff_t mem_off, std::size_t blk) {
-        if (cursor >= end || cursor + blk <= pos) {
+    type_.for_each_block_while(0, count_, [&](std::ptrdiff_t mem_off, std::size_t blk) {
+        if (cursor + blk <= pos) {
             cursor += blk;
-            return;  // outside the requested range (walker still visits it)
+            return true;  // before the requested range
         }
         const std::size_t lo = std::max(cursor, pos);
         const std::size_t hi = std::min(cursor + blk, end);
@@ -42,6 +42,7 @@ PackWork GenericPacker::run(std::size_t pos, std::size_t len, std::byte* stream)
         work.min_block = std::min(work.min_block, n);
         work.max_block = std::max(work.max_block, n);
         cursor += blk;
+        return cursor < end;
     });
     SCIMPI_REQUIRE(work.bytes == len, "generic pack: type map shorter than range");
     if (work.blocks == 0) work.min_block = 0;

@@ -2,7 +2,8 @@
 // (Figure 4 top). Packs in canonical type-map order; every basic block costs
 // a recursive tree descent, which is precisely the overhead direct_pack_ff
 // removes. Supports partial operations by stream offset (it re-walks the
-// type map and skips, as generic MPICH segment code does).
+// type map from the start, skipping up to the range and stopping after it,
+// as generic MPICH segment code does).
 #pragma once
 
 #include <cstddef>

@@ -195,10 +195,10 @@ Status Win::put_direct(const void* origin, int count, const Datatype& type, int 
     const sci::SciMapping& map = peer_mapping(target);
     const auto* user = static_cast<const std::byte*>(origin);
     Status st;
-    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-        if (!st.is_ok()) return;
+    type.for_each_block_while(0, count, [&](std::ptrdiff_t off, std::size_t len) {
         st = rank_->adapter().write(self, map, disp + static_cast<std::size_t>(off),
                                     user + off, len, len);
+        return st.is_ok();
     });
     if (st) rm_.lat_direct->record(self.now() - t0);
     return st;
@@ -216,10 +216,10 @@ Status Win::get_direct(void* origin, int count, const Datatype& type, int target
     const sci::SciMapping& map = peer_mapping(target);
     auto* user = static_cast<std::byte*>(origin);
     Status st;
-    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-        if (!st.is_ok()) return;
+    type.for_each_block_while(0, count, [&](std::ptrdiff_t off, std::size_t len) {
         st = rank_->adapter().read(self, map, disp + static_cast<std::size_t>(off),
                                    user + off, len);
+        return st.is_ok();
     });
     if (st) rm_.lat_direct->record(self.now() - t0);
     return st;

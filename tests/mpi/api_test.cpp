@@ -241,6 +241,54 @@ TEST(IndexedBlock, EqualBlocksAtDispls) {
     EXPECT_EQ(blocks, expected);
 }
 
+// Types whose bounds look dense (lb 0, extent == size) but whose type map is
+// permuted or duplicated must be sent in type-map order, not memory order.
+void expect_type_map_order(const Datatype& t, const std::vector<int>& map, int n) {
+    Cluster c(nodes(2));
+    c.run([&](Comm& comm) {
+        const std::size_t per = map.size();
+        if (comm.rank() == 0) {
+            std::vector<std::int32_t> src(per * static_cast<std::size_t>(n));
+            std::iota(src.begin(), src.end(), 0);
+            ASSERT_TRUE(comm.send(src.data(), n, t, 1, 0));
+        } else {
+            std::vector<std::int32_t> dst(per * static_cast<std::size_t>(n), -1);
+            ASSERT_TRUE(comm.recv(dst.data(), static_cast<int>(dst.size()),
+                                  Datatype::int32(), 0, 0)
+                            .status);
+            for (std::size_t i = 0; i < dst.size(); ++i)
+                ASSERT_EQ(dst[i], static_cast<std::int32_t>((i / per) * per + map[i % per]))
+                    << "element " << i;
+        }
+    });
+}
+
+TEST(TypeMapOrder, PermutedIndexedIsNotContiguous) {
+    const std::array<int, 2> lens{1, 1};
+    const std::array<int, 2> displs{1, 0};
+    const auto t = Datatype::indexed(lens, displs, Datatype::int32());
+    ASSERT_EQ(t.lb(), 0);
+    ASSERT_EQ(static_cast<std::size_t>(t.extent()), t.size());
+    EXPECT_FALSE(t.is_contiguous());
+    for (const int n : {4, 65536}) {
+        SCOPED_TRACE(n);
+        expect_type_map_order(t, {1, 0}, n);
+    }
+}
+
+TEST(TypeMapOrder, DuplicatedResizedHindexedIsNotContiguous) {
+    const std::array<int, 2> lens{1, 1};
+    const std::array<std::ptrdiff_t, 2> displs{0, 0};
+    const auto t =
+        Datatype::resized(Datatype::hindexed(lens, displs, Datatype::int32()), 0, 8);
+    ASSERT_EQ(static_cast<std::size_t>(t.extent()), t.size());
+    EXPECT_FALSE(t.is_contiguous());
+    for (const int n : {4, 65536}) {
+        SCOPED_TRACE(n);
+        expect_type_map_order(t, {0, 0}, n);
+    }
+}
+
 TEST(Accumulate, AllOpsApplyAtTarget) {
     Cluster c(nodes(2));
     c.run([](Comm& comm) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -319,6 +322,286 @@ TEST_P(RandomTypeProperty, PackUnpackInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTypeProperty,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// ---------------------------------------------------------------------------
+// Walker equivalence: for_each_block against a reference that visits every
+// basic element of a mirror tree built beside the type, then coalesces.
+// ---------------------------------------------------------------------------
+
+/// A datatype plus its type map spelled out independently of the library:
+/// `pieces` lists, in canonical order, k instances of a child placed
+/// child-extent apart at displacement d.
+struct RefType {
+    struct Piece {
+        std::ptrdiff_t d;
+        int k;
+        std::shared_ptr<const RefType> c;
+    };
+    Datatype t;
+    std::vector<Piece> pieces;  // empty for a basic type
+};
+using RefPtr = std::shared_ptr<const RefType>;
+using Blocks = std::vector<std::pair<std::ptrdiff_t, std::size_t>>;
+
+void ref_elements(const RefType& r, std::ptrdiff_t base, Blocks& out) {
+    if (r.t.kind() == TypeKind::basic) {
+        out.emplace_back(base, r.t.size());
+        return;
+    }
+    for (const auto& p : r.pieces)
+        for (int j = 0; j < p.k; ++j)
+            ref_elements(*p.c, base + p.d + j * p.c->t.extent(), out);
+}
+
+/// Per-element walk of `count` instances, adjacent elements coalesced.
+Blocks ref_blocks(const RefType& r, std::ptrdiff_t base, int count) {
+    Blocks elems;
+    for (int c = 0; c < count; ++c) ref_elements(r, base + c * r.t.extent(), elems);
+    Blocks out;
+    for (const auto& [off, len] : elems) {
+        if (!out.empty() &&
+            out.back().first + static_cast<std::ptrdiff_t>(out.back().second) == off)
+            out.back().second += len;
+        else
+            out.emplace_back(off, len);
+    }
+    return out;
+}
+
+RefPtr ref_basic(Rng& rng) {
+    static const std::array<Datatype, 4> basics{Datatype::byte_(), Datatype::int32(),
+                                                Datatype::int64(), Datatype::float64()};
+    return std::make_shared<RefType>(RefType{basics[rng.below(4)], {}});
+}
+
+/// A count or block length: usually 1..hi, sometimes zero.
+int reps(Rng& rng, int hi) {
+    return rng.chance(0.06) ? 0 : static_cast<int>(rng.range(1, hi));
+}
+
+constexpr int kRefDepth = 4;
+
+/// Random layouts beyond the forward-only generator above: negative strides,
+/// decreasing and duplicate displacements, zero counts and block lengths,
+/// resized bounds, empty struct members and subarrays. Dense forward cases
+/// stay frequent so single-run subtrees are covered too.
+RefPtr random_ref(Rng& rng, int depth) {
+    if (depth <= 0 || rng.chance(0.15 * (kRefDepth - depth))) return ref_basic(rng);
+    const RefPtr b = random_ref(rng, depth - 1);
+    const std::ptrdiff_t ext = b->t.extent();
+    auto r = std::make_shared<RefType>();
+    switch (rng.below(8)) {
+        case 0: {
+            const int n = reps(rng, 4);
+            r->t = Datatype::contiguous(n, b->t);
+            r->pieces = {{0, n, b}};
+            break;
+        }
+        case 1: {  // element stride, possibly negative or overlapping
+            const int count = reps(rng, 4);
+            const int blocklen = reps(rng, 3);
+            const int stride =
+                rng.chance(0.4) ? blocklen : static_cast<int>(rng.range(-4, 6));
+            r->t = Datatype::vector(count, blocklen, stride, b->t);
+            for (int i = 0; i < count; ++i) r->pieces.push_back({i * stride * ext, blocklen, b});
+            break;
+        }
+        case 2: {  // byte stride, possibly negative
+            const int count = reps(rng, 4);
+            const int blocklen = reps(rng, 3);
+            const std::ptrdiff_t stride = rng.chance(0.4)
+                                              ? blocklen * static_cast<std::ptrdiff_t>(b->t.size())
+                                              : rng.range(-3 * ext - 8, 3 * ext + 8);
+            r->t = Datatype::hvector(count, blocklen, stride, b->t);
+            for (int i = 0; i < count; ++i) r->pieces.push_back({i * stride, blocklen, b});
+            break;
+        }
+        case 3: {  // element displacements: abutting forward or backward, or random
+            const std::size_t n = 1 + rng.below(4);
+            std::vector<int> lens(n), displs(n);
+            for (auto& l : lens) l = reps(rng, 3);
+            const auto mode = rng.below(3);
+            int next = mode == 1 ? std::accumulate(lens.begin(), lens.end(), 0) : 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (mode == 0) {
+                    displs[i] = next;
+                    next += lens[i];
+                } else if (mode == 1) {  // reversed: dense bounds, permuted map
+                    next -= lens[i];
+                    displs[i] = next;
+                } else {
+                    displs[i] = static_cast<int>(rng.range(-4, 8));
+                }
+                r->pieces.push_back({displs[i] * ext, lens[i], b});
+            }
+            r->t = Datatype::indexed(lens, displs, b->t);
+            break;
+        }
+        case 4: {  // byte displacements
+            const std::size_t n = 1 + rng.below(4);
+            std::vector<int> lens(n);
+            std::vector<std::ptrdiff_t> displs(n);
+            std::ptrdiff_t next = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                lens[i] = reps(rng, 3);
+                displs[i] = rng.chance(0.5) ? next : rng.range(-24, 40);
+                next = displs[i] + lens[i] * ext;
+                r->pieces.push_back({displs[i], lens[i], b});
+            }
+            r->t = Datatype::hindexed(lens, displs, b->t);
+            break;
+        }
+        case 5: {  // struct, members possibly empty or abutting
+            const std::size_t n = 1 + rng.below(3);
+            std::vector<int> lens(n);
+            std::vector<std::ptrdiff_t> displs(n);
+            std::vector<Datatype> types(n);
+            std::ptrdiff_t next = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                RefPtr m = i == 0 ? b : random_ref(rng, depth - 1);
+                if (rng.chance(0.15)) {
+                    auto empty = std::make_shared<RefType>();
+                    empty->t = Datatype::contiguous(0, m->t);
+                    empty->pieces = {{0, 0, m}};
+                    m = empty;
+                }
+                lens[i] = reps(rng, 2);
+                displs[i] = rng.chance(0.5) ? next - m->t.lb() : rng.range(-16, 32);
+                next = displs[i] + m->t.lb() + lens[i] * m->t.extent();
+                types[i] = m->t;
+                r->pieces.push_back({displs[i], lens[i], m});
+            }
+            r->t = Datatype::structure(lens, displs, types);
+            break;
+        }
+        case 6: {  // resized: exact, shifted or with extent != size
+            const std::ptrdiff_t lb = rng.chance(0.4) ? b->t.lb() : rng.range(-8, 8);
+            const std::ptrdiff_t extent = rng.chance(0.4)
+                                              ? static_cast<std::ptrdiff_t>(b->t.size())
+                                              : rng.range(0, 2 * ext + 8);
+            r->t = Datatype::resized(b->t, lb, extent);
+            r->pieces = {{0, 1, b}};
+            break;
+        }
+        default: {  // subarray, C order
+            const RefPtr& e = b;
+            const std::size_t nd = 1 + rng.below(3);
+            std::vector<int> sizes(nd), subs(nd), starts(nd);
+            for (std::size_t d = 0; d < nd; ++d) {
+                sizes[d] = static_cast<int>(1 + rng.below(4));
+                subs[d] = rng.chance(0.05) ? 0 : static_cast<int>(rng.range(1, sizes[d]));
+                starts[d] = static_cast<int>(
+                    rng.below(static_cast<std::uint64_t>(sizes[d] - subs[d]) + 1));
+            }
+            r->t = Datatype::subarray(sizes, subs, starts, e->t);
+            // One piece per row of the slab; idx walks the outer dims in C order.
+            if (std::find(subs.begin(), subs.end(), 0) != subs.end()) break;
+            std::vector<int> idx(nd - 1, 0);
+            for (;;) {
+                std::ptrdiff_t off = 0;
+                for (std::size_t d = 0; d < nd; ++d)
+                    off = off * sizes[d] + starts[d] + (d + 1 < nd ? idx[d] : 0);
+                r->pieces.push_back({off * e->t.extent(), subs[nd - 1], e});
+                std::size_t d = nd - 1;
+                for (; d > 0; --d) {
+                    if (++idx[d - 1] < subs[d - 1]) break;
+                    idx[d - 1] = 0;
+                }
+                if (d == 0) break;
+            }
+            break;
+        }
+    }
+    return r;
+}
+
+TEST(WalkEquivalence, MatchesPerElementReference) {
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        const RefPtr r = random_ref(rng, kRefDepth);
+        const Datatype& t = r->t;
+        const Blocks dense_run{{0, t.size()}};
+        EXPECT_EQ(t.is_contiguous(),
+                  t.lb() == 0 && static_cast<std::size_t>(t.extent()) == t.size() &&
+                      ref_blocks(*r, 0, 1) == dense_run);
+        const std::ptrdiff_t nonzero = rng.range(-5000, 5000) | 1;
+        for (const int count : {0, 1, 2, 5}) {
+            for (const std::ptrdiff_t base : {std::ptrdiff_t{0}, nonzero}) {
+                const Blocks want = ref_blocks(*r, base, count);
+                Blocks got;
+                t.for_each_block(base, count, [&](std::ptrdiff_t off, std::size_t len) {
+                    got.emplace_back(off, len);
+                });
+                ASSERT_EQ(got, want) << "count " << count << " base " << base << "\n"
+                                     << t.describe();
+                // Stopping early delivers a prefix and reports the stop.
+                const std::size_t stop_after = want.size() / 2 + 1;
+                Blocks prefix;
+                const bool finished = t.for_each_block_while(
+                    base, count, [&](std::ptrdiff_t off, std::size_t len) {
+                        prefix.emplace_back(off, len);
+                        return prefix.size() < stop_after;
+                    });
+                EXPECT_EQ(finished, want.size() < stop_after);
+                const Blocks head(want.begin(),
+                                  want.begin() + static_cast<std::ptrdiff_t>(
+                                                     std::min(stop_after, want.size())));
+                EXPECT_EQ(prefix, head);
+            }
+        }
+    }
+}
+
+TEST(WalkEquivalence, ChunkedGenericPackWorkMatchesReference) {
+    // A chunk's PackWork counts exactly the reference blocks it overlaps.
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        const RefPtr r = random_ref(rng, kRefDepth);
+        const int count = static_cast<int>(1 + rng.below(3));
+        const Blocks want = ref_blocks(*r, 0, count);
+        const std::size_t total = r->t.size() * static_cast<std::size_t>(count);
+        if (total == 0) continue;
+        std::ptrdiff_t lo = 0, hi = 0;
+        for (const auto& [off, len] : want) {
+            lo = std::min(lo, off);
+            hi = std::max(hi, off + static_cast<std::ptrdiff_t>(len));
+        }
+        auto mem = numbered(static_cast<std::size_t>(hi - lo));
+        const GenericPacker gp(r->t, count, mem.data() - lo);
+        std::vector<std::byte> out(total);
+        for (int rep = 0; rep < 4; ++rep) {
+            const std::size_t pos = rng.below(total);
+            const std::size_t len = 1 + rng.below(total - pos);
+            PackWork ref;
+            ref.min_block = std::numeric_limits<std::size_t>::max();
+            std::vector<std::byte> stream;
+            std::size_t cursor = 0;
+            for (const auto& [off, blk] : want) {
+                const std::size_t a = std::max(cursor, pos);
+                const std::size_t b = std::min(cursor + blk, pos + len);
+                if (a < b) {
+                    const auto from = mem.begin() + (off - lo) +
+                                      static_cast<std::ptrdiff_t>(a - cursor);
+                    stream.insert(stream.end(), from,
+                                  from + static_cast<std::ptrdiff_t>(b - a));
+                    ref.bytes += b - a;
+                    ++ref.blocks;
+                    ref.min_block = std::min(ref.min_block, b - a);
+                    ref.max_block = std::max(ref.max_block, b - a);
+                }
+                cursor += blk;
+            }
+            const PackWork w = gp.pack(pos, len, out.data());
+            EXPECT_TRUE(std::equal(stream.begin(), stream.end(), out.begin()));
+            EXPECT_EQ(w.bytes, ref.bytes);
+            EXPECT_EQ(w.blocks, ref.blocks);
+            EXPECT_EQ(w.min_block, ref.min_block);
+            EXPECT_EQ(w.max_block, ref.max_block);
+        }
+    }
+}
 
 }  // namespace
 }  // namespace scimpi::mpi

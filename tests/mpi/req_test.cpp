@@ -53,7 +53,9 @@ TEST(Req, WaitOnInactivePersistentReturnsImmediately) {
         EXPECT_TRUE(req.active());
         EXPECT_TRUE(comm.wait(req).is_ok());
         EXPECT_FALSE(req.active());  // back to inactive, ready to restart
-        if (comm.rank() == 1) EXPECT_EQ(v, 77);
+        if (comm.rank() == 1) {
+            EXPECT_EQ(v, 77);
+        }
         // And inactive again: Wait is again a no-op.
         EXPECT_TRUE(comm.wait(req).is_ok());
     });
