@@ -211,11 +211,13 @@ Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
         // blocks straight into the remote segment, no staging copy.
         FFPacker ff(*s.v.type, s.v.count, s.v.data);
         std::vector<sci::SciAdapter::ConstIovec> blocks;
+        blocks.reserve(ff.block_estimate(clen));
         ff.for_range(spos, clen, [&blocks](std::byte* mem, std::size_t len) {
             blocks.push_back({mem, len});
         });
         const obs::Span io(self, {.prof = obs::ProfState::pio_write});
-        st = data.write_gather(self, doff, blocks, ff.memory_traffic(clen));
+        st = data.write_gather(self, doff, blocks,
+                               ff.memory_traffic(clen, c.rank_state().copy_model()));
         ff_used = true;
     } else {
         std::vector<std::byte> stage(clen);

@@ -1,6 +1,7 @@
 // Datatype constructors: the MPI-1 type-constructor family. Each builder
 // computes size, bounds, depth, the per-instance block/step counts used by
-// the packers' cost accounting, and the run summary used by the walker.
+// the packers' cost accounting, the run summary used by the walker, and the
+// number of ff leaves commit reserves for.
 #include <algorithm>
 #include <array>
 #include <vector>
@@ -58,6 +59,7 @@ Datatype Datatype::make_basic(std::string name, std::size_t bytes) {
     n->lb = 0;
     n->ub = static_cast<std::ptrdiff_t>(bytes);
     n->one_run = bytes > 0;
+    n->leaves = bytes > 0 ? 1 : 0;
     return Datatype(std::move(n));
 }
 
@@ -81,6 +83,7 @@ Datatype Datatype::contiguous(int count, const Datatype& base) {
     n->depth = base.depth() + 1;
     n->blocks = count * base.blocks_per_item();
     n->steps = 1 + count * base.traversal_steps_per_item();
+    n->leaves = count > 0 ? base.node_->leaves : 0;
     RunFold run;
     run.piece(0, count, *base.node_);
     run.store(*n);
@@ -121,6 +124,7 @@ Datatype Datatype::hvector(int count, int blocklen, std::ptrdiff_t stride_bytes,
     n->blocks = static_cast<std::int64_t>(count) * blocklen * base.blocks_per_item();
     n->steps = 1 + static_cast<std::int64_t>(count) * blocklen *
                        base.traversal_steps_per_item();
+    n->leaves = count > 0 && blocklen > 0 ? base.node_->leaves : 0;
     // Replication i is the piece (i * stride, blocklen x base); all share the
     // shape, so the first two decide the rest.
     RunFold run;
@@ -154,12 +158,14 @@ Datatype Datatype::hindexed(std::span<const int> blocklens,
     std::ptrdiff_t hi = std::numeric_limits<std::ptrdiff_t>::min();
     std::int64_t blocks = 0;
     std::int64_t steps = 1;
+    std::int64_t leaves = 0;
     RunFold run;
     for (std::size_t i = 0; i < blocklens.size(); ++i) {
         SCIMPI_REQUIRE(blocklens[i] >= 0, "hindexed: negative blocklen");
         run.piece(displs_bytes[i], blocklens[i], *base.node_);
         sz += static_cast<std::size_t>(blocklens[i]) * base.size();
         if (blocklens[i] > 0) {
+            leaves += base.node_->leaves;
             lo = std::min(lo, displs_bytes[i] + base.lb());
             hi = std::max(hi, displs_bytes[i] + base.lb() +
                                   blocklens[i] * base.extent());
@@ -174,6 +180,7 @@ Datatype Datatype::hindexed(std::span<const int> blocklens,
     n->depth = base.depth() + 1;
     n->blocks = blocks;
     n->steps = steps;
+    n->leaves = leaves;
     run.store(*n);
     return Datatype(std::move(n));
 }
@@ -193,6 +200,7 @@ Datatype Datatype::structure(std::span<const int> blocklens,
     std::ptrdiff_t hi = std::numeric_limits<std::ptrdiff_t>::min();
     std::int64_t blocks = 0;
     std::int64_t steps = 1;
+    std::int64_t leaves = 0;
     int depth = 1;
     RunFold run;
     for (std::size_t i = 0; i < types.size(); ++i) {
@@ -202,6 +210,7 @@ Datatype Datatype::structure(std::span<const int> blocklens,
         n->children.push_back(types[i].node_);
         sz += static_cast<std::size_t>(blocklens[i]) * types[i].size();
         if (blocklens[i] > 0) {
+            leaves += types[i].node_->leaves;
             lo = std::min(lo, displs_bytes[i] + types[i].lb());
             hi = std::max(hi, displs_bytes[i] + types[i].lb() +
                                   blocklens[i] * types[i].extent());
@@ -217,6 +226,7 @@ Datatype Datatype::structure(std::span<const int> blocklens,
     n->depth = depth;
     n->blocks = blocks;
     n->steps = steps;
+    n->leaves = leaves;
     run.store(*n);
     return Datatype(std::move(n));
 }
@@ -234,6 +244,7 @@ Datatype Datatype::resized(const Datatype& base, std::ptrdiff_t lb,
     n->depth = base.depth() + 1;
     n->blocks = base.blocks_per_item();
     n->steps = base.traversal_steps_per_item();
+    n->leaves = base.node_->leaves;
     n->one_run = base.node_->one_run;
     n->run_off = base.node_->run_off;
     return Datatype(std::move(n));

@@ -1,7 +1,6 @@
 #include "mpi/datatype/datatype.hpp"
 
-#include <algorithm>
-#include <limits>
+#include <utility>
 
 namespace scimpi::mpi {
 
@@ -51,21 +50,13 @@ bool Datatype::committed() const { return valid() && node_->flat.has_value(); }
 void Datatype::commit(const Config& cfg) {
     SCIMPI_REQUIRE(valid(), "commit() on invalid datatype");
     if (node_->flat.has_value()) return;
-    FlatRep rep;
-    rep.type_size = node_->size;
-    rep.type_extent = node_->extent();
+    FlatBuilder out(node_->size, node_->extent(),
+                    static_cast<std::size_t>(node_->leaves), cfg.ff_merge_stacks);
     std::vector<FFStackItem> stack;
-    flatten_into(*node_, 0, stack, rep);
+    stack.reserve(2 * static_cast<std::size_t>(node_->depth));
+    flatten_into(*node_, 0, stack, out);
     SCIMPI_REQUIRE(stack.empty(), "flatten stack imbalance");
-    if (cfg.ff_merge_stacks) {
-        merge_flat(rep);
-    } else {
-        rep.max_depth = 0;
-        for (const auto& leaf : rep.leaves)
-            rep.max_depth =
-                std::max(rep.max_depth, static_cast<int>(leaf.stack.size()));
-    }
-    node_->flat = std::move(rep);
+    node_->flat = std::move(out).finish();
 }
 
 const FlatRep& Datatype::flat() const {
@@ -79,14 +70,10 @@ std::uint64_t Datatype::fingerprint() const {
 }
 
 void Datatype::flatten_into(const Node& n, std::ptrdiff_t base,
-                            std::vector<FFStackItem>& stack, FlatRep& out) {
+                            std::vector<FFStackItem>& stack, FlatBuilder& out) {
     switch (n.kind) {
         case TypeKind::basic: {
-            FlatLeaf leaf;
-            leaf.blocklen = n.size;
-            leaf.first_offset = base;
-            leaf.stack = stack;
-            if (leaf.blocklen > 0) out.leaves.push_back(std::move(leaf));
+            if (n.size > 0) out.leaf(n.size, base, stack);
             return;
         }
         case TypeKind::contiguous: {

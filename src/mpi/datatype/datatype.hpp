@@ -89,7 +89,8 @@ public:
     [[nodiscard]] std::int64_t traversal_steps_per_item() const;
 
     /// Prepare the type for communication: builds the flattened ff-stack
-    /// representation. Idempotent.
+    /// representation and its cached analysis (flatten.hpp) in one pass.
+    /// Idempotent.
     void commit(const Config& cfg = default_config());
     [[nodiscard]] bool committed() const;
     /// Flattened representation; requires committed().
@@ -136,6 +137,7 @@ private:
         int depth = 1;
         std::int64_t blocks = 1;          // basic blocks per instance
         std::int64_t steps = 1;           // recursive traversal node visits
+        std::int64_t leaves = 0;          // ff leaves flatten_into emits
         // Run summary: the canonical walk of one instance is the single
         // increasing contiguous run [run_off, run_off + size).
         bool one_run = false;
@@ -157,7 +159,7 @@ private:
     static bool walk_reps(const Node& c, std::ptrdiff_t base, std::int64_t k,
                           Sink& sink);
     static void flatten_into(const Node& n, std::ptrdiff_t base,
-                             std::vector<FFStackItem>& stack, FlatRep& out);
+                             std::vector<FFStackItem>& stack, FlatBuilder& out);
     static void describe_into(const Node& n, int indent, std::string& out);
 
     std::shared_ptr<Node> node_;

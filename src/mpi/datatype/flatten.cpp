@@ -1,19 +1,117 @@
 #include "mpi/datatype/flatten.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <ranges>
+
+#include "common/status.hpp"
 
 namespace scimpi::mpi {
 
-bool FlatRep::leaf_major_is_canonical() const {
-    if (leaves.size() <= 1) return true;
-    // If each leaf's full memory span (over one instance) ends before the
-    // next leaf's begins, leaf-major equals type-map order.
+namespace {
+
+bool replicates(const FFStackItem& s) { return s.count != 1; }
+
+/// Collapse dense innermost replication: stride == blocklen means the
+/// blocks of that level form one contiguous run.
+void fold_dense(FlatLeaf& leaf) {
+    while (!leaf.stack.empty() &&
+           leaf.stack.back().extent == static_cast<std::ptrdiff_t>(leaf.blocklen)) {
+        leaf.blocklen *= static_cast<std::size_t>(leaf.stack.back().count);
+        leaf.stack.pop_back();
+    }
+}
+
+}  // namespace
+
+std::size_t FlatRep::leaf_at(std::size_t off) const {
+    // The first leaf whose end, leaf_prefix[i + 1], lies beyond `off`.
+    const auto ends = leaf_prefix.begin() + 1;
+    return static_cast<std::size_t>(
+        std::upper_bound(ends, leaf_prefix.end(), static_cast<std::int64_t>(off)) - ends);
+}
+
+FlatBuilder::FlatBuilder(std::size_t type_size, std::ptrdiff_t type_extent,
+                         std::size_t leaves, bool merge) {
+    rep_.type_size = type_size;
+    rep_.type_extent = type_extent;
+    rep_.merged = merge;
+    rep_.leaves.reserve(leaves);
+}
+
+void FlatBuilder::leaf(std::size_t blocklen, std::ptrdiff_t offset,
+                       std::span<const FFStackItem> stack) {
+    if (!rep_.merged) {
+        rep_.leaves.push_back({blocklen, offset, {stack.begin(), stack.end()}});
+        return;
+    }
+    // Count-1 items replicate nothing (their offset is already in `offset`)
+    // and dense innermost levels fold into the block: scanning from the
+    // innermost level out, stop at the first level that stays. The leaf's
+    // stack is the replicating items of stack[0, keep).
+    std::size_t keep = stack.size();
+    for (; keep > 0; --keep) {
+        const FFStackItem& s = stack[keep - 1];
+        if (!replicates(s)) continue;
+        if (s.extent != static_cast<std::ptrdiff_t>(blocklen)) break;
+        blocklen *= static_cast<std::size_t>(s.count);
+    }
+    auto kept = stack.first(keep) | std::views::filter(replicates);
+    // Fuse with the previous leaf when it forms one contiguous run with it
+    // under an equal stack (e.g. struct members lying back to back). The
+    // previous leaf is only folded once nothing more can fuse into it.
+    if (!rep_.leaves.empty()) {
+        FlatLeaf& prev = rep_.leaves.back();
+        if (prev.first_offset + static_cast<std::ptrdiff_t>(prev.blocklen) == offset &&
+            std::ranges::equal(prev.stack, kept)) {
+            prev.blocklen += blocklen;
+            return;
+        }
+        fold_dense(prev);
+    }
+    FlatLeaf& leaf = rep_.leaves.emplace_back();
+    leaf.blocklen = blocklen;
+    leaf.first_offset = offset;
+    leaf.stack.reserve(static_cast<std::size_t>(std::ranges::distance(kept)));
+    std::ranges::copy(kept, std::back_inserter(leaf.stack));
+}
+
+FlatRep FlatBuilder::finish() && {
+    FlatRep& rep = rep_;
+    if (rep.merged && !rep.leaves.empty()) fold_dense(rep.leaves.back());
+
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    };
+    mix(rep.leaves.size());
+    rep.leaf_prefix.reserve(rep.leaves.size() + 1);
+    rep.leaf_prefix.push_back(0);
+    std::int64_t best_bytes = -1;
+    // Leaf-major order is canonical iff each leaf's memory span (over one
+    // instance) ends before the next leaf's begins.
     std::ptrdiff_t prev_end = std::numeric_limits<std::ptrdiff_t>::min();
-    for (const auto& leaf : leaves) {
+    for (std::size_t i = 0; i < rep.leaves.size(); ++i) {
+        const FlatLeaf& leaf = rep.leaves[i];
+        rep.max_depth = std::max(rep.max_depth, static_cast<int>(leaf.stack.size()));
+        const std::int64_t blocks = leaf.block_count();
+        const std::int64_t bytes = static_cast<std::int64_t>(leaf.blocklen) * blocks;
+        rep.blocks += blocks;
+        rep.leaf_prefix.push_back(rep.leaf_prefix.back() + bytes);
+        if (bytes > best_bytes) {
+            best_bytes = bytes;
+            rep.dominant = static_cast<std::ptrdiff_t>(i);
+        }
         std::ptrdiff_t lo = leaf.first_offset;
         std::ptrdiff_t hi = leaf.first_offset + static_cast<std::ptrdiff_t>(leaf.blocklen);
+        mix(leaf.blocklen);
+        mix(static_cast<std::uint64_t>(leaf.first_offset));
+        mix(leaf.stack.size());
         for (const auto& s : leaf.stack) {
+            mix(static_cast<std::uint64_t>(s.count));
+            mix(static_cast<std::uint64_t>(s.extent));
             // The level spans (count-1) strides in either direction.
             const std::ptrdiff_t span = (s.count - 1) * s.extent;
             if (span >= 0)
@@ -21,72 +119,13 @@ bool FlatRep::leaf_major_is_canonical() const {
             else
                 lo += span;
         }
-        if (lo < prev_end) return false;
+        if (lo < prev_end) rep.canonical = false;
         prev_end = hi;
     }
-    return true;
-}
-
-std::uint64_t FlatRep::structural_hash() const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-    };
-    mix(leaves.size());
-    for (const auto& leaf : leaves) {
-        mix(leaf.blocklen);
-        mix(static_cast<std::uint64_t>(leaf.first_offset));
-        mix(leaf.stack.size());
-        for (const auto& s : leaf.stack) {
-            mix(static_cast<std::uint64_t>(s.count));
-            mix(static_cast<std::uint64_t>(s.extent));
-        }
-    }
-    return h;
-}
-
-void merge_flat(FlatRep& rep) {
-    for (auto& leaf : rep.leaves) {
-        // Drop count-1 items: they replicate nothing (their offset went
-        // into first_offset during flattening).
-        std::erase_if(leaf.stack, [](const FFStackItem& s) { return s.count == 1; });
-        // Collapse dense innermost replication: stride == blocklen means the
-        // blocks of that level form one contiguous run.
-        while (!leaf.stack.empty() &&
-               leaf.stack.back().extent ==
-                   static_cast<std::ptrdiff_t>(leaf.blocklen)) {
-            leaf.blocklen *= static_cast<std::size_t>(leaf.stack.back().count);
-            leaf.stack.pop_back();
-        }
-    }
-    // Fuse consecutive leaves forming one contiguous run with equal stacks
-    // (e.g. struct members lying back to back).
-    std::vector<FlatLeaf> fused;
-    for (auto& leaf : rep.leaves) {
-        if (!fused.empty() && fused.back().stack == leaf.stack &&
-            fused.back().first_offset +
-                    static_cast<std::ptrdiff_t>(fused.back().blocklen) ==
-                leaf.first_offset) {
-            fused.back().blocklen += leaf.blocklen;
-        } else {
-            fused.push_back(std::move(leaf));
-        }
-    }
-    rep.leaves = std::move(fused);
-    // The fuse may have made an innermost level dense; run one more pass.
-    for (auto& leaf : rep.leaves) {
-        while (!leaf.stack.empty() &&
-               leaf.stack.back().extent ==
-                   static_cast<std::ptrdiff_t>(leaf.blocklen)) {
-            leaf.blocklen *= static_cast<std::size_t>(leaf.stack.back().count);
-            leaf.stack.pop_back();
-        }
-    }
-    rep.max_depth = 0;
-    for (const auto& leaf : rep.leaves)
-        rep.max_depth = std::max(rep.max_depth, static_cast<int>(leaf.stack.size()));
-    rep.merged = true;
+    rep.hash = h;
+    SCIMPI_REQUIRE(static_cast<std::size_t>(rep.leaf_prefix.back()) == rep.type_size,
+                   "flattened size mismatch");
+    return std::move(rep);
 }
 
 }  // namespace scimpi::mpi

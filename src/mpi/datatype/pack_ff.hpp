@@ -1,18 +1,27 @@
 // direct_pack_ff (paper Section 3.3): non-recursive packing driven by the
 // flattened ff-stack representation built at commit time.
 //
-//   * find_position: O(N) + O(D) location of an arbitrary stream offset
-//     (N = leaves, D = max stack depth) — partial packs resume anywhere,
+//   * find_position: O(log N) + O(D) location of an arbitrary stream offset
+//     (N = leaves, D = max stack depth): a binary search over the per-leaf
+//     payload prefix table commit cached in FlatRep, then a mixed-radix
+//     decode of the block index — partial packs resume anywhere,
 //   * copy_split_block: finishes a block cut by the previous chunk,
 //   * copy_leaf_basic: two nested loops over simple stack (odometer)
-//     operations — no recursive tree traversal.
+//     operations — no recursive tree traversal; a leaf with an empty stack
+//     is one block and skips the odometer.
+//
+// All type analysis (prefix table, canonical-order flag, hash, dominant
+// leaf) happens once at commit, so constructing a packer is O(1) and a
+// pack, unpack or gather of one chunk costs only its per-block loop.
 //
 // The packed stream is leaf-major (all replications of leaf 0, then leaf 1,
 // ...), instance-major across `count` type instances. The receive side runs
 // the same iteration with the copy direction swapped.
 #pragma once
 
-#include <functional>
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "mem/copy_model.hpp"
 #include "mpi/datatype/datatype.hpp"
@@ -20,9 +29,61 @@
 
 namespace scimpi::mpi {
 
+namespace detail {
+
+/// Odometer over one leaf's stack: tracks the block counters and the
+/// memory offset from the leaf's first block; O(1) amortized advance. The
+/// counters are sized once for the deepest stack, so switching leaves
+/// allocates nothing.
+class LeafCursor {
+public:
+    explicit LeafCursor(int max_depth) : digits_(static_cast<std::size_t>(max_depth)) {}
+
+    /// Position the cursor on block `b` of `leaf` (find_position's O(D) step).
+    void seek(const FlatLeaf& leaf, std::int64_t b) {
+        stack_ = leaf.stack.data();
+        depth_ = leaf.stack.size();
+        offset_ = 0;
+        // Decode b as mixed-radix digits, innermost level varying fastest.
+        for (std::size_t i = depth_; i-- > 0;) {
+            const FFStackItem& s = stack_[i];
+            digits_[i] = b % s.count;
+            offset_ += digits_[i] * s.extent;
+            b /= s.count;
+        }
+        SCIMPI_REQUIRE(b == 0, "ff seek beyond leaf block count");
+    }
+
+    /// Advance to the next block; false once the leaf is done.
+    bool advance() {
+        for (std::size_t i = depth_; i-- > 0;) {
+            const FFStackItem& s = stack_[i];
+            if (++digits_[i] < s.count) {
+                offset_ += s.extent;
+                return true;
+            }
+            offset_ -= (s.count - 1) * s.extent;
+            digits_[i] = 0;
+        }
+        return false;
+    }
+
+    /// Byte offset of the current block from the leaf's first block.
+    [[nodiscard]] std::ptrdiff_t offset() const { return offset_; }
+
+private:
+    std::vector<std::int64_t> digits_;  // counter per stack level (outer..inner)
+    const FFStackItem* stack_ = nullptr;
+    std::size_t depth_ = 0;
+    std::ptrdiff_t offset_ = 0;
+};
+
+}  // namespace detail
+
 class FFPacker {
 public:
-    /// A view of `count` instances of committed `type` at `userbuf`.
+    /// A view of `count` instances of committed `type` at `userbuf`. O(1):
+    /// everything it needs was computed at commit.
     FFPacker(const Datatype& type, int count, void* userbuf);
 
     [[nodiscard]] std::size_t total_bytes() const { return total_; }
@@ -30,13 +91,17 @@ public:
     /// Drive the ff iteration over packed-stream range [pos, pos+len):
     /// `emit(mem, n)` is called once per (possibly split) basic block in
     /// stream order, where `mem` points into the user buffer.
-    PackWork for_range(std::size_t pos, std::size_t len,
-                       const std::function<void(std::byte*, std::size_t)>& emit) const;
+    template <class Emit>
+    PackWork for_range(std::size_t pos, std::size_t len, Emit&& emit) const;
 
     /// Gather the range into a contiguous buffer.
     PackWork pack(std::size_t pos, std::size_t len, std::byte* out) const;
     /// Scatter a contiguous buffer back into the user view.
     PackWork unpack(std::size_t pos, std::size_t len, const std::byte* in) const;
+
+    /// About how many blocks for_range emits for `len` bytes (the type's
+    /// mean ff block size), for sizing a gather list up front.
+    [[nodiscard]] std::size_t block_estimate(std::size_t len) const;
 
     /// Simulated CPU time of an ff pack/unpack performing `work` against
     /// local memory (stack-driven loops; no recursion overhead).
@@ -46,17 +111,65 @@ public:
     /// the side that feeds/absorbs a transfer).
     [[nodiscard]] mem::AccessPattern dominant_pattern() const;
 
-    /// Bytes the memory system moves for `work` given the pattern (payload
-    /// plus cache-line waste) — the src_traffic for SciAdapter::write.
-    [[nodiscard]] std::size_t memory_traffic(std::size_t bytes) const;
+    /// Bytes the memory system moves for `bytes` of payload given the
+    /// dominant pattern and the host's cache line (payload plus line waste)
+    /// — the src_traffic for SciAdapter::write_gather.
+    [[nodiscard]] std::size_t memory_traffic(std::size_t bytes,
+                                             const mem::CopyModel& model) const;
 
 private:
-    Datatype type_;
-    int count_;
+    Datatype type_;  // keeps the flattened representation alive
+    const FlatRep* flat_;
     std::byte* user_;
     std::size_t total_;
-    std::vector<std::int64_t> leaf_prefix_;  // cumulative payload per leaf
 };
+
+template <class Emit>
+PackWork FFPacker::for_range(std::size_t pos, std::size_t len, Emit&& emit) const {
+    SCIMPI_REQUIRE(pos + len <= total_, "ff range exceeds message");
+    PackWork work;
+    if (len == 0) return work;
+    work.min_block = std::numeric_limits<std::size_t>::max();
+    const FlatRep& flat = *flat_;
+
+    // ---- find_position: locate instance, leaf, block and split offset ----
+    const std::size_t inst = pos / flat.type_size;
+    const std::size_t off_in_inst = pos % flat.type_size;
+    std::size_t li = flat.leaf_at(off_in_inst);
+    const std::size_t off_in_leaf =
+        off_in_inst - static_cast<std::size_t>(flat.leaf_prefix[li]);
+    std::size_t split = off_in_leaf % flat.leaves[li].blocklen;  // copy_split_block
+    auto block = static_cast<std::int64_t>(off_in_leaf / flat.leaves[li].blocklen);
+    std::byte* inst_base = user_ + static_cast<std::ptrdiff_t>(inst) * flat.type_extent;
+    std::size_t remaining = len;
+    detail::LeafCursor cur(flat.max_depth);
+
+    // ---- top-level loop (paper Figure 6) ----
+    for (;;) {
+        const FlatLeaf& leaf = flat.leaves[li];
+        std::byte* const first = inst_base + leaf.first_offset;
+        // A leaf with an empty stack is one block: no odometer.
+        const bool odometer = !leaf.stack.empty();
+        if (odometer) cur.seek(leaf, block);
+        do {
+            const std::size_t n = std::min(leaf.blocklen - split, remaining);
+            emit(first + (odometer ? cur.offset() : 0) + split, n);
+            work.bytes += n;
+            ++work.blocks;
+            work.min_block = std::min(work.min_block, n);
+            work.max_block = std::max(work.max_block, n);
+            remaining -= n;
+            split = 0;
+            if (remaining == 0) return work;
+        } while (odometer && cur.advance());
+        // leaf = leaf->next; wrap to the next instance after the last.
+        block = 0;
+        if (++li == flat.leaves.size()) {
+            li = 0;
+            inst_base += flat.type_extent;
+        }
+    }
+}
 
 /// Which engine moved a stream range: a plain copy (contiguous layout), the
 /// ff engine, or the generic walker.

@@ -329,13 +329,14 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
         ++stats_.ff_packs;
         pm_.ff_packs->inc();
         std::vector<sci::SciAdapter::ConstIovec> blocks;
+        blocks.reserve(ff.block_estimate(len));
         ff.for_range(pos, len, [&blocks](std::byte* mem, std::size_t n) {
             blocks.push_back({mem, n});
         });
         pm_.ff_direct_writes->inc();
         pm_.ff_direct_blocks->add(blocks.size());
         pm_.ff_direct_bytes->add(len);
-        const std::size_t traffic = ff.memory_traffic(len);
+        const std::size_t traffic = ff.memory_traffic(len, copy_model_);
         const obs::Span io(self, {.name = "pack:ff_direct",
                                   .prof = io_state,
                                   .ev = io_cat,

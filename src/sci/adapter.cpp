@@ -68,10 +68,9 @@ SimTime SciAdapter::partial_segment_cost(std::size_t off, std::size_t len) {
     return t;
 }
 
-SimTime SciAdapter::wc_write_time(int pid, const SciMapping& map, std::size_t off,
-                                  std::size_t len) {
+SimTime SciAdapter::wc_write_time(StreamState& st, const SciMapping& map,
+                                  std::size_t off, std::size_t len) {
     const SciParams& p = fabric_.params();
-    StreamState& st = streams_[pid];
 
     if (!cfg_.write_combine) {
         // Every store goes out individually; insensitive to stride but slow.
@@ -172,7 +171,7 @@ Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t 
     }
 
     const SciParams& p = fabric_.params();
-    SimTime t_wire = wc_write_time(self.id(), map, off, len);
+    SimTime t_wire = wc_write_time(streams_[self.id()], map, off, len);
 
     // Source feed: the CPU reads the data locally while pushing it out.
     const double feed_bw =
@@ -268,9 +267,10 @@ Status SciAdapter::write_gather(sim::Process& self, const SciMapping& map,
     // stream. The per-block CPU work (ff stack arithmetic, address
     // generation) stalls the store pipeline, so it adds to the wire time.
     SimTime t_wire = static_cast<SimTime>(blocks.size()) * host_.per_block_overhead;
+    StreamState& stream = streams_[self.id()];
     std::size_t cursor = off;
     for (const auto& b : blocks) {
-        t_wire += wc_write_time(self.id(), map, cursor, b.len);
+        t_wire += wc_write_time(stream, map, cursor, b.len);
         cursor += b.len;
     }
     const double feed_bw =

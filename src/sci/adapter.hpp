@@ -154,8 +154,10 @@ private:
         std::size_t next_off = 0;
     };
 
-    /// Wire-side time for a PIO write; updates the per-process stream state.
-    SimTime wc_write_time(int pid, const SciMapping& map, std::size_t off, std::size_t len);
+    /// Wire-side time for a PIO write; updates the writing process's stream
+    /// state `st` (its streams_ entry, looked up once per call by the caller).
+    SimTime wc_write_time(StreamState& st, const SciMapping& map, std::size_t off,
+                          std::size_t len);
 
     /// Cost of flushing a sub-line segment [off, off+len): greedy aligned
     /// power-of-two decomposition, misaligned chunks cost more.

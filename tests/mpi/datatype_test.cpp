@@ -203,6 +203,23 @@ TEST(Datatype, AdjacentStructMembersFuse) {
     EXPECT_EQ(t.flat().leaves[0].blocklen, 8u);
 }
 
+TEST(Datatype, AbuttingLeavesWithDifferentStacksStaySeparate) {
+    // struct { hvector(2,1,16) of int32 at 0; hvector(3,1,16) of int32 at 4 }:
+    // the second leaf starts where the first block ends, but the stacks
+    // differ in count, so the leaves must not fuse.
+    const std::array<int, 2> lens{1, 1};
+    const std::array<std::ptrdiff_t, 2> displs{0, 4};
+    const std::array<Datatype, 2> types{Datatype::hvector(2, 1, 16, Datatype::int32()),
+                                        Datatype::hvector(3, 1, 16, Datatype::int32())};
+    auto t = Datatype::structure(lens, displs, types);
+    t.commit();
+    ASSERT_EQ(t.flat().leaves.size(), 2u);
+    EXPECT_EQ(t.flat().leaves[0].blocklen, 4u);
+    EXPECT_EQ(t.flat().leaves[0].stack, (std::vector<FFStackItem>{{2, 16}}));
+    EXPECT_EQ(t.flat().leaves[1].first_offset, 4);
+    EXPECT_EQ(t.flat().leaves[1].stack, (std::vector<FFStackItem>{{3, 16}}));
+}
+
 TEST(Datatype, FullyContiguousTypeFlattensToSingleBlock) {
     auto t = Datatype::contiguous(16, Datatype::contiguous(8, Datatype::float64()));
     t.commit();

@@ -330,15 +330,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTypeProperty,
 
 /// A datatype plus its type map spelled out independently of the library:
 /// `pieces` lists, in canonical order, k instances of a child placed
-/// child-extent apart at displacement d.
+/// child-extent apart at displacement d. `links` spells out the same tree
+/// the way commit-time flattening descends it: each link places a child at
+/// displacement d under the stack items its constructor level pushes.
 struct RefType {
     struct Piece {
         std::ptrdiff_t d;
         int k;
         std::shared_ptr<const RefType> c;
     };
+    struct Link {
+        std::ptrdiff_t d;
+        std::vector<FFStackItem> stack;
+        std::shared_ptr<const RefType> c;
+    };
     Datatype t;
     std::vector<Piece> pieces;  // empty for a basic type
+    std::vector<Link> links;    // empty for a basic type
 };
 using RefPtr = std::shared_ptr<const RefType>;
 using Blocks = std::vector<std::pair<std::ptrdiff_t, std::size_t>>;
@@ -368,10 +376,17 @@ Blocks ref_blocks(const RefType& r, std::ptrdiff_t base, int count) {
     return out;
 }
 
+/// A fresh basic type node each call: commit caches its result on the node,
+/// so a shared node would keep the first commit's settings.
 RefPtr ref_basic(Rng& rng) {
-    static const std::array<Datatype, 4> basics{Datatype::byte_(), Datatype::int32(),
-                                                Datatype::int64(), Datatype::float64()};
-    return std::make_shared<RefType>(RefType{basics[rng.below(4)], {}});
+    auto r = std::make_shared<RefType>();
+    switch (rng.below(4)) {
+        case 0: r->t = Datatype::byte_(); break;
+        case 1: r->t = Datatype::int32(); break;
+        case 2: r->t = Datatype::int64(); break;
+        default: r->t = Datatype::float64(); break;
+    }
+    return r;
 }
 
 /// A count or block length: usually 1..hi, sometimes zero.
@@ -380,6 +395,41 @@ int reps(Rng& rng, int hi) {
 }
 
 constexpr int kRefDepth = 4;
+
+RefPtr ref_node(Datatype t, std::vector<RefType::Link> links) {
+    auto r = std::make_shared<RefType>();
+    r->t = std::move(t);
+    r->links = std::move(links);
+    return r;
+}
+
+/// The struct inside a subarray (which resizes it): a slab of rows built
+/// from the innermost dimension out, placed at the slab's start offset.
+RefPtr subarray_links(const std::vector<int>& sizes, const std::vector<int>& subs,
+                      const std::vector<int>& starts, const RefPtr& e) {
+    const std::size_t nd = sizes.size();
+    const std::ptrdiff_t ext = e->t.extent();
+    RefPtr row = ref_node(Datatype::contiguous(subs[nd - 1], e->t), {});
+    if (subs[nd - 1] > 0) row = ref_node(row->t, {{0, {{subs[nd - 1], ext}}, e}});
+    std::ptrdiff_t pitch = sizes[nd - 1] * ext;
+    for (std::size_t d = nd - 1; d-- > 0;) {
+        const Datatype t = Datatype::hvector(subs[d], 1, pitch, row->t);
+        row = subs[d] > 0 ? ref_node(t, {{0, {{subs[d], pitch}, {1, row->t.extent()}}, row}})
+                          : ref_node(t, {});
+        pitch *= sizes[d];
+    }
+    std::ptrdiff_t offset = 0;
+    std::ptrdiff_t dim_pitch = ext;
+    for (std::size_t d = nd; d-- > 0;) {
+        offset += starts[d] * dim_pitch;
+        dim_pitch *= sizes[d];
+    }
+    const std::array<int, 1> one{1};
+    const std::array<std::ptrdiff_t, 1> displ{offset};
+    const std::array<Datatype, 1> member{row->t};
+    return ref_node(Datatype::structure(one, displ, member),
+                    {{offset, {{1, row->t.extent()}}, row}});
+}
 
 /// Random layouts beyond the forward-only generator above: negative strides,
 /// decreasing and duplicate displacements, zero counts and block lengths,
@@ -395,6 +445,7 @@ RefPtr random_ref(Rng& rng, int depth) {
             const int n = reps(rng, 4);
             r->t = Datatype::contiguous(n, b->t);
             r->pieces = {{0, n, b}};
+            if (n > 0) r->links = {{0, {{n, ext}}, b}};
             break;
         }
         case 1: {  // element stride, possibly negative or overlapping
@@ -404,6 +455,8 @@ RefPtr random_ref(Rng& rng, int depth) {
                 rng.chance(0.4) ? blocklen : static_cast<int>(rng.range(-4, 6));
             r->t = Datatype::vector(count, blocklen, stride, b->t);
             for (int i = 0; i < count; ++i) r->pieces.push_back({i * stride * ext, blocklen, b});
+            if (count > 0 && blocklen > 0)
+                r->links = {{0, {{count, stride * ext}, {blocklen, ext}}, b}};
             break;
         }
         case 2: {  // byte stride, possibly negative
@@ -414,6 +467,8 @@ RefPtr random_ref(Rng& rng, int depth) {
                                               : rng.range(-3 * ext - 8, 3 * ext + 8);
             r->t = Datatype::hvector(count, blocklen, stride, b->t);
             for (int i = 0; i < count; ++i) r->pieces.push_back({i * stride, blocklen, b});
+            if (count > 0 && blocklen > 0)
+                r->links = {{0, {{count, stride}, {blocklen, ext}}, b}};
             break;
         }
         case 3: {  // element displacements: abutting forward or backward, or random
@@ -433,6 +488,7 @@ RefPtr random_ref(Rng& rng, int depth) {
                     displs[i] = static_cast<int>(rng.range(-4, 8));
                 }
                 r->pieces.push_back({displs[i] * ext, lens[i], b});
+                if (lens[i] > 0) r->links.push_back({displs[i] * ext, {{lens[i], ext}}, b});
             }
             r->t = Datatype::indexed(lens, displs, b->t);
             break;
@@ -447,6 +503,7 @@ RefPtr random_ref(Rng& rng, int depth) {
                 displs[i] = rng.chance(0.5) ? next : rng.range(-24, 40);
                 next = displs[i] + lens[i] * ext;
                 r->pieces.push_back({displs[i], lens[i], b});
+                if (lens[i] > 0) r->links.push_back({displs[i], {{lens[i], ext}}, b});
             }
             r->t = Datatype::hindexed(lens, displs, b->t);
             break;
@@ -470,6 +527,8 @@ RefPtr random_ref(Rng& rng, int depth) {
                 next = displs[i] + m->t.lb() + lens[i] * m->t.extent();
                 types[i] = m->t;
                 r->pieces.push_back({displs[i], lens[i], m});
+                if (lens[i] > 0)
+                    r->links.push_back({displs[i], {{lens[i], m->t.extent()}}, m});
             }
             r->t = Datatype::structure(lens, displs, types);
             break;
@@ -481,6 +540,7 @@ RefPtr random_ref(Rng& rng, int depth) {
                                               : rng.range(0, 2 * ext + 8);
             r->t = Datatype::resized(b->t, lb, extent);
             r->pieces = {{0, 1, b}};
+            r->links = {{0, {}, b}};
             break;
         }
         default: {  // subarray, C order
@@ -494,6 +554,7 @@ RefPtr random_ref(Rng& rng, int depth) {
                     rng.below(static_cast<std::uint64_t>(sizes[d] - subs[d]) + 1));
             }
             r->t = Datatype::subarray(sizes, subs, starts, e->t);
+            r->links = {{0, {}, subarray_links(sizes, subs, starts, e)}};
             // One piece per row of the slab; idx walks the outer dims in C order.
             if (std::find(subs.begin(), subs.end(), 0) != subs.end()) break;
             std::vector<int> idx(nd - 1, 0);
@@ -601,6 +662,291 @@ TEST(WalkEquivalence, ChunkedGenericPackWorkMatchesReference) {
             EXPECT_EQ(w.max_block, ref.max_block);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Flattening equivalence: commit builds FlatRep in one pass and caches the
+// packer's analysis. The reference below is the two-pass construction
+// (flatten every leaf with its raw stack, then merge) and the per-call
+// analysis it replaced, run over the mirror trees above.
+// ---------------------------------------------------------------------------
+
+void ref_flatten(const RefType& r, std::ptrdiff_t base, std::vector<FFStackItem>& stack,
+                 FlatRep& out) {
+    if (r.t.kind() == TypeKind::basic) {
+        if (r.t.size() > 0) out.leaves.push_back({r.t.size(), base, stack});
+        return;
+    }
+    for (const auto& l : r.links) {
+        stack.insert(stack.end(), l.stack.begin(), l.stack.end());
+        ref_flatten(*l.c, base + l.d, stack, out);
+        stack.resize(stack.size() - l.stack.size());
+    }
+}
+
+void ref_fold_dense(FlatLeaf& leaf) {
+    while (!leaf.stack.empty() &&
+           leaf.stack.back().extent == static_cast<std::ptrdiff_t>(leaf.blocklen)) {
+        leaf.blocklen *= static_cast<std::size_t>(leaf.stack.back().count);
+        leaf.stack.pop_back();
+    }
+}
+
+/// The merge pass as a separate sweep: drop count-1 items and fold dense
+/// levels per leaf, fuse contiguous leaves with equal stacks, fold again.
+void ref_merge_flat(FlatRep& rep) {
+    for (auto& leaf : rep.leaves) {
+        std::erase_if(leaf.stack, [](const FFStackItem& s) { return s.count == 1; });
+        ref_fold_dense(leaf);
+    }
+    std::vector<FlatLeaf> fused;
+    for (auto& leaf : rep.leaves) {
+        if (!fused.empty() && fused.back().stack == leaf.stack &&
+            fused.back().first_offset +
+                    static_cast<std::ptrdiff_t>(fused.back().blocklen) ==
+                leaf.first_offset) {
+            fused.back().blocklen += leaf.blocklen;
+        } else {
+            fused.push_back(std::move(leaf));
+        }
+    }
+    rep.leaves = std::move(fused);
+    for (auto& leaf : rep.leaves) ref_fold_dense(leaf);
+    rep.merged = true;
+}
+
+FlatRep ref_flat(const RefType& r, bool merge) {
+    FlatRep rep;
+    rep.type_size = r.t.size();
+    rep.type_extent = r.t.extent();
+    std::vector<FFStackItem> stack;
+    ref_flatten(r, 0, stack, rep);
+    if (merge) ref_merge_flat(rep);
+    for (const auto& leaf : rep.leaves)
+        rep.max_depth = std::max(rep.max_depth, static_cast<int>(leaf.stack.size()));
+    return rep;
+}
+
+bool ref_canonical(const FlatRep& rep) {
+    if (rep.leaves.size() <= 1) return true;
+    std::ptrdiff_t prev_end = std::numeric_limits<std::ptrdiff_t>::min();
+    for (const auto& leaf : rep.leaves) {
+        std::ptrdiff_t lo = leaf.first_offset;
+        std::ptrdiff_t hi = leaf.first_offset + static_cast<std::ptrdiff_t>(leaf.blocklen);
+        for (const auto& s : leaf.stack) {
+            const std::ptrdiff_t span = (s.count - 1) * s.extent;
+            (span >= 0 ? hi : lo) += span;
+        }
+        if (lo < prev_end) return false;
+        prev_end = hi;
+    }
+    return true;
+}
+
+std::uint64_t ref_hash(const FlatRep& rep) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    };
+    mix(rep.leaves.size());
+    for (const auto& leaf : rep.leaves) {
+        mix(leaf.blocklen);
+        mix(static_cast<std::uint64_t>(leaf.first_offset));
+        mix(leaf.stack.size());
+        for (const auto& s : leaf.stack) {
+            mix(static_cast<std::uint64_t>(s.count));
+            mix(static_cast<std::uint64_t>(s.extent));
+        }
+    }
+    return h;
+}
+
+std::int64_t leaf_bytes(const FlatLeaf& leaf) {
+    std::int64_t t = static_cast<std::int64_t>(leaf.blocklen);
+    for (const auto& s : leaf.stack) t *= s.count;
+    return t;
+}
+
+std::ptrdiff_t ref_dominant(const FlatRep& rep) {
+    std::ptrdiff_t best = -1;
+    std::int64_t best_bytes = -1;
+    for (std::size_t i = 0; i < rep.leaves.size(); ++i) {
+        if (leaf_bytes(rep.leaves[i]) > best_bytes) {
+            best_bytes = leaf_bytes(rep.leaves[i]);
+            best = static_cast<std::ptrdiff_t>(i);
+        }
+    }
+    return best;
+}
+
+/// Leaf-major block list of `count` instances: each leaf's stack counted
+/// through like an odometer, innermost level fastest.
+Blocks ref_ff_blocks(const FlatRep& rep, int count) {
+    Blocks out;
+    for (int c = 0; c < count; ++c) {
+        for (const auto& leaf : rep.leaves) {
+            std::vector<std::int64_t> idx(leaf.stack.size(), 0);
+            for (;;) {
+                std::ptrdiff_t off = c * rep.type_extent + leaf.first_offset;
+                for (std::size_t k = 0; k < idx.size(); ++k) off += idx[k] * leaf.stack[k].extent;
+                out.emplace_back(off, leaf.blocklen);
+                std::size_t k = idx.size();
+                for (; k > 0; --k) {
+                    if (++idx[k - 1] < leaf.stack[k - 1].count) break;
+                    idx[k - 1] = 0;
+                }
+                if (k == 0) break;
+            }
+        }
+    }
+    return out;
+}
+
+/// Two mirror trees from one seed: identical structure, separate nodes, so
+/// each can be committed under its own setting.
+RefPtr seeded_ref(std::uint64_t seed) {
+    Rng rng(seed);
+    return random_ref(rng, kRefDepth);
+}
+
+TEST(FlatEquivalence, OnePassCommitMatchesTwoPassReference) {
+    for (const bool merge : {true, false}) {
+        Config cfg;
+        cfg.ff_merge_stacks = merge;
+        for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed << " merge " << merge);
+            const RefPtr r = seeded_ref(seed);
+            Datatype t = r->t;
+            t.commit(cfg);
+            const FlatRep& got = t.flat();
+            const FlatRep want = ref_flat(*r, merge);
+            ASSERT_EQ(got.leaves, want.leaves) << t.describe();
+            EXPECT_EQ(got.type_size, want.type_size);
+            EXPECT_EQ(got.type_extent, want.type_extent);
+            EXPECT_EQ(got.max_depth, want.max_depth);
+            EXPECT_EQ(got.merged, want.merged);
+            // Cached analysis equals a fresh recomputation.
+            std::vector<std::int64_t> prefix{0};
+            for (const auto& leaf : want.leaves) prefix.push_back(prefix.back() + leaf_bytes(leaf));
+            EXPECT_EQ(got.leaf_prefix, prefix);
+            EXPECT_EQ(got.leaf_major_is_canonical(), ref_canonical(want));
+            EXPECT_EQ(got.structural_hash(), ref_hash(want));
+            EXPECT_EQ(t.fingerprint(), ref_hash(want));
+            EXPECT_EQ(got.dominant, ref_dominant(want));
+        }
+    }
+}
+
+TEST(FlatEquivalence, FFWalkMatchesReferenceOdometer) {
+    for (const bool merge : {true, false}) {
+        Config cfg;
+        cfg.ff_merge_stacks = merge;
+        for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed << " merge " << merge);
+            const RefPtr r = seeded_ref(seed);
+            Datatype t = r->t;
+            t.commit(cfg);
+            if (t.size() == 0) continue;
+            const FlatRep want_flat = ref_flat(*r, merge);
+            Rng rng(seed * 7919);
+            for (const int count : {1, 2, 5}) {
+                const Blocks blocks = ref_ff_blocks(want_flat, count);
+                const std::size_t tsize = t.size();
+                const std::size_t total = tsize * static_cast<std::size_t>(count);
+                std::ptrdiff_t lo = 0, hi = 0;
+                for (const auto& [off, len] : blocks) {
+                    lo = std::min(lo, off);
+                    hi = std::max(hi, off + static_cast<std::ptrdiff_t>(len));
+                }
+                auto mem = numbered(static_cast<std::size_t>(hi - lo));
+                std::byte* const base = mem.data() - lo;
+                const FFPacker p(t, count, base);
+                ASSERT_EQ(p.total_bytes(), total);
+                for (int rep = 0; rep < 6; ++rep) {
+                    std::size_t pos = rng.below(total);
+                    std::size_t len = 1 + rng.below(total - pos);
+                    if (rep == 1) {  // start strictly inside a block of size >= 2
+                        std::size_t at = 0;
+                        std::size_t pick = rng.below(blocks.size());
+                        for (std::size_t i = 0; i < blocks.size(); ++i) {
+                            const std::size_t b = (pick + i) % blocks.size();
+                            if (blocks[b].second < 2) continue;
+                            at = 0;
+                            for (std::size_t j = 0; j < b; ++j) at += blocks[j].second;
+                            pos = at + 1 + rng.below(blocks[b].second - 1);
+                            break;
+                        }
+                        len = 1 + rng.below(total - pos);
+                    } else if (rep == 2 && count > 1) {  // wrap into the next instance
+                        pos = rng.below(tsize);
+                        len = tsize - pos + 1 + rng.below(total - tsize);
+                    }
+                    // Reference: the blocks overlapping [pos, pos+len), clipped.
+                    Blocks want;
+                    PackWork ref;
+                    ref.min_block = std::numeric_limits<std::size_t>::max();
+                    std::size_t cursor = 0;
+                    for (const auto& [off, blk] : blocks) {
+                        const std::size_t a = std::max(cursor, pos);
+                        const std::size_t b = std::min(cursor + blk, pos + len);
+                        if (a < b) {
+                            want.emplace_back(off + static_cast<std::ptrdiff_t>(a - cursor),
+                                              b - a);
+                            ref.bytes += b - a;
+                            ++ref.blocks;
+                            ref.min_block = std::min(ref.min_block, b - a);
+                            ref.max_block = std::max(ref.max_block, b - a);
+                        }
+                        cursor += blk;
+                    }
+                    const auto same_work = [&ref](const PackWork& w) {
+                        return w.bytes == ref.bytes && w.blocks == ref.blocks &&
+                               w.min_block == ref.min_block && w.max_block == ref.max_block;
+                    };
+                    SCOPED_TRACE(::testing::Message()
+                                 << "count " << count << " pos " << pos << " len " << len);
+                    // for_range emits exactly the reference blocks.
+                    Blocks got;
+                    const PackWork wr = p.for_range(pos, len, [&](std::byte* m, std::size_t n) {
+                        got.emplace_back(m - base, n);
+                    });
+                    ASSERT_EQ(got, want);
+                    EXPECT_TRUE(same_work(wr));
+                    // pack gathers their bytes in order.
+                    std::vector<std::byte> stream;
+                    for (const auto& [off, n] : want)
+                        stream.insert(stream.end(), base + off, base + off + n);
+                    std::vector<std::byte> out(len);
+                    EXPECT_TRUE(same_work(p.pack(pos, len, out.data())));
+                    EXPECT_EQ(out, stream);
+                    // unpack scatters them back in the same order.
+                    std::vector<std::byte> dst(mem.size(), std::byte{0});
+                    std::vector<std::byte> expect = dst;
+                    std::size_t at = 0;
+                    for (const auto& [off, n] : want) {
+                        std::memcpy(expect.data() + (off - lo), stream.data() + at, n);
+                        at += n;
+                    }
+                    const FFPacker u(t, count, dst.data() - lo);
+                    EXPECT_TRUE(same_work(u.unpack(pos, len, stream.data())));
+                    EXPECT_EQ(dst, expect);
+                }
+            }
+        }
+    }
+}
+
+TEST(PackFF, MemoryTrafficUsesTheHostCacheLine) {
+    // 8 B blocks 64 B apart: each block pulls one whole line on the way in.
+    auto t = committed(Datatype::vector(16, 1, 8, Datatype::float64()));
+    auto buf = numbered(static_cast<std::size_t>(t.extent()));
+    const FFPacker p(t, 1, buf.data());
+    const mem::CopyModel wide(mem::ultrasparc2_400());
+    ASSERT_EQ(wide.profile().cache_line, 64u);
+    EXPECT_EQ(p.memory_traffic(t.size(), wide), 16u * 64);
+    const mem::CopyModel narrow(mem::pentium3_800());
+    EXPECT_EQ(p.memory_traffic(t.size(), narrow), 16u * narrow.profile().cache_line);
 }
 
 }  // namespace
