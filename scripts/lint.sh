@@ -29,6 +29,19 @@ if [ -n "$stream_calls" ]; then
     exit 1
 fi
 
+# One context-switch mechanism: fibers switch only through the register
+# switch in src/sim/process.cpp. A ucontext or setjmp/longjmp switch would be
+# a second one, with its own signal-mask syscall and none of the fiber's
+# exception-state and sanitizer bookkeeping.
+context_calls=$(grep -rnE 'ucontext|getcontext|makecontext|swapcontext|setjmp|longjmp' \
+                    src tools bench examples)
+if [ -n "$context_calls" ]; then
+    echo "lint: a second context-switch mechanism (fibers switch only in" \
+         "src/sim/process.cpp):" >&2
+    echo "$context_calls" >&2
+    exit 1
+fi
+
 # One description per collective algorithm: in src/mpi/coll and src/mpi/req
 # only the executors move data. A transport call (Rank::send/recv/isend/
 # irecv, CollSegmentSet::run_streams) anywhere else would be an algorithm

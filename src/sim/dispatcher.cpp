@@ -1,5 +1,7 @@
 #include "sim/dispatcher.hpp"
 
+#include <algorithm>
+
 #include "sim/schedule.hpp"
 
 namespace scimpi::sim {
@@ -12,33 +14,44 @@ Dispatcher::Dispatcher(Engine& engine, std::string name) : engine_(engine) {
 void Dispatcher::at(SimTime t, std::function<void()> fn) {
     SCIMPI_REQUIRE(t >= engine_.now(), "Dispatcher::at() into the past");
     note_subject(this);
-    items_.push(Item{t, seq_++, std::move(fn)});
+    push(Item{t, seq_++, std::move(fn)});
     // The service process is suspended (the caller is running); make sure
     // it wakes no later than the new item's deadline.
     engine_.reschedule_earlier(*proc_, t);
 }
 
-std::size_t Dispatcher::pop_due(Process& self, std::vector<Item>& due) {
-    due.clear();
-    while (!items_.empty() && items_.top().t <= self.now()) {
-        due.push_back(items_.top());
-        items_.pop();
-    }
-    if (due.size() < 2) return 0;
-    ScheduleController* c = engine_.schedule_controller();
-    if (c == nullptr) return 0;
+void Dispatcher::push(Item it) {
+    items_.push_back(std::move(it));
+    std::push_heap(items_.begin(), items_.end(), std::greater<>{});
+}
+
+Dispatcher::Item Dispatcher::pop() {
+    std::pop_heap(items_.begin(), items_.end(), std::greater<>{});
+    Item it = std::move(items_.back());
+    items_.pop_back();
+    return it;
+}
+
+Dispatcher::Item Dispatcher::pop_chosen(Process& self, ScheduleController& c) {
+    std::vector<Item> due_now;
+    while (due(self)) due_now.push_back(pop());
+    if (due_now.size() == 1) return std::move(due_now.front());
     // Several deliveries are due in the same service slice: which callback
     // fires first is a delivery choice point. Labels are the per-dispatcher
     // insertion sequence numbers, stable across runs of the same program.
     ChoicePoint cp;
     cp.kind = ChoiceKind::delivery;
     cp.now = self.now();
-    cp.alts.reserve(due.size());
-    for (const Item& it : due)
+    cp.alts.reserve(due_now.size());
+    for (const Item& it : due_now)
         cp.alts.push_back(ChoiceAlt{"d" + std::to_string(it.seq), -1, it.t});
-    const std::size_t pick = c->choose(cp);
-    SCIMPI_REQUIRE(pick < due.size(), "delivery choice out of range");
-    return pick;
+    const std::size_t pick = c.choose(cp);
+    SCIMPI_REQUIRE(pick < due_now.size(), "delivery choice out of range");
+    // The rest stay queued under their own (t, seq): still due, so the next
+    // pass offers the remaining order as a further choice point.
+    for (std::size_t i = 0; i < due_now.size(); ++i)
+        if (i != pick) push(std::move(due_now[i]));
+    return std::move(due_now[pick]);
 }
 
 void Dispatcher::service_loop(Process& self) {
@@ -46,22 +59,15 @@ void Dispatcher::service_loop(Process& self) {
     // must not count it, so it finishes only at engine teardown
     // (ShutdownSignal unwinds the block()). Idle blocking is fine because
     // at() always arms a wakeup for newly added work.
-    std::vector<Item> due;
+    //
+    // Without a schedule controller, due items run one at a time in (t, seq)
+    // order. A callback's own at() calls get a larger seq and t >= now, so
+    // they run after every item that was already due.
     for (;;) {
-        while (!items_.empty() && items_.top().t <= self.now()) {
-            const std::size_t pick = pop_due(self, due);
-            if (due.size() == 1) {
-                // Common case: run the single due callback directly.
-                due.front().fn();
-            } else {
-                // Run the chosen callback; re-queue the rest (still due, so
-                // the outer loop immediately re-collects them and offers the
-                // remaining order as further choice points).
-                for (std::size_t i = 0; i < due.size(); ++i)
-                    if (i != pick) items_.push(due[i]);
-                due[pick].fn();
-            }
-            due.clear();
+        while (due(self)) {
+            ScheduleController* c = engine_.schedule_controller();
+            Item it = c == nullptr ? pop() : pop_chosen(self, *c);
+            it.fn();
         }
         if (items_.empty()) {
             self.block("dispatcher idle");
@@ -69,7 +75,7 @@ void Dispatcher::service_loop(Process& self) {
             // Under schedule fuzzing the engine clock may already be past the
             // next deadline (a later co-enabled event ran first); never arm a
             // wakeup in the past.
-            const SimTime next = items_.top().t;
+            const SimTime next = items_.front().t;
             engine_.schedule(self, next > self.now() ? next : self.now());
             self.block("dispatcher timer");
         }

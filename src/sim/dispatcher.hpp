@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -41,11 +40,18 @@ private:
     };
 
     void service_loop(Process& self);
-    std::size_t pop_due(Process& self, std::vector<Item>& due);
+    [[nodiscard]] bool due(const Process& self) const {
+        return !items_.empty() && items_.front().t <= self.now();
+    }
+    Item pop();
+    void push(Item it);
+    Item pop_chosen(Process& self, ScheduleController& c);
 
     Engine& engine_;
     Process* proc_ = nullptr;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> items_;
+    /// A min-heap on (t, seq) kept with std::push_heap/pop_heap, so items
+    /// (and the closures they own) are moved in and out, never copied.
+    std::vector<Item> items_;
     std::uint64_t seq_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/process.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 
 #include <cerrno>
 #include <cstdint>
@@ -37,6 +36,101 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "src/sim/process.cpp: the fiber switch is written for x86-64 only"
+#endif
+
+// The one fiber switch. scimpi_fiber_switch(save, next) pushes the SysV
+// callee-saved registers, MXCSR and the x87 control word onto the running
+// stack, stores the stack pointer in *save, loads `next` and pops the same
+// frame from there. Caller-saved state is dead across the call anyway, and
+// the frame has the same shape on both stacks, so one CFI description holds
+// at every instruction.
+//
+// A new fiber's stack is seeded with such a frame whose return address is
+// scimpi_fiber_trampoline: it calls r12(rbx), i.e. the entry function with
+// the Process, on a 16-byte aligned stack. Its CFI marks the outermost
+// frame (rip undefined) so unwinders stop there; the nop keeps a return
+// address equal to the trampoline inside its FDE.
+extern "C" {
+void scimpi_fiber_switch(void** save, void* next);
+void scimpi_fiber_trampoline();
+}
+
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl scimpi_fiber_switch
+    .hidden scimpi_fiber_switch
+    .type scimpi_fiber_switch, @function
+scimpi_fiber_switch:
+    .cfi_startproc
+    pushq %rbp
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbp, 0
+    pushq %rbx
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbx, 0
+    pushq %r12
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r12, 0
+    pushq %r13
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r13, 0
+    pushq %r14
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r14, 0
+    pushq %r15
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r15, 0
+    subq $8, %rsp
+    .cfi_adjust_cfa_offset 8
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    .cfi_adjust_cfa_offset -8
+    popq %r15
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r15
+    popq %r14
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r14
+    popq %r13
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r13
+    popq %r12
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r12
+    popq %rbx
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbx
+    popq %rbp
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbp
+    ret
+    .cfi_endproc
+    .size scimpi_fiber_switch, .-scimpi_fiber_switch
+
+    .p2align 4
+    .globl scimpi_fiber_trampoline
+    .hidden scimpi_fiber_trampoline
+    .type scimpi_fiber_trampoline, @function
+    .cfi_startproc
+    .cfi_undefined %rip
+    nop
+scimpi_fiber_trampoline:
+    movq %rbx, %rdi
+    callq *%r12
+    ud2
+    .cfi_endproc
+    .size scimpi_fiber_trampoline, .-scimpi_fiber_trampoline
+    .popsection
+)");
+
 namespace scimpi::sim {
 
 namespace {
@@ -65,16 +159,26 @@ void swap_eh_globals(EhGlobals& mine) {
     mine = prev;
 }
 
+/// The frame scimpi_fiber_switch pops, lowest address first.
+struct SwitchFrame {
+    std::uint32_t mxcsr;
+    std::uint16_t x87_cw;
+    std::uint16_t pad;
+    std::uintptr_t r15, r14, r13, r12, rbx, rbp;
+    std::uintptr_t ret;
+};
+static_assert(sizeof(SwitchFrame) == 64);
+
 }  // namespace
 
-/// A process's stack and saved contexts. Exactly one side runs at a time:
-/// the fiber (between enter() and leave()/exit()) or its caller, the
-/// scheduler whose context enter() saves. Every switch is annotated for the
-/// sanitizer in use.
+/// A process's stack and saved stack pointers. Exactly one side runs at a
+/// time: the fiber (between enter() and leave()/exit()) or its caller, the
+/// scheduler whose stack pointer enter() saves. Every switch is annotated
+/// for the sanitizer in use.
 struct Process::Fiber {
     std::byte* map;            // guard page, then the stack
-    ucontext_t self{};         // the fiber, while parked
-    ucontext_t caller{};       // the scheduler, while the fiber runs
+    void* self = nullptr;      // the fiber's stack pointer, while parked
+    void* caller = nullptr;    // the scheduler's, while the fiber runs
     EhGlobals parked_eh;       // exception state of the side not running
 #ifdef SCIMPI_FIBER_ASAN
     void* fake = nullptr;         // the fiber's fake stack while parked
@@ -87,14 +191,19 @@ struct Process::Fiber {
     void* caller_tsan = nullptr;
 #endif
 
+    /// Seeds the stack so that the first enter() lands in the trampoline
+    /// with 16 bytes of headroom above it. The fiber starts with the FP
+    /// control state of the context that first resumes it.
     explicit Fiber(Process& p) : map(map_stack(p.name())) {
-        ::getcontext(&self);
-        self.uc_stack.ss_sp = map + kGuardBytes;
-        self.uc_stack.ss_size = kStackBytes;
-        self.uc_link = nullptr;
-        const auto addr = reinterpret_cast<std::uintptr_t>(&p);
-        ::makecontext(&self, reinterpret_cast<void (*)()>(&Process::fiber_entry), 2,
-                      static_cast<unsigned>(addr >> 32), static_cast<unsigned>(addr));
+        auto* const frame =
+            reinterpret_cast<SwitchFrame*>(map + kGuardBytes + kStackBytes - 16) - 1;
+        *frame = SwitchFrame{};
+        asm volatile("stmxcsr %0" : "=m"(frame->mxcsr));
+        asm volatile("fnstcw %0" : "=m"(frame->x87_cw));
+        frame->r12 = reinterpret_cast<std::uintptr_t>(&Process::fiber_entry);
+        frame->rbx = reinterpret_cast<std::uintptr_t>(&p);
+        frame->ret = reinterpret_cast<std::uintptr_t>(&scimpi_fiber_trampoline);
+        self = frame;
     }
 
     ~Fiber() {
@@ -135,7 +244,7 @@ struct Process::Fiber {
         caller_tsan = __tsan_get_current_fiber();
         __tsan_switch_to_fiber(tsan, 0);
 #endif
-        ::swapcontext(&caller, &self);
+        scimpi_fiber_switch(&caller, self);
 #ifdef SCIMPI_FIBER_ASAN
         __sanitizer_finish_switch_fiber(caller_fake, nullptr, nullptr);
 #endif
@@ -169,7 +278,7 @@ private:
 #ifdef SCIMPI_FIBER_TSAN
         __tsan_switch_to_fiber(caller_tsan, 0);
 #endif
-        ::swapcontext(&self, &caller);
+        scimpi_fiber_switch(&self, caller);
     }
 };
 
@@ -188,9 +297,7 @@ Process::~Process() {
 
 SimTime Process::now() const { return engine_.now(); }
 
-void Process::fiber_entry(unsigned hi, unsigned lo) {
-    const auto addr = (static_cast<std::uintptr_t>(hi) << 32) | lo;
-    auto* const p = reinterpret_cast<Process*>(addr);
+void Process::fiber_entry(Process* p) {
     // Complete the switch before anything else runs on this stack: the
     // compiler may treat fiber_main() as noreturn and let the sanitizer
     // inspect the stack right before calling it.

@@ -15,10 +15,10 @@ class Engine;
 /// thread...). Created via Engine::spawn. All member functions except those
 /// documented as engine-side must be called from the process's own body.
 ///
-/// Each process runs on its own stack as a fiber (a ucontext on the engine's
-/// OS thread): resuming it and suspending it are plain context switches to
-/// and from the engine's scheduler context, so exactly one fiber or the
-/// scheduler runs at any moment.
+/// Each process runs on its own stack as a fiber on the engine's OS thread:
+/// resuming it and suspending it are register switches (process.cpp) to and
+/// from the engine's scheduler stack, so exactly one fiber or the scheduler
+/// runs at any moment.
 class Process {
 public:
     ~Process();
@@ -54,11 +54,11 @@ private:
     friend class Engine;
     enum class State { created, ready, running, blocked, finished };
     struct ShutdownSignal {};
-    struct Fiber;  // stack, contexts and sanitizer state (process.cpp)
+    struct Fiber;  // stack, saved stack pointers and sanitizer state (process.cpp)
 
     Process(Engine& engine, int id, std::string name, std::function<void(Process&)> body);
-    static void fiber_entry(unsigned hi, unsigned lo);
-    void fiber_main();
+    [[noreturn]] static void fiber_entry(Process* p);
+    [[noreturn]] void fiber_main();
     void suspend();             // switch back to the scheduler until resumed
     void resume_from_engine();  // engine-side: run this fiber until it suspends
 

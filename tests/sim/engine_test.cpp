@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
+#include <xmmintrin.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -379,6 +381,149 @@ TEST(Engine, FiberKeepsItsOwnExceptionState) {
     });
     eng.run();
     EXPECT_EQ(rethrown, (std::vector<int>{1, 2}));
+}
+
+// The fiber-switch contract: a switch preserves what the SysV ABI makes
+// callee-saved (rbx, rbp, r12-r15, the MXCSR control bits and the x87
+// control word) separately for every fiber and the scheduler, and resumes
+// every fiber on a 16-byte aligned stack.
+
+TEST(Engine, CalleeSavedValuesSurviveManyYieldsInEveryFiber) {
+    constexpr int kFibers = 4;
+    constexpr int kYields = 1000;
+    // One LCG step per value, so the values differ per fiber and per step.
+    auto step = [](std::uint64_t& a, std::uint64_t& b, std::uint64_t& c, std::uint64_t& d,
+                   std::uint64_t& e, std::uint64_t& g) {
+        constexpr std::uint64_t kMul = 6364136223846793005ull;
+        a = a * kMul + 1;
+        b = b * kMul + 3;
+        c = c * kMul + 5;
+        d = d * kMul + 7;
+        e = e * kMul + 9;
+        g = g * kMul + 11;
+    };
+    Engine eng;
+    std::vector<int> intact(kFibers, 0);
+    for (int f = 0; f < kFibers; ++f)
+        eng.spawn("regs" + std::to_string(f), [&, f](Process& p) {
+            // Six values live across every yield(): more than the compiler
+            // can keep anywhere but in the callee-saved registers or the
+            // fiber's own stack. The empty asm pins each in a register.
+            const auto seed = static_cast<std::uint64_t>(f + 1) * 0x9E3779B97F4A7C15ull;
+            std::uint64_t a = seed, b = seed ^ 1, c = seed ^ 2, d = seed ^ 3, e = seed ^ 4,
+                          g = seed ^ 5;
+            for (int i = 0; i < kYields; ++i) {
+                step(a, b, c, d, e, g);
+                asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(g));
+                p.yield();
+                asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(g));
+            }
+            std::uint64_t ra = seed, rb = seed ^ 1, rc = seed ^ 2, rd = seed ^ 3,
+                          re = seed ^ 4, rg = seed ^ 5;
+            for (int i = 0; i < kYields; ++i) step(ra, rb, rc, rd, re, rg);
+            intact[static_cast<std::size_t>(f)] =
+                a == ra && b == rb && c == rc && d == rd && e == re && g == rg;
+        });
+    eng.run();
+    EXPECT_EQ(intact, std::vector<int>(kFibers, 1));
+}
+
+std::uint16_t x87_control_word() {
+    std::uint16_t cw = 0;
+    asm volatile("fnstcw %0" : "=m"(cw));
+    return cw;
+}
+
+void set_x87_control_word(std::uint16_t cw) { asm volatile("fldcw %0" : : "m"(cw)); }
+
+TEST(Engine, EachFiberKeepsItsOwnFloatingPointControlState) {
+    constexpr unsigned kRoundMask = 0x6000;   // MXCSR.RC
+    constexpr unsigned kTowardZero = 0x6000;
+    constexpr std::uint16_t kX87RoundMask = 0x0C00;  // x87 CW.RC
+    constexpr std::uint16_t kX87Down = 0x0400;
+    const unsigned sched_mxcsr = _mm_getcsr() & ~0x3Fu;  // control bits only
+    const std::uint16_t sched_cw = x87_control_word();
+    ASSERT_NE(sched_mxcsr & kRoundMask, kTowardZero);
+    ASSERT_NE(sched_cw & kX87RoundMask, kX87Down);
+
+    Engine eng;
+    int sse_bad = 0, x87_bad = 0, plain_bad = 0;
+    eng.spawn("sse", [&](Process& p) {
+        _mm_setcsr((_mm_getcsr() & ~kRoundMask) | kTowardZero);
+        for (int i = 0; i < 100; ++i) {
+            p.yield();
+            if ((_mm_getcsr() & kRoundMask) != kTowardZero) ++sse_bad;
+            if (x87_control_word() != sched_cw) ++sse_bad;
+        }
+    });
+    eng.spawn("x87", [&](Process& p) {
+        const auto mine = static_cast<std::uint16_t>((sched_cw & ~kX87RoundMask) | kX87Down);
+        set_x87_control_word(mine);
+        for (int i = 0; i < 100; ++i) {
+            p.yield();
+            if (x87_control_word() != mine) ++x87_bad;
+            if ((_mm_getcsr() & ~0x3Fu) != sched_mxcsr) ++x87_bad;
+        }
+    });
+    eng.spawn("plain", [&](Process& p) {
+        for (int i = 0; i < 100; ++i) {
+            p.yield();
+            if ((_mm_getcsr() & ~0x3Fu) != sched_mxcsr) ++plain_bad;
+            if (x87_control_word() != sched_cw) ++plain_bad;
+        }
+    });
+    eng.run();
+    EXPECT_EQ(sse_bad, 0);
+    EXPECT_EQ(x87_bad, 0);
+    EXPECT_EQ(plain_bad, 0);
+    EXPECT_EQ(_mm_getcsr() & ~0x3Fu, sched_mxcsr);  // nothing leaked back
+    EXPECT_EQ(x87_control_word(), sched_cw);
+}
+
+[[gnu::noinline]] bool frame_is_aligned() {
+    const auto addr = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    asm volatile("");  // keep a real frame
+    return addr % 16 == 0;
+}
+
+TEST(Engine, FibersRunOnSixteenByteAlignedStacks) {
+    Engine eng;
+    int misaligned = 0;
+    int checks = 0;
+    for (int f = 0; f < 3; ++f)
+        eng.spawn("align" + std::to_string(f), [&](Process& p) {
+            ++checks;
+            if (!frame_is_aligned()) ++misaligned;
+            for (int i = 0; i < 50; ++i) {
+                p.delay(i % 3);
+                ++checks;
+                if (!frame_is_aligned()) ++misaligned;
+            }
+        });
+    eng.run();
+    EXPECT_EQ(checks, 3 * 51);
+    EXPECT_EQ(misaligned, 0);
+}
+
+TEST(Engine, ExceptionsStillWorkAfterManySwitches) {
+    constexpr int kSwitches = 10'000;
+    Engine eng;
+    std::string caught;
+    int peer_yields = 0;
+    eng.spawn("thrower", [&](Process& p) {
+        for (int i = 0; i < kSwitches; ++i) p.yield();
+        try {
+            throw std::runtime_error("after " + std::to_string(kSwitches));
+        } catch (const std::runtime_error& e) {
+            caught = e.what();
+        }
+    });
+    eng.spawn("peer", [&](Process& p) {
+        for (int i = 0; i < kSwitches; ++i, ++peer_yields) p.yield();
+    });
+    eng.run();
+    EXPECT_EQ(caught, "after 10000");
+    EXPECT_EQ(peer_yields, kSwitches);
 }
 
 /// Bytes of address space the calling process has mapped.

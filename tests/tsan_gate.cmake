@@ -6,12 +6,13 @@
 # which unwinds parked fiber stacks many times per run. TSan sees one OS
 # thread either way, so the gate checks that the annotations are used
 # correctly and that no host-level race appears, not that every switch is
-# annotated. The sim/ and check/ suites run under the existing `tsan`
-# preset as part of verify; the preset's tree is configured and built on
-# demand so the gate works from a fresh checkout.
+# annotated. The sim/ and check/ suites run with the `tsan` preset's
+# settings as part of verify, in TSAN_DIR: a tree inside the calling build
+# tree, configured and built on demand, so the gate works from a fresh,
+# moved or copied checkout.
 #
-# Expects: SOURCE_DIR.
-set(tsan_dir "${SOURCE_DIR}/build-tsan")
+# Expects: SOURCE_DIR, TSAN_DIR.
+set(tsan_dir "${TSAN_DIR}")
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${tsan_dir}"
