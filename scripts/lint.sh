@@ -68,6 +68,19 @@ if [ -n "$transport_calls" ]; then
     exit 1
 fi
 
+# Layering: the layers below the MPI library (common, sim, mem, sci, smi,
+# fault, obs, check) never include an mpi/ or plat/ header (plat models
+# the packers of the MPI layer, so it sits above them too). This keeps
+# shared kernels such as mem::copy_block in mem/, where sci and mpi both
+# reach them.
+layer_includes=$(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"(mpi|plat)/' \
+                     src/common src/sim src/mem src/sci src/smi src/fault src/obs src/check)
+if [ -n "$layer_includes" ]; then
+    echo "lint: a lower layer includes an mpi/ or plat/ header:" >&2
+    echo "$layer_includes" >&2
+    exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then
     echo "lint: clang-tidy ($(clang-tidy --version | head -n1))"
     # shellcheck disable=SC2086
@@ -83,15 +96,16 @@ FLAGS="-std=c++20 -Isrc -fsyntax-only -Wall -Wextra -Wpedantic -Wshadow
        -Wmissing-declarations -Wredundant-decls -Wswitch-enum -Werror"
 # Strict zone: the engine and the checker/explorer are the layers where a
 # silent narrowing or qualifier drop can corrupt a schedule decision or a
-# vector clock, so they carry every extra diagnostic g++ offers. New
-# warnings here fail the gate outright.
+# vector clock, and mem/ and the datatype layer are where one would corrupt
+# a copy length or a block offset, so they carry every extra diagnostic g++
+# offers. New warnings here fail the gate outright.
 STRICT_FLAGS="-Wconversion -Wsign-conversion -Wcast-qual -Wlogical-op
               -Wduplicated-cond -Wduplicated-branches"
 fail=0
 for f in $sources; do
     extra=""
     case "$f" in
-        src/sim/*|src/check/*) extra="$STRICT_FLAGS" ;;
+        src/sim/*|src/check/*|src/mem/*|src/mpi/datatype/*) extra="$STRICT_FLAGS" ;;
     esac
     # shellcheck disable=SC2086
     if ! "$CXX" $FLAGS $extra "$f"; then

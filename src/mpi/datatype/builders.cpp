@@ -4,8 +4,9 @@
 // number of ff leaves commit reserves for.
 #include <algorithm>
 #include <array>
-#include <vector>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "mpi/datatype/datatype.hpp"
 
@@ -43,7 +44,7 @@ struct Datatype::RunFold {
         }
         if (!any) start = d + c.run_off;
         any = true;
-        end = d + c.run_off + static_cast<std::ptrdiff_t>(k * c.size);
+        end = d + c.run_off + k * static_cast<std::ptrdiff_t>(c.size);
     }
     void store(Node& n) const {
         n.one_run = ok && any;
@@ -137,10 +138,11 @@ Datatype Datatype::hvector(int count, int blocklen, std::ptrdiff_t stride_bytes,
 Datatype Datatype::indexed(std::span<const int> blocklens, std::span<const int> displs,
                            const Datatype& base) {
     SCIMPI_REQUIRE(blocklens.size() == displs.size(), "indexed: length mismatch");
+    SCIMPI_REQUIRE(base.valid(), "indexed: invalid base type");
+    const std::ptrdiff_t ext = base.extent();
     std::vector<std::ptrdiff_t> byte_displs(displs.size());
-    for (std::size_t i = 0; i < displs.size(); ++i)
-        byte_displs[i] = displs[i] * base.extent();
-    return hindexed(blocklens, byte_displs, base);
+    for (std::size_t i = 0; i < displs.size(); ++i) byte_displs[i] = displs[i] * ext;
+    return make_hindexed(blocklens, std::move(byte_displs), base);
 }
 
 Datatype Datatype::hindexed(std::span<const int> blocklens,
@@ -148,10 +150,22 @@ Datatype Datatype::hindexed(std::span<const int> blocklens,
                             const Datatype& base) {
     SCIMPI_REQUIRE(base.valid(), "hindexed: invalid base type");
     SCIMPI_REQUIRE(blocklens.size() == displs_bytes.size(), "hindexed: length mismatch");
+    return make_hindexed(blocklens, {displs_bytes.begin(), displs_bytes.end()}, base);
+}
+
+Datatype Datatype::make_hindexed(std::span<const int> blocklens,
+                                 std::vector<std::ptrdiff_t> displs_bytes,
+                                 const Datatype& base) {
+    const Node& b = *base.node_;
+    const std::size_t b_size = b.size;
+    const std::ptrdiff_t b_lb = b.lb;
+    const std::ptrdiff_t b_ext = b.extent();
+    const std::int64_t b_blocks = b.blocks;
+    const std::int64_t b_steps = b.steps;
+    const std::int64_t b_leaves = b.leaves;
     auto n = std::make_shared<Node>();
     n->kind = TypeKind::hindexed;
     n->blocklens.assign(blocklens.begin(), blocklens.end());
-    n->displs.assign(displs_bytes.begin(), displs_bytes.end());
     n->children = {base.node_};
     std::size_t sz = 0;
     std::ptrdiff_t lo = std::numeric_limits<std::ptrdiff_t>::max();
@@ -161,23 +175,25 @@ Datatype Datatype::hindexed(std::span<const int> blocklens,
     std::int64_t leaves = 0;
     RunFold run;
     for (std::size_t i = 0; i < blocklens.size(); ++i) {
-        SCIMPI_REQUIRE(blocklens[i] >= 0, "hindexed: negative blocklen");
-        run.piece(displs_bytes[i], blocklens[i], *base.node_);
-        sz += static_cast<std::size_t>(blocklens[i]) * base.size();
-        if (blocklens[i] > 0) {
-            leaves += base.node_->leaves;
-            lo = std::min(lo, displs_bytes[i] + base.lb());
-            hi = std::max(hi, displs_bytes[i] + base.lb() +
-                                  blocklens[i] * base.extent());
+        const int bl = blocklens[i];
+        const std::ptrdiff_t d = displs_bytes[i];
+        SCIMPI_REQUIRE(bl >= 0, "hindexed: negative blocklen");
+        run.piece(d, bl, b);
+        sz += static_cast<std::size_t>(bl) * b_size;
+        if (bl > 0) {
+            leaves += b_leaves;
+            lo = std::min(lo, d + b_lb);
+            hi = std::max(hi, d + b_lb + bl * b_ext);
         }
-        blocks += blocklens[i] * base.blocks_per_item();
-        steps += blocklens[i] * base.traversal_steps_per_item();
+        blocks += bl * b_blocks;
+        steps += bl * b_steps;
     }
     if (lo > hi) lo = hi = 0;  // empty type
+    n->displs = std::move(displs_bytes);
     n->size = sz;
     n->lb = lo;
     n->ub = hi;
-    n->depth = base.depth() + 1;
+    n->depth = b.depth + 1;
     n->blocks = blocks;
     n->steps = steps;
     n->leaves = leaves;

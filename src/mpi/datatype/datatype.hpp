@@ -153,6 +153,11 @@ private:
     struct RunFold;
 
     static Datatype make_basic(std::string name, std::size_t bytes);
+    /// hindexed (and indexed, once its displacements are in bytes), taking
+    /// over the displacement vector.
+    static Datatype make_hindexed(std::span<const int> blocklens,
+                                  std::vector<std::ptrdiff_t> displs_bytes,
+                                  const Datatype& base);
     template <class Sink>
     static bool walk_blocks(const Node& n, std::ptrdiff_t base, Sink& sink);
     template <class Sink>

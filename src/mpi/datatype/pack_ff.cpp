@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 
+#include "mem/copy_block.hpp"
+
 namespace scimpi::mpi {
 
 FFPacker::FFPacker(const Datatype& type, int count, void* userbuf)
@@ -16,16 +18,16 @@ FFPacker::FFPacker(const Datatype& type, int count, void* userbuf)
 
 PackWork FFPacker::pack(std::size_t pos, std::size_t len, std::byte* out) const {
     std::byte* dst = out;
-    return for_range(pos, len, [&dst](std::byte* mem, std::size_t n) {
-        std::memcpy(dst, mem, n);
+    return for_range(pos, len, [&dst](std::byte* user, std::size_t n) {
+        mem::copy_block(dst, user, n);
         dst += n;
     });
 }
 
 PackWork FFPacker::unpack(std::size_t pos, std::size_t len, const std::byte* in) const {
     const std::byte* src = in;
-    return for_range(pos, len, [&src](std::byte* mem, std::size_t n) {
-        std::memcpy(mem, src, n);
+    return for_range(pos, len, [&src](std::byte* user, std::size_t n) {
+        mem::copy_block(user, src, n);
         src += n;
     });
 }

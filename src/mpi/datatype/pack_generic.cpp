@@ -1,8 +1,9 @@
 #include "mpi/datatype/pack_generic.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
+
+#include "mem/copy_block.hpp"
 
 namespace scimpi::mpi {
 
@@ -31,12 +32,12 @@ PackWork GenericPacker::run(std::size_t pos, std::size_t len, std::byte* stream)
         const std::size_t lo = std::max(cursor, pos);
         const std::size_t hi = std::min(cursor + blk, end);
         const std::size_t n = hi - lo;
-        std::byte* mem = user_ + mem_off + static_cast<std::ptrdiff_t>(lo - cursor);
+        std::byte* usr = user_ + mem_off + static_cast<std::ptrdiff_t>(lo - cursor);
         std::byte* str = stream + (lo - pos);
         if constexpr (Pack)
-            std::memcpy(str, mem, n);
+            mem::copy_block(str, usr, n);
         else
-            std::memcpy(mem, str, n);
+            mem::copy_block(usr, str, n);
         work.bytes += n;
         ++work.blocks;
         work.min_block = std::min(work.min_block, n);
