@@ -42,6 +42,15 @@ if [ -n "$context_calls" ]; then
     exit 1
 fi
 
+# Shared awk prelude of the src/mpi/coll + src/mpi/req rules: `fn` is the
+# name of the enclosing top-level function definition.
+fn_track='
+    FNR == 1 { fn = "" }
+    /^[A-Za-z][^;]*\(/ && !/^(namespace|static_assert)/ {
+        head = $0; sub(/\(.*/, "", head); n = split(head, w, /[ :*&]+/); fn = w[n]
+    }'
+coll_req_sources=$(find src/mpi/coll src/mpi/req -name '*.cpp' -o -name '*.hpp' | sort)
+
 # One description per collective algorithm: in src/mpi/coll and src/mpi/req
 # only the executors move data. A transport call (Rank::send/recv/isend/
 # irecv, CollSegmentSet::run_streams) anywhere else would be an algorithm
@@ -49,22 +58,36 @@ fi
 # (sched.cpp issue_round/run_seg), the segment set's p2p fallback path
 # (fallback_send/fallback_recv and the flag barrier's tokens) and the
 # request engine's point-to-point requests (request.cpp issue).
-transport_calls=$(awk '
-    FNR == 1 { fn = "" }
-    /^[A-Za-z][^;]*\(/ && !/^(namespace|static_assert)/ {
-        head = $0; sub(/\(.*/, "", head); n = split(head, w, /[ :*&]+/); fn = w[n]
-    }
+transport_calls=$(awk "$fn_track"'
     /(\.|->)(send|recv|isend|irecv|run_streams)\(/ {
         key = FILENAME ":" fn
         if (key !~ /^src\/mpi\/coll\/sched\.cpp:(issue_round|run_seg)$/ &&
             key !~ /^src\/mpi\/coll\/segment_set\.cpp:(fallback_send|fallback_recv|barrier_flags)$/ &&
             key !~ /^src\/mpi\/req\/request\.cpp:issue$/)
             print FILENAME ":" FNR ": " $0
-    }' $(find src/mpi/coll src/mpi/req -name '*.cpp' -o -name '*.hpp' | sort))
+    }' $coll_req_sources)
 if [ -n "$transport_calls" ]; then
     echo "lint: transport calls outside the collective executors" \
          "(describe the algorithm as a coll::Sched instead):" >&2
     echo "$transport_calls" >&2
+    exit 1
+fi
+
+# Exact wakeups: in src/mpi/coll and src/mpi/req a waiter is woken by the
+# event it polls for, never by a timer. The one timed dispatcher callback is
+# the posted-store visibility delay in segment_set.cpp put_word; a re-poll
+# timer anywhere else would turn a lost wake into a livelock instead of the
+# engine's named deadlock panic.
+timed_calls=$(awk "$fn_track"'
+    /(\.|->)(after|at)\(/ {
+        key = FILENAME ":" fn
+        if (key !~ /^src\/mpi\/coll\/segment_set\.cpp:put_word$/)
+            print FILENAME ":" FNR ": " $0
+    }' $coll_req_sources)
+if [ -n "$timed_calls" ]; then
+    echo "lint: timed dispatcher callbacks in the collective or request" \
+         "engine (wake on the polled event instead):" >&2
+    echo "$timed_calls" >&2
     exit 1
 fi
 

@@ -39,8 +39,6 @@ struct Config {
     std::size_t coll_seg_min = 1_KiB;         ///< below this payload collectives stay p2p
     std::size_t coll_small_allreduce = 4_KiB; ///< recursive-doubling fast path below
     std::size_t coll_ring_min = 64_KiB;       ///< ring allreduce at or above this payload
-    SimTime coll_poll_timeout = 50'000;       ///< ns parked on a flag before re-polling
-                                              ///< (and probing for a p2p fallback)
 
     // ---- SCI adapter model ----
     bool stream_buffers = true;               ///< D1: gather ascending stores into 64 B txns

@@ -165,8 +165,9 @@ Status CollSegmentSet::put_word(Comm& c, int target, std::size_t word_off,
     smi::Region& r = ctrl_region(c.rank(), target);
     const Status st = r.write(c.proc(), word_off, &v, sizeof v);
     if (!st) return st;
+    sim::WaitQueue* q = &cluster_.rank_state(c.world_rank(target)).coll_waiters();
     if (!r.remote()) {
-        member(target).waiters.wake_all();
+        q->wake_all();
         return st;
     }
     // The store is posted, not flushed: it becomes visible write_latency
@@ -174,7 +175,6 @@ Status CollSegmentSet::put_word(Comm& c, int target, std::size_t word_off,
     // instead of stalling this process in a store barrier. Posted stores of
     // one process share that constant pipeline latency, so the flag can
     // never overtake the chunk data written just before it.
-    sim::WaitQueue* q = &member(target).waiters;
     cluster_.dispatcher().after(cluster_.fabric().params().write_latency + 1,
                                 [q] { q->wake_all(); });
     return st;
@@ -182,12 +182,7 @@ Status CollSegmentSet::put_word(Comm& c, int target, std::size_t word_off,
 
 void CollSegmentSet::park(Comm& c) {
     const obs::Span prof(c.proc(), {.prof = obs::ProfState::wait_sync});
-    sim::WaitQueue* q = &member(c.rank()).waiters;
-    // Timeout wakeup: a lost notify (or a writer that switched to the p2p
-    // fallback) turns into a re-poll instead of a hang.
-    cluster_.dispatcher().after(cluster_.options().cfg.coll_poll_timeout,
-                                [q] { q->wake_all(); });
-    q->park(c.proc());
+    c.rank_state().coll_waiters().park(c.proc(), "coll segment wait");
 }
 
 Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
@@ -271,10 +266,21 @@ void CollSegmentSet::consume_chunk(Comm& c, ActiveRecv& r, std::size_t ci) {
         self.delay(mv.cost);
         (mv.path == PackPath::ff ? cm_.ff_seg_packs : cm_.generic_seg_packs)->inc();
     }
-    // Acknowledge; a failed ack is dropped — the writer times out into the
-    // p2p fallback on its own if the reverse direction matters.
-    const Status ast = put_word(c, r.from, ack_off(me, r.slot), seq);
-    if (!ast) cm_.ack_drops->inc();
+    // Acknowledge under the same retry policy as a publish; acks are
+    // cumulative, so a transient failure heals with the retry. Once the
+    // policy gives up, the reverse path is dead: pin the writer's edge to
+    // p2p and wake the writer, so it diverts the rest of the transfer. A
+    // pinned edge takes no more acks: its writer no longer reads them.
+    std::uint8_t& pinned = member(r.from).degraded[static_cast<std::size_t>(me)];
+    const auto ack = [&] { return put_word(c, r.from, ack_off(me, r.slot), seq); };
+    if (pinned == 0 && !fault::retry_with_backoff(self, cfg, cluster_.monitor(), m.node,
+                                                  member(r.from).node, ack)
+                            .status) {
+        pinned = 1;
+        cm_.ack_drops->inc();
+        cm_.degraded_edges->inc();
+        cluster_.rank_state(c.world_rank(r.from)).coll_waiters().wake_all();
+    }
     m.rx[static_cast<std::size_t>(r.from * kSlots + r.slot)].rcvd = seq;
 }
 
@@ -404,20 +410,8 @@ bool CollSegmentSet::pump_send(Comm& c, ActiveSend& s, Status* st) {
         s.done = true;
         return true;
     }
-    if (progressed) {
-        s.stall_since = -1;
-        return true;
-    }
-    // Window closed: budget the ack wait like any other remote op before
-    // concluding the reverse path is dead and diverting to p2p.
-    if (s.stall_since < 0) {
-        s.stall_since = c.proc().now();
-    } else if (c.proc().now() - s.stall_since > cfg.retry_budget) {
-        *st = fallback_send(c, s, s.next_ci);
-        s.done = true;
-        return true;
-    }
-    return false;
+    // Window closed: an ack write or the reader's ack give-up wakes us.
+    return progressed;
 }
 
 bool CollSegmentSet::pump_recv(Comm& c, ActiveRecv& r, Status* st) {

@@ -19,12 +19,19 @@
 // happens-before edge that makes checked runs race-free. Sequence numbers
 // never reset, so buffer-reuse discipline holds across collective calls.
 //
-// Fault story: writer-side segment failures (chunk/flag writes exhausting
-// the fault-retry policy, or ack starvation past the retry budget) divert
-// the *remainder* of the transfer into one p2p message tagged per stream;
-// the edge is then pinned to the p2p path. Readers never unilaterally give
-// up on the flag path — they park with a timeout and probe for the fallback
-// message, so a transfer completes on whichever path the writer chose.
+// Fault story: chunk, flag and ack writes all run under the fault-retry
+// policy. When a writer's publish exhausts it, or a reader's ack does (the
+// reader then marks the edge degraded and wakes the writer), the writer
+// diverts the *remainder* of the transfer into one p2p message tagged per
+// stream; the edge is then pinned to the p2p path. Readers never
+// unilaterally give up on the flag path — they probe for the fallback
+// message whenever they wake, so a transfer completes on whichever path the
+// writer chose.
+//
+// Waits are exact: a parked member is woken only by an event that can
+// change what it polls (a flag or ack write, a message arrival, an ack
+// give-up), never by a timer, so a lost wake ends in the engine's deadlock
+// panic naming "coll segment wait" rather than a silent re-poll loop.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +107,6 @@ private:
         sci::SegmentId data_seg;
         std::span<std::byte> ctrl_mem;
         std::span<std::byte> data_mem;
-        sim::WaitQueue waiters;              ///< woken by peer flag/ack writes
         std::vector<Stream> tx;              ///< me as writer, [peer*kSlots+slot]
         std::vector<Stream> rx;              ///< me as reader, [peer*kSlots+slot]
         std::vector<std::uint8_t> degraded;  ///< per peer: segment path dead
@@ -119,7 +125,6 @@ private:
         std::size_t n_chunks = 0;
         std::size_t next_ci = 0;   ///< next chunk index to publish
         std::uint64_t base = 0;    ///< tx.sent at transfer start
-        SimTime stall_since = -1;  ///< ack-wait start (-1: not stalled)
         bool done = false;
     };
     struct ActiveRecv {
@@ -144,12 +149,14 @@ private:
     smi::Region& ctrl_region(int me, int target);
     smi::Region& data_region(int me, int target);
 
-    /// Read a word of my own control segment (loopback region, charged).
+    /// Read a word of my own control segment (a free cached load).
     std::uint64_t read_my_word(Comm& c, std::size_t word_off);
-    /// Publish a word in `target`'s control segment: write + store barrier +
-    /// host-side wake. Single attempt; adapter-internal retries only.
+    /// Publish a word in `target`'s control segment: a posted write plus a
+    /// host-side wake when it lands. Single attempt; adapter-internal
+    /// retries only.
     Status put_word(Comm& c, int target, std::size_t word_off, std::uint64_t v);
-    /// Park until a peer wakes this member or the poll timeout elapses.
+    /// Park on the rank's coll_waiters() until a flag or ack write, a
+    /// message arrival or an ack give-up wakes it. No timer.
     void park(Comm& c);
 
     // Pump steps; return true when they made progress.

@@ -105,8 +105,12 @@ std::uint64_t Rank::post_ctrl(int dst, CtrlMsg msg) {
     msg.cause.node = push.close();
     const std::uint64_t push_ev = msg.cause.node;
     auto* inbox = &peer.inbox();
-    cluster_.dispatcher().after(delivery, [inbox, m = std::move(msg)]() mutable {
+    sim::WaitQueue* coll = &peer.coll_waiters();
+    // A segment-set waiter may be polling for this message (a p2p fallback
+    // or barrier token), so its arrival wakes it too.
+    cluster_.dispatcher().after(delivery, [inbox, coll, m = std::move(msg)]() mutable {
         inbox->send(std::move(m));
+        coll->wake_all();
     });
     return push_ev;
 }
@@ -169,6 +173,9 @@ void Rank::progress_daemon_body(sim::Process& p) {
         // them on the daemon's timeline, then let waiters re-examine.
         if (req_ != nullptr) req_->pump();
         progress_waiters_.wake_all();
+        // Only the daemon makes a message visible to probe(), so a
+        // segment-set waiter probing for a fallback re-polls now.
+        coll_waiters_.wake_all();
     }
 }
 

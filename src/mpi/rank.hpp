@@ -162,6 +162,10 @@ public:
 
     /// Delayed-delivery entry point used by peers (via the dispatcher).
     sim::Mailbox<CtrlMsg>& inbox() { return inbox_; }
+    /// Where this rank parks while a collective segment set polls its flag
+    /// words (coll::CollSegmentSet::park). Woken by every flag or ack write
+    /// into its control segment and by every control-message arrival.
+    sim::WaitQueue& coll_waiters() { return coll_waiters_; }
 
     /// Aggregate protocol statistics.
     struct Stats {
@@ -248,6 +252,7 @@ private:
     mem::CopyModel copy_model_;
 
     sim::Mailbox<CtrlMsg> inbox_;
+    sim::WaitQueue coll_waiters_;
     std::deque<std::shared_ptr<RecvOp>> posted_;
     std::deque<CtrlMsg> unexpected_;
     req::OpTable ops_;  ///< in-flight sends/recvs, keyed by handle

@@ -4,8 +4,10 @@
 // p2p-fallback resilience and scimpi-check cleanliness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -273,6 +275,110 @@ TEST(CollSeg, LinkFlapMidBcastDegradesToP2PWithoutHanging) {
     EXPECT_GE(r.counter("coll.fallbacks"), 1u);
     EXPECT_GE(r.counter("coll.fallback_recvs"), 1u);
     EXPECT_GE(r.counter("coll.degraded_edges"), 1u);
+}
+
+/// One 4 MiB bcast from rank 0 on a faulty 2-node cluster: the combined
+/// status, rank 1's last element and the stats report.
+struct FaultyBcast {
+    Status st;
+    double tail = -1.0;
+    obs::RunReport report;
+};
+
+FaultyBcast faulty_bcast(ClusterOptions opt) {
+    opt.nodes = 2;
+    opt.collect_stats = true;
+    FaultyBcast out;
+    Cluster c(opt);
+    c.run([&](Comm& comm) {
+        std::vector<double> data(4_MiB / 8);
+        if (comm.rank() == 0) std::iota(data.begin(), data.end(), 1.0);
+        const Status s = comm.bcast(data.data(), static_cast<int>(data.size()),
+                                    Datatype::float64(), 0);
+        if (!s) out.st = s;
+        if (comm.rank() == 1) out.tail = data.back();
+    });
+    out.report = c.stats_report();
+    return out;
+}
+
+/// The reverse link dying mid-broadcast starves the writer of acks. The
+/// reader's ack retries give up, pin the edge and wake the writer, which
+/// diverts the rest of the transfer to p2p; the data still arrives intact.
+TEST(CollSeg, LostAcksDivertTheWriterToP2P) {
+    ClusterOptions opt;
+    // Link 1 carries node 1 -> node 0, the ack direction of a bcast from
+    // rank 0. Down for 30 ms at t=100us: longer than the 20 ms retry budget.
+    opt.faults.flap(100'000, 1, 30'000'000);
+    const FaultyBcast b = faulty_bcast(opt);
+    EXPECT_TRUE(b.st) << b.st.to_string();
+    EXPECT_EQ(b.tail, static_cast<double>(4_MiB / 8));
+    EXPECT_GE(b.report.counter("coll.ack_drops"), 1u);
+    EXPECT_GE(b.report.counter("coll.fallbacks"), 1u);
+    EXPECT_GE(b.report.counter("coll.degraded_edges"), 1u);
+}
+
+/// Under async progress the daemon, not the parked reader, dispatches the
+/// writer's p2p divert; the reader still sees it and completes.
+TEST(CollSeg, LinkFlapDivertReachesTheReaderUnderAsyncProgress) {
+    ClusterOptions opt;
+    opt.async_progress = true;
+    opt.faults.flap(100'000, 0, 30'000'000);  // link 0: node 0 -> node 1, the data path
+    const FaultyBcast b = faulty_bcast(opt);
+    EXPECT_TRUE(b.st) << b.st.to_string();
+    EXPECT_EQ(b.tail, static_cast<double>(4_MiB / 8));
+    EXPECT_GE(b.report.counter("coll.fallbacks"), 1u);
+    EXPECT_GE(b.report.counter("coll.fallback_recvs"), 1u);
+}
+
+/// Segment-set waits have no re-poll timer: a collective that one rank never
+/// joins ends in the engine's deadlock panic, naming the wait, not in a
+/// livelock of timed re-polls.
+TEST(CollSeg, CollectiveOneRankNeverJoinsIsANamedDeadlock) {
+    ClusterOptions opt;
+    opt.nodes = 2;
+    opt.coll = "seg";
+    Cluster c(opt);
+    try {
+        c.run([](Comm& comm) {
+            std::vector<double> data(128_KiB / 8, 1.0);
+            ASSERT_TRUE(comm.bcast(data.data(), static_cast<int>(data.size()),
+                                   Datatype::float64(), 0));
+            if (comm.rank() == 1) {
+                (void)comm.bcast(data.data(), static_cast<int>(data.size()),
+                                 Datatype::float64(), 0);
+            } else {
+                int v = 0;
+                (void)comm.recv(&v, 1, Datatype::int32(), 1, 7);  // never sent
+            }
+        });
+        FAIL() << "expected deadlock panic";
+    } catch (const Panic& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+        EXPECT_NE(what.find("rank1 (in coll segment wait)"), std::string::npos) << what;
+    }
+}
+
+/// No stale wake outlives the work: the run ends right after the last rank's
+/// last operation (plus the implicit finalize barrier), not a poll period
+/// later.
+TEST(CollSeg, RunEndsWithTheLastRanksWork) {
+    ClusterOptions opt;
+    opt.nodes = 4;
+    opt.coll = "seg";
+    Cluster c(opt);
+    std::vector<double> done(4, 0.0);
+    c.run([&](Comm& comm) {
+        std::vector<double> data(128_KiB / 8, 1.0);
+        ASSERT_TRUE(comm.bcast(data.data(), static_cast<int>(data.size()),
+                               Datatype::float64(), 0));
+        comm.barrier();
+        done[static_cast<std::size_t>(comm.rank())] = comm.wtime();
+    });
+    const double last = *std::max_element(done.begin(), done.end());
+    EXPECT_GT(last, 0.0);
+    EXPECT_LT(c.wtime() - last, 10e-6);
 }
 
 /// scimpi-check sees every store into the watched collective data segments;
