@@ -42,6 +42,19 @@ if [ -n "$context_calls" ]; then
     exit 1
 fi
 
+# One timed-event queue: process wakeups and timed callbacks share the
+# engine's (t, seq) heap in src/sim/engine.*. A heap anywhere else in src/
+# would be a second scheduler whose same-time order the engine cannot see
+# (and a schedule controller cannot choose among).
+heap_uses=$(grep -rnE '\b(priority_queue|push_heap|pop_heap|make_heap)\b' src |
+            grep -vE '^src/sim/engine\.(hpp|cpp):')
+if [ -n "$heap_uses" ]; then
+    echo "lint: a second event queue outside src/sim/engine.* (post through" \
+         "Engine::at/after instead):" >&2
+    echo "$heap_uses" >&2
+    exit 1
+fi
+
 # Shared awk prelude of the src/mpi/coll + src/mpi/req rules: `fn` is the
 # name of the enclosing top-level function definition.
 fn_track='
@@ -74,10 +87,10 @@ if [ -n "$transport_calls" ]; then
 fi
 
 # Exact wakeups: in src/mpi/coll and src/mpi/req a waiter is woken by the
-# event it polls for, never by a timer. The one timed dispatcher callback is
-# the posted-store visibility delay in segment_set.cpp put_word; a re-poll
-# timer anywhere else would turn a lost wake into a livelock instead of the
-# engine's named deadlock panic.
+# event it polls for, never by a timer. The one timed engine callback
+# (Engine::at/after) is the posted-store visibility delay in segment_set.cpp
+# put_word; a re-poll timer anywhere else would turn a lost wake into a
+# livelock instead of the engine's named deadlock panic.
 timed_calls=$(awk "$fn_track"'
     /(\.|->)(after|at)\(/ {
         key = FILENAME ":" fn
@@ -85,7 +98,7 @@ timed_calls=$(awk "$fn_track"'
             print FILENAME ":" FNR ": " $0
     }' $coll_req_sources)
 if [ -n "$timed_calls" ]; then
-    echo "lint: timed dispatcher callbacks in the collective or request" \
+    echo "lint: timed engine callbacks in the collective or request" \
          "engine (wake on the polled event instead):" >&2
     echo "$timed_calls" >&2
     exit 1

@@ -13,7 +13,8 @@ namespace scimpi::check {
 namespace {
 
 /// One slice: everything a process did between being switched in and
-/// switching back to the scheduler. The unit of the DPOR dependence relation.
+/// switching back to the scheduler, or one timed callback (proc ==
+/// sim::kCallbackActor). The unit of the DPOR dependence relation.
 struct Slice {
     int proc = -1;
     VectorClock vc;                     ///< proc's clock at slice start
@@ -24,6 +25,10 @@ struct RecAlt {
     std::string label;
     int proc = -1;
 };
+
+/// Actor ids are process ids plus sim::kCallbackActor (-1); clocks and
+/// per-actor tables index them from 0.
+std::size_t slot(int actor) { return static_cast<std::size_t>(actor + 1); }
 
 /// A choice point as recorded during one run.
 struct RecChoice {
@@ -72,11 +77,11 @@ public:
     void on_dispatch(int proc, SimTime t) override {
         (void)t;
         ensure_proc(proc);
-        const auto p = static_cast<std::size_t>(proc);
+        const std::size_t p = slot(proc);
         clocks_[p].join(pending_[p]);
         pending_[p] = VectorClock();
-        clocks_[p].ensure(proc + 1);
-        clocks_[p].tick(proc);
+        clocks_[p].ensure(static_cast<int>(p) + 1);
+        clocks_[p].tick(static_cast<int>(p));
         Slice s;
         s.proc = proc;
         s.vc = clocks_[p];
@@ -86,7 +91,7 @@ public:
     void on_edge(int from, int to) override {
         ensure_proc(from);
         ensure_proc(to);
-        pending_[static_cast<std::size_t>(to)].join(clocks_[static_cast<std::size_t>(from)]);
+        pending_[slot(to)].join(clocks_[slot(from)]);
     }
 
     void on_subject(int proc, const void* subject) override {
@@ -101,7 +106,7 @@ public:
 
 private:
     void ensure_proc(int p) {
-        const auto n = static_cast<std::size_t>(p) + 1;
+        const std::size_t n = slot(p) + 1;
         if (clocks_.size() < n) {
             clocks_.resize(n);
             pending_.resize(n);
@@ -155,8 +160,8 @@ void add_backtracks_naive(std::vector<Node>& nodes, std::uint64_t max_depth) {
 /// First slice of `proc` at or after position `from`; slices.size() if none.
 std::size_t next_slice_of(const std::vector<std::vector<std::size_t>>& by_proc,
                           int proc, std::size_t from, std::size_t none) {
-    if (proc < 0 || static_cast<std::size_t>(proc) >= by_proc.size()) return none;
-    const auto& v = by_proc[static_cast<std::size_t>(proc)];
+    if (slot(proc) >= by_proc.size()) return none;
+    const auto& v = by_proc[slot(proc)];
     const auto it = std::lower_bound(v.begin(), v.end(), from);
     return it == v.end() ? none : *it;
 }
@@ -168,12 +173,13 @@ void add_backtracks_dpor(std::vector<Node>& nodes, const std::vector<Slice>& sli
 
     std::vector<std::vector<std::size_t>> by_proc;
     for (std::size_t i = 0; i < slices.size(); ++i) {
-        const auto p = static_cast<std::size_t>(slices[i].proc);
+        const std::size_t p = slot(slices[i].proc);
         if (by_proc.size() <= p) by_proc.resize(p + 1);
         by_proc[p].push_back(i);
     }
 
-    // Dispatch choice points: race-pair-driven backtracking. For every pair
+    // Dispatch choice points (process wakeups and timed callbacks alike):
+    // race-pair-driven backtracking. For every pair
     // of concurrent, footprint-conflicting slices (i before j), the choice
     // point that dispatched i must also try the alternatives leading toward
     // j — its process if co-enabled there, otherwise j's causal ancestors
@@ -214,27 +220,20 @@ void add_backtracks_dpor(std::vector<Node>& nodes, const std::vector<Slice>& sli
         }
     }
 
+    // Hand-over choice points: explore an alternative waiter only if its
+    // next slice conflicts with something that ran in between.
     for (std::size_t c = 0; c < limit; ++c) {
         Node& n = nodes[c];
-        if (n.rec.kind == sim::ChoiceKind::handover) {
-            // Hand-over choice points: explore an alternative waiter only if
-            // its next slice conflicts with something that ran in between.
-            for (const RecAlt& a : n.rec.alts) {
-                if (!want(n, a.label)) continue;
-                const std::size_t sa = next_slice_of(by_proc, a.proc, n.rec.slice_at, none);
-                bool conflict = sa == none;  // never observed: conservative
-                for (std::size_t s = n.rec.slice_at; !conflict && s < sa; ++s)
-                    conflict = slices[s].proc != a.proc &&
-                               subjects_intersect(slices[s], slices[sa]) &&
-                               VectorClock::concurrent(slices[s].vc, slices[sa].vc);
-                if (conflict) n.todo.push_back(a.label);
-            }
-        } else if (n.rec.kind == sim::ChoiceKind::delivery) {
-            // Delivery closures are opaque to the dependence relation: never
-            // pruned (DESIGN.md §16). Same-time deliveries are rare in the
-            // DES, so this does not explode in practice.
-            for (const RecAlt& a : n.rec.alts)
-                if (want(n, a.label)) n.todo.push_back(a.label);
+        if (n.rec.kind != sim::ChoiceKind::handover) continue;
+        for (const RecAlt& a : n.rec.alts) {
+            if (!want(n, a.label)) continue;
+            const std::size_t sa = next_slice_of(by_proc, a.proc, n.rec.slice_at, none);
+            bool conflict = sa == none;  // never observed: conservative
+            for (std::size_t s = n.rec.slice_at; !conflict && s < sa; ++s)
+                conflict = slices[s].proc != a.proc &&
+                           subjects_intersect(slices[s], slices[sa]) &&
+                           VectorClock::concurrent(slices[s].vc, slices[sa].vc);
+            if (conflict) n.todo.push_back(a.label);
         }
     }
 }

@@ -16,8 +16,9 @@
 // alternative steering toward the later slice's process (its causal ancestor
 // among the alternatives; all alternatives when none can be identified —
 // conservative, never unsound). Per-node done-sets play the sleep-set role:
-// an alternative explored once at a node is never re-added there. Delivery
-// choice points have opaque closures and are never pruned.
+// an alternative explored once at a node is never re-added there. Timed
+// engine callbacks take part as one actor (sim::kCallbackActor), so their
+// reorderings are pruned by the same relation.
 //
 // The explorer is generic: it drives any `RunFn` that executes the program
 // under a given ScheduleController and reports what happened. The MPI-level

@@ -29,7 +29,7 @@ class CollSegmentSet;
 // kTagColl - op * kTagBand - r; the segment engine claims the -1024 region
 // for stream fallbacks and -1100 for barrier tokens; nonblocking schedules
 // draw their bands below req::kTagNbcBase.
-inline constexpr int kTagStreamFbk = -1024;  ///< minus the stream slot
+inline constexpr int kTagStreamFbk = -1024;  ///< a stream's p2p divert
 inline constexpr int kTagBarrierFbk = -1100; ///< minus the dissemination round
 inline constexpr int kTagColl = -(1 << 16);
 inline constexpr int kTagBand = 1 << 16;     ///< rounds per operation

@@ -114,7 +114,7 @@ const AlgEntry* find_alg(Op op, Alg alg);
 /// Blocking run over the two-sided protocol. Round r's steps carry tag
 /// kTagColl - op * kTagBand - r.
 Status run_p2p(Comm& c, Op op, const Sched& s);
-/// Blocking run over the communicator's segment set, slot 0.
+/// Blocking run over the communicator's segment set.
 Status run_seg(Comm& c, CollSegmentSet& set, const Sched& s);
 
 /// Post `r`'s receives, then its sends, on `tag` over the two-sided

@@ -8,7 +8,6 @@
 #include "mpi/comm.hpp"
 #include "mpi/datatype/pack_ff.hpp"
 #include "mpi/datatype/pack_generic.hpp"
-#include "sim/dispatcher.hpp"
 #include "obs/span.hpp"
 
 namespace scimpi::mpi::coll {
@@ -35,18 +34,18 @@ bool ff_blocks_ok(const Config& cfg, const Datatype& t, const XferView& v) {
 CollSegmentSet::CollSegmentSet(Cluster& cluster, int comm_size, CollMetrics& cm)
     : cluster_(cluster), cm_(cm), n_(comm_size) {
     const Config& cfg = cluster_.options().cfg;
-    const std::size_t areas = static_cast<std::size_t>(n_) * kSlots * 2;
+    const std::size_t areas = static_cast<std::size_t>(n_) * 2;  // double-buffered
     chunk_ = cfg.coll_chunk;
     if (areas * chunk_ > cfg.coll_seg_max) chunk_ = cfg.coll_seg_max / areas;
     chunk_ &= ~static_cast<std::size_t>(255);  // keep chunk areas line-aligned
     if (chunk_ < 2_KiB) chunk_ = 0;            // too many ranks for the cap
     data_bytes_ = areas * chunk_;
     ctrl_bytes_ =
-        static_cast<std::size_t>(kBarrierRounds + 2 * n_ * kSlots) * sizeof(std::uint64_t);
+        static_cast<std::size_t>(kBarrierRounds + 2 * n_) * sizeof(std::uint64_t);
     members_.resize(static_cast<std::size_t>(n_));
     for (Member& m : members_) {
-        m.tx.assign(static_cast<std::size_t>(n_) * kSlots, {});
-        m.rx.assign(static_cast<std::size_t>(n_) * kSlots, {});
+        m.tx.assign(static_cast<std::size_t>(n_), {});
+        m.rx.assign(static_cast<std::size_t>(n_), {});
         m.degraded.assign(static_cast<std::size_t>(n_), 0);
         m.ctrl_to.resize(static_cast<std::size_t>(n_));
         m.data_to.resize(static_cast<std::size_t>(n_));
@@ -111,21 +110,16 @@ std::size_t CollSegmentSet::barrier_off(int round) const {
     return static_cast<std::size_t>(round) * sizeof(std::uint64_t);
 }
 
-std::size_t CollSegmentSet::ready_off(int writer, int slot) const {
-    return static_cast<std::size_t>(kBarrierRounds + writer * kSlots + slot) *
-           sizeof(std::uint64_t);
+std::size_t CollSegmentSet::ready_off(int writer) const {
+    return static_cast<std::size_t>(kBarrierRounds + writer) * sizeof(std::uint64_t);
 }
 
-std::size_t CollSegmentSet::ack_off(int reader, int slot) const {
-    return static_cast<std::size_t>(kBarrierRounds + (n_ + reader) * kSlots + slot) *
-           sizeof(std::uint64_t);
+std::size_t CollSegmentSet::ack_off(int reader) const {
+    return static_cast<std::size_t>(kBarrierRounds + n_ + reader) * sizeof(std::uint64_t);
 }
 
-std::size_t CollSegmentSet::area_off(int writer, int slot, int parity) const {
-    return ((static_cast<std::size_t>(writer) * kSlots + static_cast<std::size_t>(slot)) *
-                2 +
-            static_cast<std::size_t>(parity)) *
-           chunk_;
+std::size_t CollSegmentSet::area_off(int writer, int parity) const {
+    return (static_cast<std::size_t>(writer) * 2 + static_cast<std::size_t>(parity)) * chunk_;
 }
 
 smi::Region& CollSegmentSet::ctrl_region(int me, int target) {
@@ -175,8 +169,8 @@ Status CollSegmentSet::put_word(Comm& c, int target, std::size_t word_off,
     // instead of stalling this process in a store barrier. Posted stores of
     // one process share that constant pipeline latency, so the flag can
     // never overtake the chunk data written just before it.
-    cluster_.dispatcher().after(cluster_.fabric().params().write_latency + 1,
-                                [q] { q->wake_all(); });
+    c.proc().engine().after(cluster_.fabric().params().write_latency + 1,
+                            [q] { q->wake_all(); });
     return st;
 }
 
@@ -192,7 +186,7 @@ Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
     const std::uint64_t seq = s.base + ci + 1;
     const std::size_t clen = std::min(chunk_, s.len - ci * chunk_);
     const std::size_t spos = s.pos + ci * chunk_;
-    const std::size_t doff = area_off(me, s.slot, static_cast<int>(seq & 1));
+    const std::size_t doff = area_off(me, static_cast<int>(seq & 1));
     smi::Region& data = data_region(me, s.to);
     Status st;
     bool ff_used = false;
@@ -227,9 +221,9 @@ Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
         generic_used = true;
     }
     if (!st) return st;
-    st = put_word(c, s.to, ready_off(me, s.slot), seq);  // wakes the reader
+    st = put_word(c, s.to, ready_off(me), seq);  // wakes the reader
     if (!st) return st;
-    member(me).tx[static_cast<std::size_t>(s.to * kSlots + s.slot)].sent = seq;
+    member(me).tx[static_cast<std::size_t>(s.to)].sent = seq;
     cm_.seg_chunks->inc();
     cm_.seg_bytes->add(clen);
     if (ff_used) cm_.ff_seg_packs->inc();
@@ -245,7 +239,7 @@ void CollSegmentSet::consume_chunk(Comm& c, ActiveRecv& r, std::size_t ci) {
     const std::uint64_t seq = r.base + ci + 1;
     const std::size_t clen = std::min(chunk_, r.len - ci * chunk_);
     const std::size_t spos = r.pos + ci * chunk_;
-    const std::size_t doff = area_off(r.from, r.slot, static_cast<int>(seq & 1));
+    const std::size_t doff = area_off(r.from, static_cast<int>(seq & 1));
     // The observed ready flag is the happens-before edge writer -> reader.
     if (check::Checker* ck = cluster_.checker())
         ck->on_p2p(c.world_rank(r.from), c.world_rank(me));
@@ -272,7 +266,7 @@ void CollSegmentSet::consume_chunk(Comm& c, ActiveRecv& r, std::size_t ci) {
     // p2p and wake the writer, so it diverts the rest of the transfer. A
     // pinned edge takes no more acks: its writer no longer reads them.
     std::uint8_t& pinned = member(r.from).degraded[static_cast<std::size_t>(me)];
-    const auto ack = [&] { return put_word(c, r.from, ack_off(me, r.slot), seq); };
+    const auto ack = [&] { return put_word(c, r.from, ack_off(me), seq); };
     if (pinned == 0 && !fault::retry_with_backoff(self, cfg, cluster_.monitor(), m.node,
                                                   member(r.from).node, ack)
                             .status) {
@@ -281,7 +275,7 @@ void CollSegmentSet::consume_chunk(Comm& c, ActiveRecv& r, std::size_t ci) {
         cm_.degraded_edges->inc();
         cluster_.rank_state(c.world_rank(r.from)).coll_waiters().wake_all();
     }
-    m.rx[static_cast<std::size_t>(r.from * kSlots + r.slot)].rcvd = seq;
+    m.rx[static_cast<std::size_t>(r.from)].rcvd = seq;
 }
 
 Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
@@ -297,7 +291,7 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
         cm_.degraded_edges->inc();
     }
     cm_.fallbacks->inc();
-    Stream& t = m.tx[static_cast<std::size_t>(s.to * kSlots + s.slot)];
+    Stream& t = m.tx[static_cast<std::size_t>(s.to)];
     const std::uint64_t start_seq = s.base + ci;
     const std::uint64_t end_seq = s.base + s.n_chunks;
     const std::size_t off0 = ci * chunk_;
@@ -319,7 +313,7 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
     t.acked = end_seq;
     return c.rank_state().send(buf.data(), static_cast<int>(buf.size()),
                                Datatype::byte_(), c.world_rank(s.to),
-                               kTagStreamFbk - s.slot, c.context());
+                               kTagStreamFbk, c.context());
 }
 
 bool CollSegmentSet::fallback_recv(Comm& c, ActiveRecv& r) {
@@ -327,8 +321,8 @@ bool CollSegmentSet::fallback_recv(Comm& c, ActiveRecv& r) {
     sim::Process& self = c.proc();
     const Config& cfg = cluster_.options().cfg;
     Member& m = member(me);
-    Stream& x = m.rx[static_cast<std::size_t>(r.from * kSlots + r.slot)];
-    const int tag = kTagStreamFbk - r.slot;
+    Stream& x = m.rx[static_cast<std::size_t>(r.from)];
+    const int tag = kTagStreamFbk;
     const auto env =
         c.rank_state().probe(c.world_rank(r.from), tag, /*blocking=*/false,
                              c.context());
@@ -379,8 +373,8 @@ bool CollSegmentSet::pump_send(Comm& c, ActiveSend& s, Status* st) {
         s.done = true;
         return true;
     }
-    Stream& t = m.tx[static_cast<std::size_t>(s.to * kSlots + s.slot)];
-    const std::uint64_t w = read_my_word(c, ack_off(s.to, s.slot));
+    Stream& t = m.tx[static_cast<std::size_t>(s.to)];
+    const std::uint64_t w = read_my_word(c, ack_off(s.to));
     if (w > t.acked) {
         t.acked = w;
         // The observed ack is the happens-before edge reader -> writer that
@@ -391,7 +385,7 @@ bool CollSegmentSet::pump_send(Comm& c, ActiveSend& s, Status* st) {
     bool progressed = false;
     while (s.next_ci < s.n_chunks) {
         const std::uint64_t seq = s.base + s.next_ci + 1;
-        if (seq > t.acked + 2) break;  // both buffers of the slot in flight
+        if (seq > t.acked + 2) break;  // both buffers of the stream in flight
         const std::size_t ci = s.next_ci;
         const fault::RetryOutcome out = fault::retry_with_backoff(
             c.proc(), cfg, cluster_.monitor(), m.node, member(s.to).node,
@@ -417,7 +411,7 @@ bool CollSegmentSet::pump_send(Comm& c, ActiveSend& s, Status* st) {
 bool CollSegmentSet::pump_recv(Comm& c, ActiveRecv& r, Status* st) {
     (void)st;  // readers complete on whichever path the writer chose
     Member& m = member(c.rank());
-    Stream& x = m.rx[static_cast<std::size_t>(r.from * kSlots + r.slot)];
+    Stream& x = m.rx[static_cast<std::size_t>(r.from)];
     bool progressed = false;
     for (;;) {
         if (x.rcvd >= r.base + r.n_chunks) {
@@ -425,7 +419,7 @@ bool CollSegmentSet::pump_recv(Comm& c, ActiveRecv& r, Status* st) {
             return true;
         }
         const std::uint64_t want = x.rcvd + 1;
-        if (read_my_word(c, ready_off(r.from, r.slot)) >= want) {
+        if (read_my_word(c, ready_off(r.from)) >= want) {
             consume_chunk(c, r, x.rcvd - r.base);
             progressed = true;
             continue;
@@ -433,7 +427,7 @@ bool CollSegmentSet::pump_recv(Comm& c, ActiveRecv& r, Status* st) {
         // Probing also drives the two-sided progress engine, which keeps
         // relays and fallback traffic moving while we wait on the flag.
         if (c.rank_state()
-                .probe(c.world_rank(r.from), kTagStreamFbk - r.slot,
+                .probe(c.world_rank(r.from), kTagStreamFbk,
                        /*blocking=*/false, c.context())
                 .has_value()) {
             if (fallback_recv(c, r)) return true;
@@ -452,12 +446,12 @@ Status CollSegmentSet::pump_all(Comm& c, std::span<ActiveSend> sends,
     Status rst;
     for (ActiveSend& s : sends) {
         s.n_chunks = (s.len + chunk_ - 1) / chunk_;
-        s.base = member(me).tx[static_cast<std::size_t>(s.to * kSlots + s.slot)].sent;
+        s.base = member(me).tx[static_cast<std::size_t>(s.to)].sent;
         if (s.len == 0) s.done = true;
     }
     for (ActiveRecv& r : recvs) {
         r.n_chunks = (r.len + chunk_ - 1) / chunk_;
-        r.base = member(me).rx[static_cast<std::size_t>(r.from * kSlots + r.slot)].rcvd;
+        r.base = member(me).rx[static_cast<std::size_t>(r.from)].rcvd;
         if (r.len == 0) r.done = true;
     }
     for (;;) {

@@ -2,8 +2,8 @@
 //
 // Every member exports two SCI segments from its node arena, once, at the
 // first segment-routed collective on the communicator:
-//   * a data segment, carved into per-(writer, slot) double-buffered chunk
-//     areas that peers write into over the adapter PIO path (watched by
+//   * a data segment, carved into per-writer double-buffered chunk areas
+//     that peers write into over the adapter PIO path (watched by
 //     scimpi-check when checking is on), and
 //   * a control segment of flag words — per-stream ready/ack sequence
 //     counters plus the dissemination-barrier rounds — which carries only
@@ -57,10 +57,6 @@ struct CollMetrics;
 
 class CollSegmentSet {
 public:
-    /// Chunk streams per (writer, reader) pair. Every transfer runs on slot
-    /// 0 (run_streams); slot 1's chunk areas and flag words are reserved
-    /// but unused.
-    static constexpr int kSlots = 2;
     static constexpr int kBarrierRounds = 32;
 
     CollSegmentSet(Cluster& cluster, int comm_size, CollMetrics& cm);
@@ -80,8 +76,8 @@ public:
 
     [[nodiscard]] std::size_t chunk() const { return chunk_; }
 
-    /// Pump one round's steps (sched.hpp; peers are local ranks) on slot 0
-    /// to completion: every stream progresses independently, so neither
+    /// Pump one round's steps (sched.hpp; peers are local ranks) to
+    /// completion: every stream progresses independently, so neither
     /// direction of an exchange blocks the other and one slow or degraded
     /// edge never stalls the rest. A round must not hold two steps on the
     /// same (peer, direction) stream.
@@ -107,8 +103,8 @@ private:
         sci::SegmentId data_seg;
         std::span<std::byte> ctrl_mem;
         std::span<std::byte> data_mem;
-        std::vector<Stream> tx;              ///< me as writer, [peer*kSlots+slot]
-        std::vector<Stream> rx;              ///< me as reader, [peer*kSlots+slot]
+        std::vector<Stream> tx;              ///< me as writer, per peer
+        std::vector<Stream> rx;              ///< me as reader, per peer
         std::vector<std::uint8_t> degraded;  ///< per peer: segment path dead
         std::uint64_t barrier_gen = 0;
         // Imported regions, cached per target member (index == local rank).
@@ -118,7 +114,6 @@ private:
 
     struct ActiveSend {
         int to = 0;
-        int slot = 0;
         XferView v;
         std::size_t pos = 0;       ///< stream offset of the transfer
         std::size_t len = 0;
@@ -129,7 +124,6 @@ private:
     };
     struct ActiveRecv {
         int from = 0;
-        int slot = 0;
         XferView v;
         std::size_t pos = 0;
         std::size_t len = 0;
@@ -140,10 +134,10 @@ private:
 
     // Control-word offsets (u64 words) within a member's control segment.
     [[nodiscard]] std::size_t barrier_off(int round) const;
-    [[nodiscard]] std::size_t ready_off(int writer, int slot) const;
-    [[nodiscard]] std::size_t ack_off(int reader, int slot) const;
+    [[nodiscard]] std::size_t ready_off(int writer) const;
+    [[nodiscard]] std::size_t ack_off(int reader) const;
     /// Chunk-area offset within a member's data segment.
-    [[nodiscard]] std::size_t area_off(int writer, int slot, int parity) const;
+    [[nodiscard]] std::size_t area_off(int writer, int parity) const;
 
     Member& member(int local) { return members_[static_cast<std::size_t>(local)]; }
     smi::Region& ctrl_region(int me, int target);

@@ -108,7 +108,7 @@ std::uint64_t Rank::post_ctrl(int dst, CtrlMsg msg) {
     sim::WaitQueue* coll = &peer.coll_waiters();
     // A segment-set waiter may be polling for this message (a p2p fallback
     // or barrier token), so its arrival wakes it too.
-    cluster_.dispatcher().after(delivery, [inbox, coll, m = std::move(msg)]() mutable {
+    self.engine().after(delivery, [inbox, coll, m = std::move(msg)]() mutable {
         inbox->send(std::move(m));
         coll->wake_all();
     });

@@ -160,7 +160,7 @@ public:
     /// Per-rank request engine (mpi/req), created on first use.
     [[nodiscard]] req::Engine& requests();
 
-    /// Delayed-delivery entry point used by peers (via the dispatcher).
+    /// Delayed-delivery entry point used by peers (via a timed engine callback).
     sim::Mailbox<CtrlMsg>& inbox() { return inbox_; }
     /// Where this rank parks while a collective segment set polls its flag
     /// words (coll::CollSegmentSet::park). Woken by every flag or ack write

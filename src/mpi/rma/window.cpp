@@ -110,8 +110,7 @@ const sci::SciMapping& Win::peer_mapping(int target) {
 
 RmaState::RmaState(Rank& rank)
     : rank_(rank),
-      channel_(rank.cluster().dispatcher(), rank.cluster().fabric().params(),
-               rank.node()) {}
+      channel_(rank.cluster().fabric().params(), rank.node()) {}
 
 RmaState::~RmaState() = default;
 

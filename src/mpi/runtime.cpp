@@ -64,7 +64,7 @@ sci::Topology make_topology(const ClusterOptions& opt) {
 }  // namespace
 
 Cluster::Cluster(ClusterOptions opt)
-    : opt_(opt), dispatcher_(engine_), fabric_(make_topology(opt), opt.sci) {
+    : opt_(opt), fabric_(make_topology(opt), opt.sci) {
     SCIMPI_REQUIRE(opt_.nodes >= 1 && opt_.procs_per_node >= 1,
                    "cluster needs at least one node and one process");
     if (env_flag("SCIMPI_STATS")) opt_.collect_stats = true;
@@ -136,7 +136,7 @@ Cluster::Cluster(ClusterOptions opt)
     for (int n = 0; n < opt_.nodes; ++n) {
         memories_.push_back(std::make_unique<mem::NodeMemory>(n, opt_.arena_bytes));
         adapters_.push_back(std::make_unique<sci::SciAdapter>(
-            n, fabric_, dispatcher_, opt_.host, opt_.cfg));
+            n, fabric_, opt_.host, opt_.cfg));
         adapters_.back()->bind_metrics(metrics_);
         adapters_.back()->bind_checker(checker_.get());
     }

@@ -19,7 +19,6 @@
 #include "sci/dma.hpp"
 #include "sci/fabric.hpp"
 #include "sci/segment.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
 
@@ -130,7 +129,6 @@ public:
 
     [[nodiscard]] const ClusterOptions& options() const { return opt_; }
     sim::Engine& engine() { return engine_; }
-    sim::Dispatcher& dispatcher() { return dispatcher_; }
     sci::Fabric& fabric() { return fabric_; }
     sci::SegmentDirectory& directory() { return directory_; }
     mem::NodeMemory& memory(int node) { return *memories_.at(static_cast<std::size_t>(node)); }
@@ -179,7 +177,6 @@ private:
     obs::Recorder recorder_;
     bool telemetry_flushed_ = false;
     sim::Engine engine_;
-    sim::Dispatcher dispatcher_;
     sci::Fabric fabric_;
     sci::SegmentDirectory directory_;
     std::vector<std::unique_ptr<mem::NodeMemory>> memories_;

@@ -233,6 +233,8 @@ struct RunReport {
     int nodes = 0;
     double sim_seconds = 0.0;
     std::uint64_t sim_time_ns = 0;
+    /// Engine queue entries run: process wakeups plus timed callbacks
+    /// (counter sim.context_switches counts only the process wakeups).
     std::uint64_t events_dispatched = 0;
     bool stats_enabled = false;  ///< counters are all zero when false
     bool profile_enabled = false;

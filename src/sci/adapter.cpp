@@ -15,11 +15,9 @@ constexpr std::size_t round_up(std::size_t v, std::size_t a) { return (v + a - 1
 constexpr std::size_t round_down(std::size_t v, std::size_t a) { return v / a * a; }
 }  // namespace
 
-SciAdapter::SciAdapter(int node, Fabric& fabric, sim::Dispatcher& dispatcher,
-                       mem::MachineProfile host, Config cfg)
+SciAdapter::SciAdapter(int node, Fabric& fabric, mem::MachineProfile host, Config cfg)
     : node_(node),
       fabric_(fabric),
-      dispatcher_(dispatcher),
       host_(std::move(host)),
       cfg_(cfg),
       rng_(cfg.seed * 0x51ed2701u + static_cast<std::uint64_t>(node) + 1) {}
@@ -203,7 +201,7 @@ Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t 
     const int pid = self.id();
     ++pending_stores_[pid];
     std::byte* dst = map.mem.data() + off;
-    dispatcher_.after(p.write_latency, [this, pid, dst, data = std::move(data)] {
+    self.engine().after(p.write_latency, [this, pid, dst, data = std::move(data)] {
         std::memcpy(dst, data.data(), data.size());
         if (--pending_stores_[pid] == 0) barrier_waiters_.wake_all();
     });
@@ -294,7 +292,7 @@ Status SciAdapter::write_gather(sim::Process& self, const SciMapping& map,
     const int pid = self.id();
     ++pending_stores_[pid];
     std::byte* dst = map.mem.data() + off;
-    dispatcher_.after(p.write_latency, [this, pid, dst, total, data = std::move(data)] {
+    self.engine().after(p.write_latency, [this, pid, dst, total, data = std::move(data)] {
         std::memcpy(dst, data.get(), total);
         if (--pending_stores_[pid] == 0) barrier_waiters_.wake_all();
     });

@@ -2,7 +2,7 @@
 //
 // PIO writes are *posted*: the call returns once the CPU has issued the
 // stores, but the bytes only become visible in the target's memory after the
-// pipeline latency (modelled with delayed dispatcher callbacks). A store
+// pipeline latency (modelled with timed engine callbacks). A store
 // barrier stalls until every outstanding store of the calling process has
 // landed — upper layers must barrier before setting completion flags, exactly
 // as on real SCI (Section 2, points 3 and 4 of the paper).
@@ -31,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "sci/fabric.hpp"
 #include "sci/segment.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/sync.hpp"
 
 namespace scimpi::check {
@@ -42,8 +41,7 @@ namespace scimpi::sci {
 
 class SciAdapter {
 public:
-    SciAdapter(int node, Fabric& fabric, sim::Dispatcher& dispatcher,
-               mem::MachineProfile host, Config cfg);
+    SciAdapter(int node, Fabric& fabric, mem::MachineProfile host, Config cfg);
 
     struct Stats {
         std::uint64_t write_calls = 0;
@@ -178,7 +176,6 @@ private:
 
     int node_;
     Fabric& fabric_;
-    sim::Dispatcher& dispatcher_;
     mem::MachineProfile host_;
     Config cfg_;
     Rng rng_;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/span.hpp"
@@ -39,22 +40,37 @@ void Engine::schedule(Process& p, SimTime t) {
     SCIMPI_REQUIRE(!p.scheduled_, "schedule() on already-scheduled process " + p.name());
     SCIMPI_REQUIRE(t >= now_, "schedule() into the past");
     p.scheduled_ = true;
-    p.pending_time_ = t;
-    if (sched_ != nullptr && current_ != nullptr && current_ != &p)
-        sched_->on_edge(current_->id(), p.id());
-    queue_.push(QEntry{t, seq_++, &p, p.gen_});
+    if (sched_ != nullptr) {
+        if (current_ != nullptr && current_ != &p)
+            sched_->on_edge(current_->id(), p.id());
+        else if (in_callback_)
+            sched_->on_edge(kCallbackActor, p.id());
+    }
+    push(QEntry{t, seq_++, &p, {}});
 }
 
-void Engine::reschedule_earlier(Process& p, SimTime t) {
-    SCIMPI_REQUIRE(t >= now_, "reschedule_earlier() into the past");
-    if (!p.scheduled_) {
-        schedule(p, t);
-        return;
+void Engine::at(SimTime t, std::function<void()> fn) {
+    SCIMPI_REQUIRE(t >= now_, "Engine::at() into the past");
+    if (sched_ != nullptr) {
+        // A callback happens after its poster. Posting is also a footprint
+        // on the queue: two processes posting concurrently race on the
+        // order of their callbacks.
+        if (current_ != nullptr) sched_->on_edge(current_->id(), kCallbackActor);
+        note_subject(&queue_);
     }
-    if (p.pending_time_ <= t) return;  // existing wakeup is already sooner
-    ++p.gen_;                          // invalidate the queued entry
-    p.scheduled_ = false;
-    schedule(p, t);
+    push(QEntry{t, seq_++, nullptr, std::move(fn)});
+}
+
+void Engine::push(QEntry e) {
+    queue_.push_back(std::move(e));
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+}
+
+Engine::QEntry Engine::pop() {
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    QEntry e = std::move(queue_.back());
+    queue_.pop_back();
+    return e;
 }
 
 void Engine::set_sampler(SimTime cadence, std::function<void(SimTime)> fn) {
@@ -179,41 +195,40 @@ void Engine::run() {
     }
 }
 
+Engine::QEntry Engine::choose(QEntry first) {
+    // Collect every entry within the fuzz window of the earliest one; the
+    // controller picks which one runs first. Entries are heap-popped, so
+    // cands is (t, seq)-sorted and cands[0] is the deterministic FIFO
+    // default. A timed callback is offered as "d<seq>" under the one
+    // kCallbackActor identity.
+    const SimTime limit = first.t + sched_->fuzz();
+    std::vector<QEntry> cands;
+    cands.push_back(std::move(first));
+    while (!queue_.empty() && queue_.front().t <= limit) {
+        QEntry n = pop();
+        if (n.p == nullptr || !n.p->finished()) cands.push_back(std::move(n));
+    }
+    if (cands.size() == 1) return std::move(cands.front());
+    ChoicePoint cp;
+    cp.kind = ChoiceKind::dispatch;
+    cp.now = now_;
+    cp.alts.reserve(cands.size());
+    for (const QEntry& c : cands)
+        cp.alts.push_back(c.p != nullptr
+                              ? ChoiceAlt{c.p->name(), c.p->id(), c.t}
+                              : ChoiceAlt{"d" + std::to_string(c.seq), kCallbackActor, c.t});
+    const std::size_t pick = sched_->choose(cp);
+    SCIMPI_REQUIRE(pick < cands.size(), "schedule choice out of range");
+    for (std::size_t i = 0; i < cands.size(); ++i)
+        if (i != pick) push(std::move(cands[i]));
+    return std::move(cands[pick]);
+}
+
 void Engine::run_loop() {
     while (!queue_.empty() && pending_error_.empty()) {
-        QEntry e = queue_.top();
-        queue_.pop();
-        if (e.p->finished()) continue;   // finished while queued (shutdown path)
-        if (e.gen != e.p->gen_) continue;  // stale entry after reschedule
-        if (sched_ != nullptr) {
-            // Collect every valid entry within the fuzz window of the
-            // earliest wakeup; the controller picks which one runs first.
-            // Entries are heap-popped, so cands is (t, seq)-sorted and
-            // cands[0] is the deterministic FIFO default.
-            const SimTime limit = e.t + sched_->fuzz();
-            std::vector<QEntry> cands{e};
-            while (!queue_.empty() && queue_.top().t <= limit) {
-                const QEntry n = queue_.top();
-                queue_.pop();
-                if (n.p->finished() || n.gen != n.p->gen_) continue;
-                cands.push_back(n);
-            }
-            std::size_t pick = 0;
-            if (cands.size() > 1) {
-                ChoicePoint cp;
-                cp.kind = ChoiceKind::dispatch;
-                cp.now = now_;
-                cp.alts.reserve(cands.size());
-                for (const QEntry& c : cands)
-                    cp.alts.push_back(ChoiceAlt{c.p->name(), c.p->id(), c.t});
-                pick = sched_->choose(cp);
-                SCIMPI_REQUIRE(pick < cands.size(), "schedule choice out of range");
-            }
-            for (std::size_t i = 0; i < cands.size(); ++i)
-                if (i != pick) queue_.push(cands[i]);
-            e = cands[pick];
-        }
-        e.p->scheduled_ = false;
+        QEntry e = pop();
+        if (e.p != nullptr && e.p->finished()) continue;  // finished while queued
+        if (sched_ != nullptr) e = choose(std::move(e));
         // Dispatching a later co-enabled entry first leaves earlier entries
         // in the queue with t < now_; time never runs backwards for them.
         const SimTime t_eff = e.t > now_ ? e.t : now_;
@@ -227,10 +242,33 @@ void Engine::run_loop() {
         }
         now_ = t_eff;
         ++events_dispatched_;
+        if (e.p == nullptr) {
+            run_callback(e);
+            continue;
+        }
+        e.p->scheduled_ = false;
         if (ctx_switches_ != nullptr) ctx_switches_->inc();
         if (sched_ != nullptr) sched_->on_dispatch(e.p->id(), now_);
         resume(*e.p);
     }
+}
+
+void Engine::run_callback(QEntry& e) {
+    if (sched_ != nullptr) sched_->on_dispatch(kCallbackActor, now_);
+    // Argument-less primitives (Mailbox::send) reach the controller through
+    // sim::current_engine(), as they do from a process slice.
+    Engine* const outer = current_engine();
+    set_current_engine(this);
+    in_callback_ = true;
+    try {
+        e.fn();
+    } catch (const std::exception& ex) {
+        pending_error_ = "timed callback d" + std::to_string(e.seq) + ": " + ex.what();
+    } catch (...) {
+        pending_error_ = "timed callback d" + std::to_string(e.seq) + ": unknown exception";
+    }
+    in_callback_ = false;
+    set_current_engine(outer);
 }
 
 void Engine::resume(Process& p) {
@@ -243,7 +281,7 @@ void Engine::shutdown_remaining() {
     // ~Process switches into each parked fiber with shutdown_ set, so it
     // throws ShutdownSignal through the user stack, running destructors.
     processes_.clear();
-    while (!queue_.empty()) queue_.pop();
+    queue_.clear();
 }
 
 }  // namespace scimpi::sim

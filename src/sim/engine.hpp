@@ -7,15 +7,15 @@
 // code therefore calls blocking library routines naturally, while results
 // stay bit-deterministic on any host regardless of core count.
 //
-// Scheduling is a min-heap ordered by (wakeup time, insertion sequence), so
-// simultaneous events run in FIFO order of scheduling.
+// Scheduling is one min-heap ordered by (time, insertion sequence) that holds
+// both process wakeups and timed callbacks (at/after), so simultaneous events
+// of either kind run in FIFO order of insertion.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -62,8 +62,9 @@ public:
     [[nodiscard]] SimTime now() const { return now_; }
     [[nodiscard]] std::size_t process_count() const { return processes_.size(); }
     [[nodiscard]] Process* current() const { return current_; }
+    /// Queue entries run so far: process wakeups plus timed callbacks.
     [[nodiscard]] std::uint64_t events_dispatched() const { return events_dispatched_; }
-    /// Pending event-queue entries (including stale reschedule residue).
+    /// Pending queue entries: scheduled process wakeups plus timed callbacks.
     [[nodiscard]] std::size_t heap_size() const { return queue_.size(); }
     /// Host wall-clock spent inside run() so far, in nanoseconds; valid
     /// mid-run (the flight recorder samples it) and after run() returns.
@@ -106,9 +107,9 @@ public:
     void trace_critical_path();
 
     /// Attach a metrics registry: the engine then feeds `sim.context_switches`
-    /// (switches into a process) and `sim.deadlock_checks` (end-of-run
-    /// blocked-process scans). Handles resolve once; increments are no-ops
-    /// while disabled.
+    /// (switches into a process; timed callbacks run without one) and
+    /// `sim.deadlock_checks` (end-of-run blocked-process scans). Handles
+    /// resolve once; increments are no-ops while disabled.
     void bind_metrics(obs::MetricsRegistry& m);
 
     /// The bound registry, nullptr before bind_metrics(). Lets deep layers
@@ -117,9 +118,10 @@ public:
 
     /// Install a schedule controller (see sim/schedule.hpp): the event loop
     /// then offers every co-enabled dispatch set (entries within the
-    /// controller's fuzz() window of the earliest wakeup) as a choice point,
-    /// and the sync primitives report hand-over choices and shared-object
-    /// footprints. nullptr restores plain deterministic FIFO dispatch.
+    /// controller's fuzz() window of the earliest one, timed callbacks
+    /// included) as a choice point, and the sync primitives report hand-over
+    /// choices and shared-object footprints. nullptr restores plain
+    /// deterministic FIFO dispatch.
     void set_schedule_controller(ScheduleController* c) { sched_ = c; }
     [[nodiscard]] ScheduleController* schedule_controller() const { return sched_; }
 
@@ -130,10 +132,19 @@ public:
     /// Wake a blocked process at the current time.
     void wake(Process& p) { schedule(p, now_); }
 
-    /// Ensure `p` (suspended) wakes no later than `t`: schedules if blocked,
-    /// pulls an existing later wakeup forward, and leaves an existing
-    /// earlier-or-equal wakeup alone.
-    void reschedule_earlier(Process& p, SimTime t);
+    /// Run `fn` on the engine thread at absolute time `t` (>= now), between
+    /// two process dispatches. It shares the (time, insertion sequence)
+    /// queue with process wakeups, and the closure is moved in and out of
+    /// it, never copied. A callback must not delay or block; it may wake
+    /// processes and post further callbacks. If it throws, run() ends in a
+    /// Panic like a throwing process does.
+    void at(SimTime t, std::function<void()> fn);
+
+    /// Run `fn` after `delay` ns.
+    void after(SimTime delay, std::function<void()> fn) { at(now_ + delay, std::move(fn)); }
+
+    /// True while a timed callback runs (no process is current then).
+    [[nodiscard]] bool in_callback() const { return in_callback_; }
 
 private:
     friend class Process;
@@ -141,19 +152,25 @@ private:
     struct QEntry {
         SimTime t;
         std::uint64_t seq;
-        Process* p;
-        std::uint64_t gen;  // stale-entry detection after reschedule
+        Process* p;                // nullptr: a timed callback
+        std::function<void()> fn;  // the callback, when p is nullptr
         bool operator>(const QEntry& o) const {
             return t != o.t ? t > o.t : seq > o.seq;
         }
     };
 
+    void push(QEntry e);
+    QEntry pop();
+    QEntry choose(QEntry first);  // controller pick among co-enabled entries
     void resume(Process& p);      // switch into p until it suspends
+    void run_callback(QEntry& e);
     void run_loop();              // dispatch until quiescent or error
     void shutdown_remaining();    // unwind parked fibers before throwing/destroying
 
     std::vector<std::unique_ptr<Process>> processes_;
-    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue_;
+    /// A min-heap on (t, seq) kept with std::push_heap/pop_heap, so entries
+    /// (and the closures they own) are moved, never copied.
+    std::vector<QEntry> queue_;
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t events_dispatched_ = 0;
@@ -173,7 +190,8 @@ private:
     obs::Counter* ctx_switches_ = nullptr;
     obs::Counter* deadlock_checks_ = nullptr;
     bool running_ = false;
-    std::string pending_error_;   // first process exception, rethrown by run()
+    bool in_callback_ = false;
+    std::string pending_error_;   // first process or callback exception, for run()
 };
 
 }  // namespace scimpi::sim

@@ -74,8 +74,6 @@ private:
     std::string wait_why_;        // wait-object label while blocked
     bool daemon_ = false;         // exempt from deadlock detection
     bool scheduled_ = false;      // present in the engine ready queue
-    SimTime pending_time_ = 0;    // wakeup time while scheduled_
-    std::uint64_t gen_ = 0;       // bumped to invalidate stale queue entries
 };
 
 }  // namespace scimpi::sim

@@ -21,14 +21,15 @@ void note_subject(const void* subject) {
     if (e == nullptr) return;
     ScheduleController* c = e->schedule_controller();
     if (c == nullptr) return;
-    Process* p = e->current();
-    if (p != nullptr) c->on_subject(p->id(), subject);
+    if (const Process* p = e->current(); p != nullptr)
+        c->on_subject(p->id(), subject);
+    else if (e->in_callback())
+        c->on_subject(kCallbackActor, subject);
 }
 
 const char* choice_kind_name(ChoiceKind k) {
     switch (k) {
         case ChoiceKind::dispatch: return "dispatch";
-        case ChoiceKind::delivery: return "delivery";
         case ChoiceKind::handover: return "handover";
     }
     return "?";

@@ -3,15 +3,20 @@
 // A ScheduleController observes (and may perturb) the points where the
 // simulation's outcome could legitimately depend on ordering:
 //
-//   dispatch  — which co-enabled ready-queue entry runs next. With fuzz() = F
-//               every queued wakeup within F ns of the earliest one is
-//               considered co-enabled; dispatching a later entry first models
-//               bounded timing jitter (interrupt latency, link jitter) that a
-//               real cluster exhibits but a single deterministic run hides.
-//   delivery  — which of several due Dispatcher callbacks (message/signal
-//               deliveries) fires first within one service slice.
+//   dispatch  — which co-enabled queue entry runs next: a process wakeup or
+//               a timed callback (Engine::at: message/signal deliveries,
+//               posted stores landing). With fuzz() = F every queued entry
+//               within F ns of the earliest one is considered co-enabled;
+//               dispatching a later entry first models bounded timing jitter
+//               (interrupt latency, link jitter) that a real cluster exhibits
+//               but a single deterministic run hides.
 //   handover  — which parked process a WaitQueue::wake_one / SimMutex::unlock
 //               hands control to.
+//
+// Timed callbacks run on the engine thread, not in a process; the hooks see
+// all of them as the one reserved actor kCallbackActor (its slices, the
+// subjects it touches and the wakes it makes), so DPOR prunes them like any
+// process.
 //
 // Alternative 0 is always the deterministic FIFO default, so a controller
 // that returns 0 everywhere (or no controller at all) reproduces the normal
@@ -29,14 +34,18 @@
 
 namespace scimpi::sim {
 
-enum class ChoiceKind : std::uint8_t { dispatch, delivery, handover };
+enum class ChoiceKind : std::uint8_t { dispatch, handover };
 
 const char* choice_kind_name(ChoiceKind k);
 
+/// The actor id every timed engine callback reports under in the controller
+/// hooks (on_dispatch, on_subject, on_edge) and in ChoiceAlt::proc.
+inline constexpr int kCallbackActor = -1;
+
 /// One selectable alternative at a choice point. `label` is stable across
-/// runs of the same program (process name or dispatcher item sequence) and is
-/// what decision traces store; `proc` is the process about to run (-1 for
-/// opaque delivery closures).
+/// runs of the same program (process name, or "d<seq>" with the engine's
+/// insertion sequence for a timed callback) and is what decision traces
+/// store; `proc` is the process about to run, or kCallbackActor.
 struct ChoiceAlt {
     std::string label;
     int proc = -1;
@@ -66,15 +75,18 @@ public:
     /// Co-enabled window in ns for engine dispatch (0 = exact ties only).
     [[nodiscard]] virtual SimTime fuzz() const { return 0; }
 
-    /// A happens-before edge: the running process `from` scheduled/woke `to`.
+    /// A happens-before edge: the running actor `from` scheduled/woke `to`
+    /// (either may be kCallbackActor: a post, or a callback's wake).
     virtual void on_edge(int from, int to) { (void)from, (void)to; }
 
-    /// The running process `proc` touched shared object `subject` (a sync
-    /// primitive or a domain-level shared counter). Footprints feed DPOR's
+    /// The running actor `proc` (a process id or kCallbackActor) touched
+    /// shared object `subject` (a sync primitive or a domain-level shared
+    /// counter). Footprints feed DPOR's
     /// dependence relation.
     virtual void on_subject(int proc, const void* subject) { (void)proc, (void)subject; }
 
-    /// Process `proc` was switched in at time `t` (one "slice" begins).
+    /// Actor `proc` was dispatched at time `t` (one "slice" begins): a
+    /// process switched in, or one timed callback as kCallbackActor.
     virtual void on_dispatch(int proc, SimTime t) { (void)proc, (void)t; }
 };
 
@@ -122,17 +134,17 @@ private:
 
 class Engine;
 
-/// The engine whose process is running on this thread, or nullptr outside
-/// any simulated process. Lets argument-less primitives (Mailbox::send,
+/// The engine whose process or timed callback is running on this thread, or
+/// nullptr outside both. Lets argument-less primitives (Mailbox::send,
 /// Event::set) report subjects without plumbing a Process&.
 Engine* current_engine();
 
-/// Internal: bound by Process::resume_from_engine for each slice it runs,
-/// and restored when the process switches back. Not for user code.
+/// Internal: bound by Process::resume_from_engine and Engine::run_callback
+/// for each slice they run, and restored after it. Not for user code.
 void set_current_engine(Engine* e);
 
-/// Report `subject` as touched by the currently running process, if a
-/// controller is installed. No-op (and cheap) otherwise.
+/// Report `subject` as touched by the running process or timed callback, if
+/// a controller is installed. No-op (and cheap) otherwise.
 void note_subject(const void* subject);
 
 }  // namespace scimpi::sim

@@ -24,7 +24,7 @@ void SignalChannel::post(sim::Process& self, int from_node, Signal s) {
         if (retransmits_c_ != nullptr) retransmits_c_->inc();
         extra = params_.irq_retry_timeout;
     }
-    dispatcher_->after(latency + extra, [this, s = std::move(s)]() mutable {
+    self.engine().after(latency + extra, [this, s = std::move(s)]() mutable {
         ++delivered_;
         inbox_.send(std::move(s));
     });

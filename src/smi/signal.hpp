@@ -11,7 +11,6 @@
 #include "obs/cause.hpp"
 #include "obs/metrics.hpp"
 #include "sci/params.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/sync.hpp"
 
 namespace scimpi::smi {
@@ -27,9 +26,8 @@ struct Signal {
 
 class SignalChannel {
 public:
-    SignalChannel(sim::Dispatcher& dispatcher, sci::SciParams params,
-                  int target_node)
-        : dispatcher_(&dispatcher), params_(params), target_node_(target_node) {}
+    SignalChannel(sci::SciParams params, int target_node)
+        : params_(params), target_node_(target_node) {}
 
     /// Post a signal from a process on `from_node`; it is delivered (and a
     /// blocked handler woken) after the interrupt latency. The origin is
@@ -53,7 +51,6 @@ public:
     void bind_metrics(obs::MetricsRegistry& m);
 
 private:
-    sim::Dispatcher* dispatcher_;
     sci::SciParams params_;
     int target_node_;
     sim::Mailbox<Signal> inbox_;

@@ -12,6 +12,7 @@
 
 #include "check/checker.hpp"
 #include "mpi/comm.hpp"
+#include "sim/schedule.hpp"
 
 namespace scimpi::mpi {
 namespace {
@@ -329,6 +330,43 @@ TEST(CollSeg, LinkFlapDivertReachesTheReaderUnderAsyncProgress) {
     EXPECT_EQ(b.tail, static_cast<double>(4_MiB / 8));
     EXPECT_GE(b.report.counter("coll.fallbacks"), 1u);
     EXPECT_GE(b.report.counter("coll.fallback_recvs"), 1u);
+}
+
+/// Dispatches a rank before a progress daemon it ties with: the reverse of
+/// the FIFO default, where a control message's arrival wakes the daemon
+/// (inbox) before the parked rank (coll_waiters).
+struct RanksBeforeDaemons : sim::ScheduleController {
+    std::uint64_t flips = 0;
+    std::size_t choose(const sim::ChoicePoint& cp) override {
+        if (cp.kind != sim::ChoiceKind::dispatch) return 0;
+        bool daemon = false;
+        for (const sim::ChoiceAlt& a : cp.alts) daemon = daemon || a.label.starts_with("prog");
+        if (!daemon) return 0;
+        for (std::size_t i = 0; i < cp.alts.size(); ++i) {
+            if (!cp.alts[i].label.starts_with("rank")) continue;
+            if (i != 0) ++flips;
+            return i;
+        }
+        return 0;
+    }
+};
+
+/// The same divert with the reader dispatched before its daemon when the
+/// divert arrives: the reader probes too early, re-parks, and only the
+/// daemon's coll_waiters() wake after it dispatched the message lets it
+/// see the divert. Nothing else would wake it: the writer's divert is a
+/// rendezvous send blocked on the reader's clear-to-send.
+TEST(CollSeg, ProgressDaemonWakesAReaderDispatchedBeforeIt) {
+    RanksBeforeDaemons ctrl;
+    ClusterOptions opt;
+    opt.async_progress = true;
+    opt.schedule = &ctrl;
+    opt.faults.flap(100'000, 0, 30'000'000);
+    const FaultyBcast b = faulty_bcast(opt);
+    EXPECT_TRUE(b.st) << b.st.to_string();
+    EXPECT_EQ(b.tail, static_cast<double>(4_MiB / 8));
+    EXPECT_GE(b.report.counter("coll.fallback_recvs"), 1u);
+    EXPECT_GT(ctrl.flips, 0u);
 }
 
 /// Segment-set waits have no re-poll timer: a collective that one rank never

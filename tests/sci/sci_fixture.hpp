@@ -1,5 +1,5 @@
-// Shared test fixture: a small simulated SCI cluster (engine + dispatcher +
-// ring fabric + node memories + adapters + segment directory).
+// Shared test fixture: a small simulated SCI cluster (engine + ring fabric +
+// node memories + adapters + segment directory).
 #pragma once
 
 #include <memory>
@@ -11,7 +11,6 @@
 #include "sci/dma.hpp"
 #include "sci/fabric.hpp"
 #include "sci/segment.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -21,11 +20,11 @@ struct MiniCluster {
     explicit MiniCluster(int nodes, Config cfg = default_config(),
                          SciParams params = SciParams{},
                          std::size_t arena = 8_MiB)
-        : dispatcher(engine), fabric(Topology::ring(nodes), params) {
+        : fabric(Topology::ring(nodes), params) {
         for (int n = 0; n < nodes; ++n) {
             memories.push_back(std::make_unique<mem::NodeMemory>(n, arena));
             adapters.push_back(std::make_unique<SciAdapter>(
-                n, fabric, dispatcher, mem::pentium3_800(), cfg));
+                n, fabric, mem::pentium3_800(), cfg));
         }
     }
 
@@ -43,7 +42,6 @@ struct MiniCluster {
     }
 
     sim::Engine engine;
-    sim::Dispatcher dispatcher;
     Fabric fabric;
     SegmentDirectory directory;
     std::vector<std::unique_ptr<mem::NodeMemory>> memories;

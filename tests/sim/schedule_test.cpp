@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "sim/dispatcher.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/sync.hpp"
@@ -132,27 +131,26 @@ TEST(Schedule, ChoosingALaterEntryAdvancesTimeMonotonically) {
 }
 
 TEST(Schedule, DispatcherDeliveryOrderIsAChoicePoint) {
+    // Two callbacks due at once are two alternatives of one dispatch choice
+    // point (setup starts alone at t=0, so the pair is cp0).
     ScriptController ctrl;
-    ctrl.picks[1] = 1;  // cp0: t=0 thread-start tie; cp1: the delivery pair
+    ctrl.picks[0] = 1;
     Engine eng;
     eng.set_schedule_controller(&ctrl);
-    Dispatcher disp(eng);
     std::vector<int> order;
     eng.spawn("setup", [&](Process&) {
-        disp.at(50, [&] { order.push_back(1); });
-        disp.at(50, [&] { order.push_back(2); });
+        eng.at(50, [&] { order.push_back(1); });
+        eng.at(50, [&] { order.push_back(2); });
     });
     eng.run();
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
-    // The delivery cp labels are the dispatcher item sequence numbers.
-    bool saw_delivery = false;
-    for (const ChoicePoint& cp : ctrl.seen) {
-        if (cp.kind != ChoiceKind::delivery) continue;
-        saw_delivery = true;
-        EXPECT_EQ(labels_of(cp), (std::vector<std::string>{"d0", "d1"}));
-        EXPECT_EQ(cp.alts[0].proc, -1);  // closures are opaque
-    }
-    EXPECT_TRUE(saw_delivery);
+    // Labels carry the engine's insertion sequence (setup's start is 0);
+    // every callback reports as the one callback actor.
+    ASSERT_EQ(ctrl.seen.size(), 1u);
+    EXPECT_EQ(ctrl.seen[0].kind, ChoiceKind::dispatch);
+    EXPECT_EQ(labels_of(ctrl.seen[0]), (std::vector<std::string>{"d1", "d2"}));
+    EXPECT_EQ(ctrl.seen[0].alts[0].proc, kCallbackActor);
+    EXPECT_EQ(ctrl.seen[0].alts[1].proc, kCallbackActor);
 }
 
 TEST(Schedule, MutexHandoverIsAChoicePoint) {

@@ -159,7 +159,7 @@ TEST(SmiBarrier, SynchronizesRanksOnDistinctNodes) {
 
 TEST(SignalChannel, DeliversAfterInterruptLatency) {
     MiniCluster c(2);
-    SignalChannel ch(c.dispatcher, c.fabric.params(), 1);
+    SignalChannel ch(c.fabric.params(), 1);
     SimTime posted = 0, received = 0;
     c.engine.spawn("handler", [&](sim::Process& p) {
         const Signal s = ch.wait(p);
@@ -183,7 +183,7 @@ TEST(SignalChannel, DeliversAfterInterruptLatency) {
 
 TEST(SignalChannel, PayloadSurvivesDelivery) {
     MiniCluster c(2);
-    SignalChannel ch(c.dispatcher, c.fabric.params(), 1);
+    SignalChannel ch(c.fabric.params(), 1);
     c.engine.spawn("handler", [&](sim::Process& p) {
         const Signal s = ch.wait(p);
         ASSERT_EQ(s.payload.size(), 3u);
@@ -201,7 +201,7 @@ TEST(SignalChannel, PayloadSurvivesDelivery) {
 
 TEST(SignalChannel, ManySignalsDeliveredInOrder) {
     MiniCluster c(2);
-    SignalChannel ch(c.dispatcher, c.fabric.params(), 1);
+    SignalChannel ch(c.fabric.params(), 1);
     std::vector<std::uint64_t> got;
     c.engine.spawn("handler", [&](sim::Process& p) {
         for (int i = 0; i < 16; ++i) got.push_back(ch.wait(p).a);
