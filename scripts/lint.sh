@@ -55,6 +55,18 @@ if [ -n "$heap_uses" ]; then
     exit 1
 fi
 
+# No per-pair tables: a route is at most one arc per dimension, computed on
+# demand from O(nodes + links) topology state. A vector of vectors of
+# vectors is the shape of an O(n^3) [src][dst] -> links table (some 700 MiB
+# for a 512-node ringlet).
+pair_tables=$(grep -rnE 'vector<\s*std::vector<\s*std::vector' src)
+if [ -n "$pair_tables" ]; then
+    echo "lint: a nested per-pair table in src/ (compute routes on demand" \
+         "instead):" >&2
+    echo "$pair_tables" >&2
+    exit 1
+fi
+
 # Shared awk prelude of the src/mpi/coll + src/mpi/req rules: `fn` is the
 # name of the enclosing top-level function definition.
 fn_track='

@@ -811,16 +811,4 @@ RecvResult Rank::recv(void* buf, int count, const Datatype& type, int src, int t
     return RecvResult{op->status, op->env.src, op->env.tag, op->received};
 }
 
-void Rank::charge_stream_to(int dst, std::size_t bytes, std::size_t src_traffic) {
-    Rank& peer = cluster_.rank_state(dst);
-    sim::Process& self = cur_proc();
-    if (peer.node() == node_) {
-        self.delay(copy_model_.copy_cost(bytes, {}, {}));
-        return;
-    }
-    const obs::Span io(self, {.prof = obs::ProfState::pio_write});
-    self.delay(adapter().pio_stream_cost(bytes, src_traffic));
-    cluster_.fabric().account(node_, peer.node(), bytes);
-}
-
 }  // namespace scimpi::mpi

@@ -222,10 +222,6 @@ private:
     bool try_match(RecvOp& op);
     static bool matches(const RecvOp& op, const Envelope& env);
 
-    // Wire-side cost of pushing `bytes` to rank `dst` outside a mapped
-    // segment path (short/eager payloads).
-    void charge_stream_to(int dst, std::size_t bytes, std::size_t src_traffic);
-
     /// Pack `len` stream bytes starting at `pos` into the remote ring chunk.
     /// Returns the adapter status; callers retry on link_failure.
     Status pack_into_ring(SendOp& op, const sci::SciMapping& ring,

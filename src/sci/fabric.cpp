@@ -27,25 +27,28 @@ void Fabric::bind_metrics(obs::MetricsRegistry& m) {
 }
 
 namespace {
-bool all_up(const std::vector<char>& up, const std::vector<int>& links) {
-    for (int link : links)
-        if (up[static_cast<std::size_t>(link)] == 0) return false;
-    return true;
+/// First down link on `route`, or -1 when every link is up.
+int first_down(const std::vector<char>& up, const Route& route) {
+    int down = -1;
+    route.for_each_link([&](int link) {
+        if (down < 0 && up[static_cast<std::size_t>(link)] == 0) down = link;
+    });
+    return down;
+}
+
+bool all_up(const std::vector<char>& up, const Route& route) {
+    return first_down(up, route) < 0;
 }
 }  // namespace
 
 RoutePath Fabric::resolve_route(int src, int dst) {
-    RoutePath p;
-    p.src = src;
-    p.dst = dst;
-    p.fwd = &topo_.route(src, dst);
-    p.echo = &topo_.echo_route(src, dst);
-    p.healthy = all_up(up_, *p.fwd);
+    RoutePath p{src, dst, topo_.route(src, dst), topo_.echo_route(src, dst)};
+    p.healthy = all_up(up_, p.fwd);
     if (!p.healthy && reroute_enabled_) {
-        const std::vector<int>& alt = topo_.alt_route(src, dst);
-        if (alt != *p.fwd && all_up(up_, alt)) {
-            p.fwd = &alt;
-            p.echo = &topo_.alt_route(dst, src);
+        const Route alt = topo_.alt_route(src, dst);
+        if (alt != p.fwd && all_up(up_, alt)) {
+            p.fwd = alt;
+            p.echo = topo_.alt_route(dst, src);
             p.healthy = true;
             p.rerouted = true;
             ++reroutes_;
@@ -58,60 +61,35 @@ RoutePath Fabric::resolve_route(int src, int dst) {
 bool Fabric::route_usable(int src, int dst) {
     if (route_healthy(src, dst)) return true;
     if (!reroute_enabled_) return false;
-    const std::vector<int>& alt = topo_.alt_route(src, dst);
+    const Route alt = topo_.alt_route(src, dst);
     return alt != topo_.route(src, dst) && all_up(up_, alt);
 }
 
-void Fabric::register_transfer(int src, int dst) {
-    RoutePath p;
-    p.src = src;
-    p.dst = dst;
-    p.fwd = &topo_.route(src, dst);
-    p.echo = &topo_.echo_route(src, dst);
-    register_transfer(p);
-}
-
 void Fabric::register_transfer(const RoutePath& path) {
-    for (int link : *path.fwd) load_[static_cast<std::size_t>(link)] += 1.0;
-    for (int link : *path.echo)
-        load_[static_cast<std::size_t>(link)] += params_.echo_fraction;
+    path.fwd.for_each_link([&](int link) { load_[static_cast<std::size_t>(link)] += 1.0; });
+    path.echo.for_each_link(
+        [&](int link) { load_[static_cast<std::size_t>(link)] += params_.echo_fraction; });
     ++active_transfers_;
     peak_transfers_ = std::max(peak_transfers_, active_transfers_);
     if (transfers_c_ != nullptr) transfers_c_->inc();
     if (active_g_ != nullptr) active_g_->set(active_transfers_);
 }
 
-void Fabric::unregister_transfer(int src, int dst) {
-    RoutePath p;
-    p.src = src;
-    p.dst = dst;
-    p.fwd = &topo_.route(src, dst);
-    p.echo = &topo_.echo_route(src, dst);
-    unregister_transfer(p);
-}
-
 void Fabric::unregister_transfer(const RoutePath& path) {
     SCIMPI_REQUIRE(active_transfers_ > 0, "unregister_transfer without register");
     --active_transfers_;
     if (active_g_ != nullptr) active_g_->set(active_transfers_);
-    for (int link : *path.fwd) {
+    path.fwd.for_each_link([&](int link) {
         auto& a = load_[static_cast<std::size_t>(link)];
         SCIMPI_REQUIRE(a >= 1.0 - 1e-9, "unregister_transfer underflow");
         a -= 1.0;
-    }
-    for (int link : *path.echo) {
+    });
+    path.echo.for_each_link([&](int link) {
         auto& a = load_[static_cast<std::size_t>(link)];
         SCIMPI_REQUIRE(a >= params_.echo_fraction - 1e-9,
                        "unregister_transfer echo underflow");
         a -= params_.echo_fraction;
-    }
-}
-
-double Fabric::effective_bw(int src, int dst, double src_cap) const {
-    RoutePath p;
-    p.fwd = &topo_.route(src, dst);
-    p.echo = &topo_.echo_route(src, dst);
-    return effective_bw(p, src_cap);
+    });
 }
 
 double Fabric::effective_bw(const RoutePath& path, double src_cap) const {
@@ -120,22 +98,17 @@ double Fabric::effective_bw(const RoutePath& path, double src_cap) const {
     const double payload_eff =
         static_cast<double>(params_.sci_packet) /
         static_cast<double>(params_.sci_packet + params_.header_bytes);
-    for (int link : *path.fwd) {
+    path.fwd.for_each_link([&](int link) {
         const double users = std::max(1.0, load_[static_cast<std::size_t>(link)]);
         const double share = params_.nominal_link_bw() * payload_eff / users;
         bw = std::min(bw, share);
-    }
+    });
     return bw;
 }
 
 void Fabric::account(int src, int dst, std::size_t payload) {
     if (src == dst || payload == 0) return;
-    RoutePath p;
-    p.src = src;
-    p.dst = dst;
-    p.fwd = &topo_.route(src, dst);
-    p.echo = &topo_.echo_route(src, dst);
-    account(p, payload);
+    account(RoutePath{src, dst, topo_.route(src, dst), topo_.echo_route(src, dst)}, payload);
 }
 
 void Fabric::account(const RoutePath& path, std::size_t payload) {
@@ -144,7 +117,7 @@ void Fabric::account(const RoutePath& path, std::size_t payload) {
     const std::size_t wire = payload + packets * params_.header_bytes;
     const auto echo = static_cast<std::uint64_t>(
         static_cast<double>(payload) * params_.echo_fraction);
-    for (int link : *path.fwd) {
+    path.fwd.for_each_link([&](int link) {
         auto& s = stats_[static_cast<std::size_t>(link)];
         s.payload_bytes += payload;
         s.wire_bytes += wire;
@@ -152,18 +125,11 @@ void Fabric::account(const RoutePath& path, std::size_t payload) {
             payload_bytes_c_->add(payload);
             wire_bytes_c_->add(wire);
         }
-    }
-    for (int link : *path.echo) {
+    });
+    path.echo.for_each_link([&](int link) {
         stats_[static_cast<std::size_t>(link)].echo_bytes += echo;
         if (echo_bytes_c_ != nullptr) echo_bytes_c_->add(echo);
-    }
-}
-
-void Fabric::trace_load(sim::Process& self, int src, int dst) {
-    RoutePath p;
-    p.fwd = &topo_.route(src, dst);
-    p.echo = &topo_.echo_route(src, dst);
-    trace_load(self, p);
+    });
 }
 
 void Fabric::trace_load(sim::Process& self, const RoutePath& path) {
@@ -175,32 +141,17 @@ void Fabric::trace_load(sim::Process& self, const RoutePath& path) {
             link_track_names_.push_back("link" + std::to_string(l) + ".load");
     }
     tr.counter("fabric.active_transfers", self.now(), active_transfers_);
-    for (int link : *path.fwd)
+    path.fwd.for_each_link([&](int link) {
         tr.counter(link_track_names_[static_cast<std::size_t>(link)], self.now(),
                    load_[static_cast<std::size_t>(link)]);
-}
-
-SimTime Fabric::timed_transfer(sim::Process& self, int src, int dst, std::size_t bytes,
-                               double src_cap, std::size_t chunk) {
-    if (bytes == 0) return 0;
-    if (src == dst) {
-        // Local move at the source cap; no fabric involvement.
-        const SimTime t = transfer_time(bytes, src_cap);
-        self.delay(t);
-        return t;
-    }
-    SCIMPI_REQUIRE(chunk > 0, "timed_transfer with zero chunk");
-    // Resolve the route once so a link flap mid-transfer cannot desync the
-    // register/unregister pair (the in-flight data keeps its path; the
-    // *next* operation picks up the new link state).
-    const RoutePath path = resolve_route(src, dst);
-    return timed_transfer(self, path, bytes, src_cap, chunk);
+    });
 }
 
 SimTime Fabric::timed_transfer(sim::Process& self, const RoutePath& path,
                                std::size_t bytes, double src_cap, std::size_t chunk) {
     if (bytes == 0) return 0;
     if (path.src == path.dst) {
+        // Local move at the source cap; no fabric involvement.
         const SimTime t = transfer_time(bytes, src_cap);
         self.delay(t);
         return t;
@@ -249,21 +200,15 @@ void Fabric::set_link_up(int link, bool up) {
 }
 
 bool Fabric::route_healthy(int src, int dst) const {
-    for (int link : topo_.route(src, dst))
-        if (up_[static_cast<std::size_t>(link)] == 0) return false;
-    return true;
+    return all_up(up_, topo_.route(src, dst));
 }
 
 std::string Fabric::describe_down_route(int src, int dst) const {
-    for (int link : topo_.route(src, dst)) {
-        if (up_[static_cast<std::size_t>(link)] == 0) {
-            return "route " + std::to_string(src) + "->" + std::to_string(dst) +
-                   " down at link " + std::to_string(link) + " (" +
-                   std::to_string(topo_.link_from(link)) + "->" +
-                   std::to_string(topo_.link_to(link)) + ")";
-        }
-    }
-    return {};
+    const int link = first_down(up_, topo_.route(src, dst));
+    if (link < 0) return {};
+    return "route " + std::to_string(src) + "->" + std::to_string(dst) + " down at link " +
+           std::to_string(link) + " (" + std::to_string(topo_.link_from(link)) + "->" +
+           std::to_string(topo_.link_to(link)) + ")";
 }
 
 void Fabric::set_link_error_rate(int link, double rate) {
@@ -272,9 +217,8 @@ void Fabric::set_link_error_rate(int link, double rate) {
 
 double Fabric::route_error_rate(const RoutePath& path) const {
     double r = 0.0;
-    if (path.fwd != nullptr)
-        for (int link : *path.fwd)
-            r = std::max(r, error_rate_[static_cast<std::size_t>(link)]);
+    path.fwd.for_each_link(
+        [&](int link) { r = std::max(r, error_rate_[static_cast<std::size_t>(link)]); });
     return r;
 }
 

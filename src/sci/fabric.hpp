@@ -36,10 +36,10 @@ struct LinkStats {
 struct RoutePath {
     int src = -1;
     int dst = -1;
-    const std::vector<int>* fwd = nullptr;   ///< forward data links
-    const std::vector<int>* echo = nullptr;  ///< echo/flow-control links
-    bool healthy = false;                    ///< every forward link is up
-    bool rerouted = false;                   ///< alternate dimension order in use
+    Route fwd;              ///< forward data links
+    Route echo;             ///< echo/flow-control links
+    bool healthy = false;   ///< every forward link is up
+    bool rerouted = false;  ///< alternate dimension order in use
 };
 
 class Fabric {
@@ -52,22 +52,19 @@ public:
 
     /// Resolve the route to use for a transfer src -> dst right now: the
     /// primary dimension-order route when healthy, else (reroute enabled and
-    /// it helps) the alternate reversed-dimension-order route. The result
-    /// stays valid for the fabric's lifetime; hold it across one operation.
+    /// it helps) the alternate reversed-dimension-order route. Hold the
+    /// result across one operation.
     [[nodiscard]] RoutePath resolve_route(int src, int dst);
 
-    /// Register/unregister an active bulk transfer on the route src -> dst.
+    /// Register/unregister an active bulk transfer on a resolved route.
     /// Data packets load the forward route with weight 1; the echo/flow
     /// control stream loads the remaining ring links with echo_fraction.
-    void register_transfer(int src, int dst);
-    void unregister_transfer(int src, int dst);
     void register_transfer(const RoutePath& path);
     void unregister_transfer(const RoutePath& path);
 
-    /// Current effective bandwidth (MiB/s) for a transfer src -> dst whose
+    /// Current effective bandwidth (MiB/s) for a transfer on `path` whose
     /// source side can push at most `src_cap` MiB/s. A transfer must be
     /// registered while it measures itself (it counts as one active user).
-    [[nodiscard]] double effective_bw(int src, int dst, double src_cap) const;
     [[nodiscard]] double effective_bw(const RoutePath& path, double src_cap) const;
 
     /// Account wire traffic for `payload` bytes moved src -> dst: data
@@ -76,13 +73,10 @@ public:
     void account(int src, int dst, std::size_t payload);
     void account(const RoutePath& path, std::size_t payload);
 
-    /// Move `bytes` src -> dst in `chunk`-sized steps, charging simulated
-    /// time on `self` and re-evaluating contention each chunk. Registers and
-    /// unregisters the transfer internally. Returns total time charged.
-    SimTime timed_transfer(sim::Process& self, int src, int dst, std::size_t bytes,
-                           double src_cap, std::size_t chunk = 16_KiB);
-    /// Variant for callers that already resolved (and health-checked) the
-    /// route — avoids double-counting fabric.reroutes.
+    /// Move `bytes` over a resolved (and health-checked) route in
+    /// `chunk`-sized steps, charging simulated time on `self` and
+    /// re-evaluating contention each chunk. Registers and unregisters the
+    /// transfer internally. Returns total time charged.
     SimTime timed_transfer(sim::Process& self, const RoutePath& path, std::size_t bytes,
                            double src_cap, std::size_t chunk = 16_KiB);
 
@@ -163,7 +157,6 @@ public:
     /// Emit per-link load + active-transfer counter tracks to the tracer of
     /// `self`'s engine (no-op while tracing is disabled). Called after each
     /// register/unregister by the paths that hold a Process.
-    void trace_load(sim::Process& self, int src, int dst);
     void trace_load(sim::Process& self, const RoutePath& path);
 
 private:

@@ -1,34 +1,19 @@
 #include "sci/topology.hpp"
 
-#include <algorithm>
-
 namespace scimpi::sci {
 
-void Topology::add_ring(const std::vector<int>& members) {
-    Ring r;
-    r.members = members;
+void Topology::add_ring(int dim, const std::vector<int>& members) {
+    if (static_cast<std::size_t>(dim) == node_rings_.size())
+        node_rings_.emplace_back(static_cast<std::size_t>(nodes_));
+    auto& refs = node_rings_.at(static_cast<std::size_t>(dim));
     const int n = static_cast<int>(members.size());
-    for (int i = 0; i < n; ++i) {
-        const int link = static_cast<int>(link_from_.size());
-        link_from_.push_back(members[static_cast<std::size_t>(i)]);
-        link_to_.push_back(members[static_cast<std::size_t>((i + 1) % n)]);
-        r.member_link.push_back(link);
-    }
-    // Record ring membership (dimension = index of ring list per node).
+    const int base = links();
     for (int i = 0; i < n; ++i) {
         const int node = members[static_cast<std::size_t>(i)];
-        for (auto& dim : node_rings_) {
-            auto& ref = dim[static_cast<std::size_t>(node)];
-            if (ref.ring < 0) {
-                ref = {static_cast<int>(rings_.size()), i};
-                goto recorded;
-            }
-        }
-        node_rings_.emplace_back(nodes_);
-        node_rings_.back()[static_cast<std::size_t>(node)] = {static_cast<int>(rings_.size()), i};
-    recorded:;
+        link_from_.push_back(node);
+        link_to_.push_back(members[static_cast<std::size_t>((i + 1) % n)]);
+        refs[static_cast<std::size_t>(node)] = {base, n, i};
     }
-    rings_.push_back(std::move(r));
 }
 
 Topology Topology::ring(int nodes) {
@@ -37,8 +22,7 @@ Topology Topology::ring(int nodes) {
     t.nodes_ = nodes;
     std::vector<int> members(static_cast<std::size_t>(nodes));
     for (int i = 0; i < nodes; ++i) members[static_cast<std::size_t>(i)] = i;
-    t.add_ring(members);
-    t.precompute_routes();
+    t.add_ring(0, members);
     return t;
 }
 
@@ -51,15 +35,14 @@ Topology Topology::torus2d(int w, int h) {
         std::vector<int> row;
         row.reserve(static_cast<std::size_t>(w));
         for (int x = 0; x < w; ++x) row.push_back(y * w + x);
-        t.add_ring(row);
+        t.add_ring(0, row);
     }
     for (int x = 0; x < w; ++x) {
         std::vector<int> col;
         col.reserve(static_cast<std::size_t>(h));
         for (int y = 0; y < h; ++y) col.push_back(y * w + x);
-        t.add_ring(col);
+        t.add_ring(1, col);
     }
-    t.precompute_routes();
     return t;
 }
 
@@ -73,71 +56,43 @@ Topology Topology::torus3d(int w, int h, int d) {
         for (int y = 0; y < h; ++y) {
             std::vector<int> ring_members;
             for (int x = 0; x < w; ++x) ring_members.push_back(id(x, y, z));
-            t.add_ring(ring_members);
+            t.add_ring(0, ring_members);
         }
     for (int z = 0; z < d; ++z)
         for (int x = 0; x < w; ++x) {
             std::vector<int> ring_members;
             for (int y = 0; y < h; ++y) ring_members.push_back(id(x, y, z));
-            t.add_ring(ring_members);
+            t.add_ring(1, ring_members);
         }
     for (int y = 0; y < h; ++y)
         for (int x = 0; x < w; ++x) {
             std::vector<int> ring_members;
             for (int z = 0; z < d; ++z) ring_members.push_back(id(x, y, z));
-            t.add_ring(ring_members);
+            t.add_ring(2, ring_members);
         }
-    t.precompute_routes();
     return t;
 }
 
-void Topology::precompute_routes() {
-    compute_table(routes_, /*reverse_dims=*/false);
-    compute_table(alt_routes_, /*reverse_dims=*/true);
-}
-
-void Topology::compute_table(std::vector<std::vector<std::vector<int>>>& out_table,
-                             bool reverse_dims) const {
-    out_table.assign(static_cast<std::size_t>(nodes_),
-                     std::vector<std::vector<int>>(static_cast<std::size_t>(nodes_)));
-    std::vector<std::size_t> dim_order(node_rings_.size());
-    for (std::size_t i = 0; i < dim_order.size(); ++i)
-        dim_order[i] = reverse_dims ? dim_order.size() - 1 - i : i;
-    for (int src = 0; src < nodes_; ++src) {
-        for (int dst = 0; dst < nodes_; ++dst) {
-            if (src == dst) continue;
-            auto& out = out_table[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
-            // Dimension-order routing: in each dimension, a node's position
-            // on its ring *is* its coordinate along that dimension, so we
-            // walk the current ring from our position to dst's coordinate.
-            int cur = src;
-            for (const std::size_t d : dim_order) {
-                const auto& dim = node_rings_[d];
-                const RingRef ref = dim[static_cast<std::size_t>(cur)];
-                const RingRef dst_ref = dim[static_cast<std::size_t>(dst)];
-                if (ref.ring < 0 || dst_ref.ring < 0) continue;
-                const Ring& ring = rings_[static_cast<std::size_t>(ref.ring)];
-                const int target_pos = dst_ref.pos;
-                int pos = ref.pos;
-                const int n = static_cast<int>(ring.members.size());
-                while (pos != target_pos) {
-                    out.push_back(ring.member_link[static_cast<std::size_t>(pos)]);
-                    pos = (pos + 1) % n;
-                }
-                cur = ring.members[static_cast<std::size_t>(target_pos)];
-                if (cur == dst) break;
-            }
-            SCIMPI_REQUIRE(cur == dst, "routing failed to reach destination");
-        }
+Route Topology::walk(int src, int dst, bool reverse_dims) const {
+    SCIMPI_REQUIRE(src >= 0 && src < nodes_ && dst >= 0 && dst < nodes_,
+                   "route endpoint out of range");
+    Route r;
+    // Dimension-order routing: in each dimension, a node's position on its
+    // ring *is* its coordinate along that dimension, so we walk the current
+    // ring from our position to dst's coordinate.
+    int cur = src;
+    const std::size_t dims = node_rings_.size();
+    for (std::size_t i = 0; i < dims; ++i) {
+        const auto& dim = node_rings_[reverse_dims ? dims - 1 - i : i];
+        const RingRef ref = dim[static_cast<std::size_t>(cur)];
+        const int target = dim[static_cast<std::size_t>(dst)].pos;
+        int len = target - ref.pos;
+        if (len < 0) len += ref.size;
+        if (len > 0) r.append({ref.base, ref.size, ref.pos, len});
+        cur = link_from_[static_cast<std::size_t>(ref.base + target)];
     }
-}
-
-const std::vector<int>& Topology::route(int src, int dst) const {
-    return routes_.at(static_cast<std::size_t>(src)).at(static_cast<std::size_t>(dst));
-}
-
-const std::vector<int>& Topology::alt_route(int src, int dst) const {
-    return alt_routes_.at(static_cast<std::size_t>(src)).at(static_cast<std::size_t>(dst));
+    SCIMPI_REQUIRE(cur == dst, "routing failed to reach destination");
+    return r;
 }
 
 }  // namespace scimpi::sci

@@ -65,7 +65,10 @@ TEST(Resilience, TorusReroutePreservesChecksums) {
     opt.torus_w = 3;  // 3x3 torus; 0 -> 4 crosses both dimensions
     opt.arena_bytes = 8_MiB;
     // Kill the first link of the primary route before any traffic starts.
-    const int victim = sci::Topology::torus2d(3, 3).route(0, 4).front();
+    int victim = -1;
+    sci::Topology::torus2d(3, 3).route(0, 4).for_each_link([&](int link) {
+        if (victim < 0) victim = link;
+    });
     opt.faults.link_down(0, victim);
     double checksum = -1.0;
     Status send_st;

@@ -19,37 +19,37 @@ TEST(Fabric, NominalLinkBandwidthMatchesPaper) {
 
 TEST(Fabric, UncontendedBandwidthIsSourceCapped) {
     auto f = make_ring_fabric(8);
-    f.register_transfer(0, 1);
-    EXPECT_DOUBLE_EQ(f.effective_bw(0, 1, 100.0), 100.0);
-    f.unregister_transfer(0, 1);
+    f.register_transfer(f.resolve_route(0, 1));
+    EXPECT_DOUBLE_EQ(f.effective_bw(f.resolve_route(0, 1), 100.0), 100.0);
+    f.unregister_transfer(f.resolve_route(0, 1));
 }
 
 TEST(Fabric, LinkSharingDividesBandwidth) {
     auto f = make_ring_fabric(8);
     // Four transfers crossing link 0.
-    for (int i = 0; i < 4; ++i) f.register_transfer(0, 1);
+    for (int i = 0; i < 4; ++i) f.register_transfer(f.resolve_route(0, 1));
     const double per_link =
         f.params().nominal_link_bw() * 64.0 / 80.0;  // header efficiency
-    EXPECT_NEAR(f.effective_bw(0, 1, 1e9), per_link / 4.0, 1.0);
-    for (int i = 0; i < 4; ++i) f.unregister_transfer(0, 1);
+    EXPECT_NEAR(f.effective_bw(f.resolve_route(0, 1), 1e9), per_link / 4.0, 1.0);
+    for (int i = 0; i < 4; ++i) f.unregister_transfer(f.resolve_route(0, 1));
 }
 
 TEST(Fabric, BottleneckLinkGoverns) {
     auto f = make_ring_fabric(8);
-    f.register_transfer(0, 4);   // uses links 0..3
-    f.register_transfer(2, 3);   // contends on link 2
-    f.register_transfer(2, 3);
-    const double eff = f.effective_bw(0, 4, 1e9);
+    f.register_transfer(f.resolve_route(0, 4));   // uses links 0..3
+    f.register_transfer(f.resolve_route(2, 3));   // contends on link 2
+    f.register_transfer(f.resolve_route(2, 3));
+    const double eff = f.effective_bw(f.resolve_route(0, 4), 1e9);
     const double per_link = f.params().nominal_link_bw() * 0.8;
     EXPECT_NEAR(eff, per_link / 3.0, 1.0);  // link 2 has 3 users
-    f.unregister_transfer(0, 4);
-    f.unregister_transfer(2, 3);
-    f.unregister_transfer(2, 3);
+    f.unregister_transfer(f.resolve_route(0, 4));
+    f.unregister_transfer(f.resolve_route(2, 3));
+    f.unregister_transfer(f.resolve_route(2, 3));
 }
 
 TEST(Fabric, UnregisterUnderflowPanics) {
     auto f = make_ring_fabric(4);
-    EXPECT_THROW(f.unregister_transfer(0, 1), Panic);
+    EXPECT_THROW(f.unregister_transfer(f.resolve_route(0, 1)), Panic);
 }
 
 TEST(Fabric, AccountTracksPayloadWireAndEcho) {
@@ -79,7 +79,7 @@ TEST(Fabric, TimedTransferChargesExpectedTime) {
     sim::Engine eng;
     auto f = make_ring_fabric(4);
     eng.spawn("mover", [&](sim::Process& p) {
-        const SimTime t = f.timed_transfer(p, 0, 2, 1_MiB, 100.0);
+        const SimTime t = f.timed_transfer(p, f.resolve_route(0, 2), 1_MiB, 100.0);
         // 1 MiB at 100 MiB/s = 10 ms (uncontended, source-capped).
         EXPECT_NEAR(to_ms(t), 10.0, 0.5);
         EXPECT_EQ(p.now(), t);
@@ -94,7 +94,7 @@ TEST(Fabric, ConcurrentTransfersShareSaturatedLink) {
     std::vector<SimTime> done(2);
     for (int i = 0; i < 2; ++i)
         eng.spawn("mover" + std::to_string(i), [&, i](sim::Process& p) {
-            f.timed_transfer(p, 0, 1, 4_MiB, 1e9, 64_KiB);
+            f.timed_transfer(p, f.resolve_route(0, 1), 4_MiB, 1e9, 64_KiB);
             done[static_cast<std::size_t>(i)] = p.now();
         });
     eng.run();
@@ -116,7 +116,7 @@ TEST(Fabric, HigherLinkFrequencyScalesThroughput) {
         for (int i = 0; i < 8; ++i)
             eng.spawn("m" + std::to_string(i), [&](sim::Process& pr) {
                 bar.arrive_and_wait(pr);
-                f.timed_transfer(pr, 0, 1, 1_MiB, 1e9, 64_KiB);
+                f.timed_transfer(pr, f.resolve_route(0, 1), 1_MiB, 1e9, 64_KiB);
                 elapsed = std::max(elapsed, pr.now());
             });
         eng.run();
