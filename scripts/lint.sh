@@ -55,6 +55,21 @@ if [ -n "$heap_uses" ]; then
     exit 1
 fi
 
+# Allocation-free event path: a timed callback is an inline sim::Callback in
+# the engine's slot pool, a posted store's payload sits in the fabric's
+# StoreBuffer and the retry policy borrows its attempt as a FunctionRef. A
+# std::function in these files would put a heap allocation back on the path
+# every posted store, message delivery and retried publish takes
+# (tests/sci/alloc_guard_test.cpp counts them).
+function_uses=$(grep -nE '\bstd::function\b' src/sim/engine.hpp src/sim/engine.cpp \
+                    src/sci/adapter.hpp src/sci/adapter.cpp src/fault/retry.hpp)
+if [ -n "$function_uses" ]; then
+    echo "lint: std::function on the allocation-free event path (use" \
+         "sim::Callback or FunctionRef instead):" >&2
+    echo "$function_uses" >&2
+    exit 1
+fi
+
 # No per-pair tables: a route is at most one arc per dimension, computed on
 # demand from O(nodes + links) topology state. A vector of vectors of
 # vectors is the shape of an O(n^3) [src][dst] -> links table (some 700 MiB

@@ -12,7 +12,7 @@ namespace scimpi::fault {
 RetryOutcome retry_with_backoff(sim::Process& self, const Config& cfg,
                                 const ConnectionMonitor* monitor, int src_node,
                                 int dst_node,
-                                const std::function<Status()>& attempt) {
+                                FunctionRef<Status()> attempt) {
     RetryOutcome out;
     out.status = attempt();
     if (out.status.is_ok() || out.status.code() != Errc::link_failure) return out;

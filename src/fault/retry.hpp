@@ -9,9 +9,8 @@
 // pass through untouched.
 #pragma once
 
-#include <functional>
-
 #include "common/config.hpp"
+#include "common/function_ref.hpp"
 #include "common/status.hpp"
 
 namespace scimpi::sim {
@@ -29,12 +28,13 @@ struct RetryOutcome {
     bool gave_up = false;    ///< budget exhausted or peer dead -> peer_unreachable
 };
 
-/// Run `attempt` under the backoff policy of `cfg`. `monitor` may be null;
+/// Run `attempt` (called only during this call) under the backoff policy of
+/// `cfg`. `monitor` may be null;
 /// when set, a (src_node, dst_node) pair it reports dead stops the retry
 /// loop immediately.
 RetryOutcome retry_with_backoff(sim::Process& self, const Config& cfg,
                                 const ConnectionMonitor* monitor, int src_node,
                                 int dst_node,
-                                const std::function<Status()>& attempt);
+                                FunctionRef<Status()> attempt);
 
 }  // namespace scimpi::fault

@@ -58,7 +58,9 @@ Sched barrier_dissemination(Comm& c, const Args& /*a*/) {
     Sched s;
     const int n = c.size();
     const int r = c.rank();
-    const XferView token = raw(s.alloc<std::byte>(1));
+    std::byte* const token_byte = s.alloc<std::byte>(1);
+    *token_byte = std::byte{0};
+    const XferView token = raw(token_byte);
     for (int k = 1; k < n; k <<= 1)
         s.rounds.push_back({.steps = {recv((r - k + n) % n, token, 0, 1),
                                       send((r + k) % n, token, 0, 1)}});

@@ -70,12 +70,14 @@ struct Sched {
     std::vector<Round> rounds;
     /// Buffers the steps and posts point into; they live as long as the
     /// schedule (moving a Sched keeps them in place).
-    std::vector<std::vector<std::byte>> scratch;
+    std::vector<std::unique_ptr<std::byte[]>> scratch;
 
+    /// An uninitialised buffer of `n` T: every builder writes one (a copy,
+    /// a receive or a pack) before anything reads it.
     template <class T>
     T* alloc(std::size_t n) {
-        scratch.emplace_back(n * sizeof(T));
-        return reinterpret_cast<T*>(scratch.back().data());
+        scratch.push_back(std::make_unique_for_overwrite<std::byte[]>(n * sizeof(T)));
+        return reinterpret_cast<T*>(scratch.back().get());
     }
     /// Run `o`'s rounds after this schedule's.
     void append(Sched&& o);

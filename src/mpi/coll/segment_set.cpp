@@ -1,5 +1,6 @@
 #include "mpi/coll/segment_set.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "check/checker.hpp"
@@ -477,6 +478,10 @@ Status CollSegmentSet::pump_all(Comm& c, std::span<ActiveSend> sends,
 Status CollSegmentSet::run_streams(Comm& c, std::span<const Step> steps) {
     std::vector<ActiveSend> ss;
     std::vector<ActiveRecv> rr;
+    const auto sends = static_cast<std::size_t>(
+        std::ranges::count_if(steps, [](const Step& st) { return st.send; }));
+    ss.reserve(sends);
+    rr.reserve(steps.size() - sends);
     for (const Step& st : steps) {
         if (st.send)
             ss.push_back({.to = st.peer, .v = st.v, .pos = st.pos, .len = st.len});

@@ -61,15 +61,37 @@ Datatype Datatype::make_basic(std::string name, std::size_t bytes) {
     n->ub = static_cast<std::ptrdiff_t>(bytes);
     n->one_run = bytes > 0;
     n->leaves = bytes > 0 ? 1 : 0;
-    return Datatype(std::move(n));
+    // Committed before the handle escapes, so the shared node is only ever
+    // read (a basic type's one leaf does not depend on the merge setting).
+    Datatype t(std::move(n));
+    t.commit();
+    return t;
 }
 
-Datatype Datatype::byte_() { return make_basic("byte", 1); }
-Datatype Datatype::char_() { return make_basic("char", 1); }
-Datatype Datatype::int32() { return make_basic("int32", 4); }
-Datatype Datatype::int64() { return make_basic("int64", 8); }
-Datatype Datatype::float32() { return make_basic("float32", 4); }
-Datatype Datatype::float64() { return make_basic("float64", 8); }
+Datatype Datatype::byte_() {
+    static const Datatype t = make_basic("byte", 1);
+    return t;
+}
+Datatype Datatype::char_() {
+    static const Datatype t = make_basic("char", 1);
+    return t;
+}
+Datatype Datatype::int32() {
+    static const Datatype t = make_basic("int32", 4);
+    return t;
+}
+Datatype Datatype::int64() {
+    static const Datatype t = make_basic("int64", 8);
+    return t;
+}
+Datatype Datatype::float32() {
+    static const Datatype t = make_basic("float32", 4);
+    return t;
+}
+Datatype Datatype::float64() {
+    static const Datatype t = make_basic("float64", 8);
+    return t;
+}
 
 Datatype Datatype::contiguous(int count, const Datatype& base) {
     SCIMPI_REQUIRE(base.valid(), "contiguous: invalid base type");

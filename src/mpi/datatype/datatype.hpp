@@ -38,6 +38,8 @@ public:
     Datatype() = default;  // invalid handle
 
     // ---- basic types ----
+    // Each returns a handle to one shared node, committed on first use (as
+    // MPI's predefined handles are one object each, so they compare equal).
     static Datatype byte_();
     static Datatype char_();
     static Datatype int32();

@@ -104,13 +104,11 @@ std::uint64_t Rank::post_ctrl(int dst, CtrlMsg msg) {
     }
     msg.cause.node = push.close();
     const std::uint64_t push_ev = msg.cause.node;
-    auto* inbox = &peer.inbox();
-    sim::WaitQueue* coll = &peer.coll_waiters();
     // A segment-set waiter may be polling for this message (a p2p fallback
     // or barrier token), so its arrival wakes it too.
-    self.engine().after(delivery, [inbox, coll, m = std::move(msg)]() mutable {
-        inbox->send(std::move(m));
-        coll->wake_all();
+    self.engine().after(delivery, [to = &peer, m = std::move(msg)]() mutable {
+        to->inbox().send(std::move(m));
+        to->coll_waiters().wake_all();
     });
     return push_ev;
 }
@@ -576,7 +574,7 @@ void Rank::pump_rndv(SendOp& op) {
     }
 }
 
-Status Rank::retry_remote(int peer_node, const std::function<Status()>& attempt) {
+Status Rank::retry_remote(int peer_node, FunctionRef<Status()> attempt) {
     const fault::RetryOutcome out = fault::retry_with_backoff(
         cur_proc(), cluster_.options().cfg, cluster_.monitor(), node_, peer_node,
         attempt);

@@ -19,11 +19,11 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 
+#include "common/function_ref.hpp"
 #include "mpi/datatype/pack_ff.hpp"
 #include "mpi/datatype/pack_generic.hpp"
 #include "mpi/req/table.hpp"
@@ -212,7 +212,7 @@ private:
     void pump_rndv(SendOp& op);
     /// Run `attempt` under the cluster's backoff policy (fault/retry.hpp),
     /// charging the mpi.send_retries / _recoveries / _giveups counters.
-    Status retry_remote(int peer_node, const std::function<Status()>& attempt);
+    Status retry_remote(int peer_node, FunctionRef<Status()> attempt);
     /// Give up on a rendezvous send: record `st`, stop pumping and tell the
     /// receiver (rndv_fail) so it completes with the error and frees its ring.
     void abort_rndv(SendOp& op, const Status& st);

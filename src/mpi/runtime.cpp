@@ -244,8 +244,7 @@ void Cluster::init_recorder() {
     recorder_.add_ratio("sim.events_per_sec_wall", "sim.events", "sim.wall_ns",
                         1e9);
     recorder_.add_rate("sim.wall_per_sim_second", "sim.wall_ns", 1.0);
-    engine_.set_sampler(opt_.record,
-                        [this](SimTime t) { recorder_.sample(t); });
+    engine_.set_sampler(opt_.record, [this] { recorder_.sample(engine_.now()); });
 }
 
 Cluster::~Cluster() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 
 #include "check/checker.hpp"
 #include "mem/copy_block.hpp"
@@ -39,6 +38,31 @@ void SciAdapter::wait_if_stalled(sim::Process& self) {
     if (stall_waits_c_ != nullptr) stall_waits_c_->inc();
     // The stall may be extended while we wait, so loop until clear.
     while (self.now() < stall_until_) self.delay(stall_until_ - self.now());
+}
+
+SciAdapter::StreamState& SciAdapter::stream(int pid) {
+    const auto i = static_cast<std::size_t>(pid);
+    if (i >= streams_.size()) streams_.resize(i + 1);
+    return streams_[i];
+}
+
+int& SciAdapter::pending_stores(int pid) {
+    const auto i = static_cast<std::size_t>(pid);
+    if (i >= pending_stores_.size()) pending_stores_.resize(i + 1);
+    return pending_stores_[i];
+}
+
+std::byte* SciAdapter::post_store(sim::Process& self, std::byte* dst, std::size_t len) {
+    StoreBuffer& buf = fabric_.store_buffer();
+    const std::uint64_t id = buf.post(dst, len, self.id());
+    ++pending_stores(self.id());
+    self.engine().after(fabric_.params().write_latency, [this, id] { land(id); });
+    return buf.data(id);
+}
+
+void SciAdapter::land(std::uint64_t id) {
+    const int pid = fabric_.store_buffer().land(id);
+    if (--pending_stores_[static_cast<std::size_t>(pid)] == 0) barrier_waiters_.wake_all();
 }
 
 double SciAdapter::route_error_rate(const RoutePath& path) const {
@@ -171,7 +195,7 @@ Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t 
     }
 
     const SciParams& p = fabric_.params();
-    SimTime t_wire = wc_write_time(streams_[self.id()], map, off, len);
+    SimTime t_wire = wc_write_time(stream(self.id()), map, off, len);
 
     // Source feed: the CPU reads the data locally while pushing it out.
     const double feed_bw =
@@ -180,9 +204,8 @@ Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t 
     SimTime t = std::max(t_wire, t_src);
 
     // Link contention can throttle below the adapter's own rate.
-    fabric_.register_transfer(path);
+    const double link_bw = fabric_.begin_transfer(path, 1e9);
     fabric_.trace_load(self, path);
-    const double link_bw = fabric_.effective_bw(path, 1e9);
     const SimTime t_link = transfer_time(len, link_bw);
     t = std::max(t, t_link);
 
@@ -190,21 +213,12 @@ Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t 
     const Status err = inject_errors(packets, &t, route_error_rate(path));
 
     self.delay(t);
-    fabric_.account(path, len);
-    fabric_.unregister_transfer(path);
+    fabric_.end_transfer(path, len);
     fabric_.trace_load(self, path);
     if (!err) return err;  // data of the failed transaction never lands
 
     // The stores are posted: they land after the pipeline latency.
-    std::vector<std::byte> data(static_cast<const std::byte*>(src),
-                                static_cast<const std::byte*>(src) + len);
-    const int pid = self.id();
-    ++pending_stores_[pid];
-    std::byte* dst = map.mem.data() + off;
-    self.engine().after(p.write_latency, [this, pid, dst, data = std::move(data)] {
-        std::memcpy(dst, data.data(), data.size());
-        if (--pending_stores_[pid] == 0) barrier_waiters_.wake_all();
-    });
+    std::memcpy(post_store(self, map.mem.data() + off, len), src, len);
     return Status::ok();
 }
 
@@ -263,39 +277,28 @@ Status SciAdapter::write_gather(sim::Process& self, const SciMapping& map,
     // stream. The per-block CPU work (ff stack arithmetic, address
     // generation) stalls the store pipeline, so it adds to the wire time.
     SimTime t_wire = static_cast<SimTime>(blocks.size()) * host_.per_block_overhead;
-    StreamState& stream = streams_[self.id()];
+    StreamState& st = stream(self.id());
     std::size_t cursor = off;
     for (const auto& b : blocks) {
-        t_wire += wc_write_time(stream, map, cursor, b.len);
+        t_wire += wc_write_time(st, map, cursor, b.len);
         cursor += b.len;
     }
     const double feed_bw =
         src_traffic <= host_.l2_size ? host_.copy_bw_l2 : p.pio_src_mem_bw;
     SimTime t = std::max(t_wire, transfer_time(src_traffic, feed_bw));
 
-    fabric_.register_transfer(path);
+    const double link_bw = fabric_.begin_transfer(path, 1e9);
     fabric_.trace_load(self, path);
-    const double link_bw = fabric_.effective_bw(path, 1e9);
     t = std::max(t, transfer_time(total, link_bw));
     const std::size_t packets = (total + p.sci_packet - 1) / p.sci_packet;
     const Status err = inject_errors(packets, &t, route_error_rate(path));
 
     self.delay(t);
-    fabric_.account(path, total);
-    fabric_.unregister_transfer(path);
+    fabric_.end_transfer(path, total);
     fabric_.trace_load(self, path);
     if (!err) return err;
 
-    // The captured copy is written in full before it is read: no zero fill.
-    std::shared_ptr<std::byte[]> data = std::make_shared_for_overwrite<std::byte[]>(total);
-    mem::copy_gather(data.get(), blocks);
-    const int pid = self.id();
-    ++pending_stores_[pid];
-    std::byte* dst = map.mem.data() + off;
-    self.engine().after(p.write_latency, [this, pid, dst, total, data = std::move(data)] {
-        std::memcpy(dst, data.get(), total);
-        if (--pending_stores_[pid] == 0) barrier_waiters_.wake_all();
-    });
+    mem::copy_gather(post_store(self, map.mem.data() + off, total), blocks);
     return Status::ok();
 }
 
@@ -330,15 +333,13 @@ Status SciAdapter::read(sim::Process& self, const SciMapping& map, std::size_t o
     const std::size_t txns = (len + p.read_txn_bytes - 1) / p.read_txn_bytes;
     SimTime t = static_cast<SimTime>(txns) * p.read_latency;
 
-    fabric_.register_transfer(path);
+    const double link_bw = fabric_.begin_transfer(path, 1e9);
     fabric_.trace_load(self, path);
-    const double link_bw = fabric_.effective_bw(path, 1e9);
     t = std::max(t, transfer_time(len, link_bw));
     const Status err = inject_errors(txns, &t, route_error_rate(path));
 
     self.delay(t);
-    fabric_.account(path, len);
-    fabric_.unregister_transfer(path);
+    fabric_.end_transfer(path, len);
     fabric_.trace_load(self, path);
     if (!err) return err;
 
@@ -410,13 +411,13 @@ void SciAdapter::store_barrier(sim::Process& self) {
     ++stats_.barriers;
     if (barriers_c_ != nullptr) barriers_c_->inc();
     SimTime t = p.barrier_latency;
-    StreamState& st = streams_[self.id()];
+    StreamState& st = stream(self.id());
     if (st.valid) {
         t += p.txn_overhead;  // flush the write-combine remainder
         st.valid = false;
     }
     self.delay(t);
-    while (pending_stores_[self.id()] > 0)
+    while (pending_stores(self.id()) > 0)
         barrier_waiters_.park(self, "store barrier");
 }
 

@@ -2,10 +2,11 @@
 //
 // PIO writes are *posted*: the call returns once the CPU has issued the
 // stores, but the bytes only become visible in the target's memory after the
-// pipeline latency (modelled with timed engine callbacks). A store
-// barrier stalls until every outstanding store of the calling process has
-// landed — upper layers must barrier before setting completion flags, exactly
-// as on real SCI (Section 2, points 3 and 4 of the paper).
+// pipeline latency (modelled with timed engine callbacks, each naming its
+// store in the fabric's StoreBuffer). A store barrier stalls until every
+// outstanding store of the calling process has landed — upper layers must
+// barrier before setting completion flags, exactly as on real SCI (Section
+// 2, points 3 and 4 of the paper).
 //
 // Cost model per write call (see SciParams):
 //   * ascending-contiguous continuation       -> burst_bw full lines,
@@ -21,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -141,7 +141,7 @@ public:
     /// (the adapter's write-queue depth; flight-recorder probe).
     [[nodiscard]] int pending_store_count() const {
         int n = 0;
-        for (const auto& [pid, c] : pending_stores_) n += c;
+        for (const int c : pending_stores_) n += c;
         return n;
     }
 
@@ -174,6 +174,16 @@ private:
     /// Block `self` until any injected adapter stall has elapsed.
     void wait_if_stalled(sim::Process& self);
 
+    /// Per-process state, indexed by process id (grown on first use).
+    StreamState& stream(int pid);
+    int& pending_stores(int pid);
+
+    /// Post a `len`-byte store of `self` to `dst`: it lands after the
+    /// pipeline latency. Returns where to put its payload snapshot now.
+    std::byte* post_store(sim::Process& self, std::byte* dst, std::size_t len);
+    /// Landing callback of store `id`: copy it out, release the barrier.
+    void land(std::uint64_t id);
+
     int node_;
     Fabric& fabric_;
     mem::MachineProfile host_;
@@ -182,8 +192,8 @@ private:
     Stats stats_;
     SimTime stall_until_ = 0;
 
-    std::unordered_map<int, StreamState> streams_;   // per process
-    std::unordered_map<int, int> pending_stores_;    // per process, in-flight
+    std::vector<StreamState> streams_;   // per process id
+    std::vector<int> pending_stores_;    // per process id: stores in flight
     sim::WaitQueue barrier_waiters_;
 
     obs::Counter* pio_bytes_c_ = nullptr;       // PIO store bytes (write paths)

@@ -35,18 +35,18 @@ int first_down(const std::vector<char>& up, const Route& route) {
     });
     return down;
 }
-
-bool all_up(const std::vector<char>& up, const Route& route) {
-    return first_down(up, route) < 0;
-}
 }  // namespace
+
+bool Fabric::all_up(const Route& route) const {
+    return down_links_ == 0 || first_down(up_, route) < 0;
+}
 
 RoutePath Fabric::resolve_route(int src, int dst) {
     RoutePath p{src, dst, topo_.route(src, dst), topo_.echo_route(src, dst)};
-    p.healthy = all_up(up_, p.fwd);
+    p.healthy = all_up(p.fwd);
     if (!p.healthy && reroute_enabled_) {
         const Route alt = topo_.alt_route(src, dst);
-        if (alt != p.fwd && all_up(up_, alt)) {
+        if (alt != p.fwd && all_up(alt)) {
             p.fwd = alt;
             p.echo = topo_.alt_route(dst, src);
             p.healthy = true;
@@ -62,34 +62,7 @@ bool Fabric::route_usable(int src, int dst) {
     if (route_healthy(src, dst)) return true;
     if (!reroute_enabled_) return false;
     const Route alt = topo_.alt_route(src, dst);
-    return alt != topo_.route(src, dst) && all_up(up_, alt);
-}
-
-void Fabric::register_transfer(const RoutePath& path) {
-    path.fwd.for_each_link([&](int link) { load_[static_cast<std::size_t>(link)] += 1.0; });
-    path.echo.for_each_link(
-        [&](int link) { load_[static_cast<std::size_t>(link)] += params_.echo_fraction; });
-    ++active_transfers_;
-    peak_transfers_ = std::max(peak_transfers_, active_transfers_);
-    if (transfers_c_ != nullptr) transfers_c_->inc();
-    if (active_g_ != nullptr) active_g_->set(active_transfers_);
-}
-
-void Fabric::unregister_transfer(const RoutePath& path) {
-    SCIMPI_REQUIRE(active_transfers_ > 0, "unregister_transfer without register");
-    --active_transfers_;
-    if (active_g_ != nullptr) active_g_->set(active_transfers_);
-    path.fwd.for_each_link([&](int link) {
-        auto& a = load_[static_cast<std::size_t>(link)];
-        SCIMPI_REQUIRE(a >= 1.0 - 1e-9, "unregister_transfer underflow");
-        a -= 1.0;
-    });
-    path.echo.for_each_link([&](int link) {
-        auto& a = load_[static_cast<std::size_t>(link)];
-        SCIMPI_REQUIRE(a >= params_.echo_fraction - 1e-9,
-                       "unregister_transfer echo underflow");
-        a -= params_.echo_fraction;
-    });
+    return alt != topo_.route(src, dst) && all_up(alt);
 }
 
 double Fabric::effective_bw(const RoutePath& path, double src_cap) const {
@@ -104,6 +77,67 @@ double Fabric::effective_bw(const RoutePath& path, double src_cap) const {
         bw = std::min(bw, share);
     });
     return bw;
+}
+
+double Fabric::begin_transfer(const RoutePath& path, double src_cap) {
+    // One walk: register on each forward link and read its share. A route
+    // and its echo never share a link (on every ring they both use, they
+    // run opposite ways round), so each forward load read here is already
+    // the one effective_bw sees once the transfer is registered.
+    double bw = src_cap;
+    const double payload_eff =
+        static_cast<double>(params_.sci_packet) /
+        static_cast<double>(params_.sci_packet + params_.header_bytes);
+    const double link_eff = params_.nominal_link_bw() * payload_eff;
+    path.fwd.for_each_link([&](int link) {
+        double& load = load_[static_cast<std::size_t>(link)];
+        load += 1.0;
+        bw = std::min(bw, link_eff / std::max(1.0, load));
+    });
+    path.echo.for_each_link(
+        [&](int link) { load_[static_cast<std::size_t>(link)] += params_.echo_fraction; });
+    ++active_transfers_;
+    peak_transfers_ = std::max(peak_transfers_, active_transfers_);
+    if (transfers_c_ != nullptr) transfers_c_->inc();
+    if (active_g_ != nullptr) active_g_->set(active_transfers_);
+    return bw;
+}
+
+void Fabric::end_transfer(const RoutePath& path, std::size_t payload) {
+    SCIMPI_REQUIRE(active_transfers_ > 0, "end_transfer without begin_transfer");
+    --active_transfers_;
+    if (active_g_ != nullptr) active_g_->set(active_transfers_);
+    const bool moved = path.src != path.dst && payload > 0;
+    const std::size_t packets = (payload + params_.sci_packet - 1) / params_.sci_packet;
+    const std::size_t wire = payload + packets * params_.header_bytes;
+    const auto echo = static_cast<std::uint64_t>(
+        static_cast<double>(payload) * params_.echo_fraction);
+    path.fwd.for_each_link([&](int link) {
+        const auto l = static_cast<std::size_t>(link);
+        if (moved) {
+            stats_[l].payload_bytes += payload;
+            stats_[l].wire_bytes += wire;
+        }
+        SCIMPI_REQUIRE(load_[l] >= 1.0 - 1e-9, "end_transfer underflow");
+        load_[l] -= 1.0;
+    });
+    path.echo.for_each_link([&](int link) {
+        const auto l = static_cast<std::size_t>(link);
+        if (moved) stats_[l].echo_bytes += echo;
+        SCIMPI_REQUIRE(load_[l] >= params_.echo_fraction - 1e-9,
+                       "end_transfer echo underflow");
+        load_[l] -= params_.echo_fraction;
+    });
+    if (moved) count_bytes(path, payload, wire, echo);
+}
+
+void Fabric::count_bytes(const RoutePath& path, std::uint64_t payload, std::uint64_t wire,
+                         std::uint64_t echo) {
+    if (payload_bytes_c_ == nullptr) return;
+    const auto hops = static_cast<std::uint64_t>(path.fwd.hops());
+    payload_bytes_c_->add(payload * hops);
+    wire_bytes_c_->add(wire * hops);
+    echo_bytes_c_->add(echo * static_cast<std::uint64_t>(path.echo.hops()));
 }
 
 void Fabric::account(int src, int dst, std::size_t payload) {
@@ -121,15 +155,10 @@ void Fabric::account(const RoutePath& path, std::size_t payload) {
         auto& s = stats_[static_cast<std::size_t>(link)];
         s.payload_bytes += payload;
         s.wire_bytes += wire;
-        if (payload_bytes_c_ != nullptr) {
-            payload_bytes_c_->add(payload);
-            wire_bytes_c_->add(wire);
-        }
     });
-    path.echo.for_each_link([&](int link) {
-        stats_[static_cast<std::size_t>(link)].echo_bytes += echo;
-        if (echo_bytes_c_ != nullptr) echo_bytes_c_->add(echo);
-    });
+    path.echo.for_each_link(
+        [&](int link) { stats_[static_cast<std::size_t>(link)].echo_bytes += echo; });
+    count_bytes(path, payload, wire, echo);
 }
 
 void Fabric::trace_load(sim::Process& self, const RoutePath& path) {
@@ -157,22 +186,25 @@ SimTime Fabric::timed_transfer(sim::Process& self, const RoutePath& path,
         return t;
     }
     SCIMPI_REQUIRE(chunk > 0, "timed_transfer with zero chunk");
-    register_transfer(path);
+    double bw = begin_transfer(path, src_cap);
     trace_load(self, path);
     inflight_bytes_ += bytes;
     SimTime total = 0;
     std::size_t left = bytes;
-    while (left > 0) {
+    for (;;) {
         const std::size_t n = std::min(left, chunk);
-        const double bw = effective_bw(path, src_cap);
         const SimTime t = transfer_time(n, bw);
         self.delay(t);
-        account(path, n);
         inflight_bytes_ -= n;
         total += t;
         left -= n;
+        if (left == 0) {
+            end_transfer(path, n);
+            break;
+        }
+        account(path, n);
+        bw = effective_bw(path, src_cap);  // contention may have changed
     }
-    unregister_transfer(path);
     trace_load(self, path);
     return total;
 }
@@ -182,6 +214,7 @@ void Fabric::set_link_up(int link, bool up) {
     const char want = up ? 1 : 0;
     if (cell == want) return;  // idempotent: only real state changes count
     cell = want;
+    down_links_ += up ? -1 : 1;
     if (up) {
         ++link_up_events_;
         if (link_up_c_ != nullptr) link_up_c_->inc();
@@ -200,10 +233,11 @@ void Fabric::set_link_up(int link, bool up) {
 }
 
 bool Fabric::route_healthy(int src, int dst) const {
-    return all_up(up_, topo_.route(src, dst));
+    return all_up(topo_.route(src, dst));
 }
 
 std::string Fabric::describe_down_route(int src, int dst) const {
+    if (down_links_ == 0) return {};
     const int link = first_down(up_, topo_.route(src, dst));
     if (link < 0) return {};
     return "route " + std::to_string(src) + "->" + std::to_string(dst) + " down at link " +
@@ -212,11 +246,14 @@ std::string Fabric::describe_down_route(int src, int dst) const {
 }
 
 void Fabric::set_link_error_rate(int link, double rate) {
-    error_rate_.at(static_cast<std::size_t>(link)) = rate;
+    double& cell = error_rate_.at(static_cast<std::size_t>(link));
+    error_links_ += (rate > 0.0 ? 1 : 0) - (cell > 0.0 ? 1 : 0);
+    cell = rate;
 }
 
 double Fabric::route_error_rate(const RoutePath& path) const {
     double r = 0.0;
+    if (error_links_ == 0) return r;
     path.fwd.for_each_link(
         [&](int link) { r = std::max(r, error_rate_[static_cast<std::size_t>(link)]); });
     return r;

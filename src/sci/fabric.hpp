@@ -13,6 +13,7 @@
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "sci/params.hpp"
+#include "sci/store_buffer.hpp"
 #include "sci/topology.hpp"
 #include "sim/process.hpp"
 
@@ -37,7 +38,7 @@ struct RoutePath {
     int src = -1;
     int dst = -1;
     Route fwd;              ///< forward data links
-    Route echo;             ///< echo/flow-control links
+    Route echo;             ///< echo/flow-control links: route(dst, src)
     bool healthy = false;   ///< every forward link is up
     bool rerouted = false;  ///< alternate dimension order in use
 };
@@ -56,11 +57,17 @@ public:
     /// result across one operation.
     [[nodiscard]] RoutePath resolve_route(int src, int dst);
 
-    /// Register/unregister an active bulk transfer on a resolved route.
+    /// Register an active bulk transfer on a resolved route and return its
+    /// effective bandwidth, effective_bw(path, src_cap), in one walk of the
+    /// route: the transfer counts as one user of its links from now on.
     /// Data packets load the forward route with weight 1; the echo/flow
-    /// control stream loads the remaining ring links with echo_fraction.
-    void register_transfer(const RoutePath& path);
-    void unregister_transfer(const RoutePath& path);
+    /// control stream loads the echo route with echo_fraction. The echo
+    /// route is route(dst, src): on a ring the rest of the ring, on a torus
+    /// the full dimension-order path back (alt_route(dst, src) when
+    /// rerouted), not the rest of the forward route's ringlets.
+    [[nodiscard]] double begin_transfer(const RoutePath& path, double src_cap);
+    /// account(path, payload), then unregister the transfer, in one walk.
+    void end_transfer(const RoutePath& path, std::size_t payload);
 
     /// Current effective bandwidth (MiB/s) for a transfer on `path` whose
     /// source side can push at most `src_cap` MiB/s. A transfer must be
@@ -68,8 +75,7 @@ public:
     [[nodiscard]] double effective_bw(const RoutePath& path, double src_cap) const;
 
     /// Account wire traffic for `payload` bytes moved src -> dst: data
-    /// packets on the forward route, echoes returning the rest of the way
-    /// around the ring.
+    /// packets on the forward route, echoes on the echo route.
     void account(int src, int dst, std::size_t payload);
     void account(const RoutePath& path, std::size_t payload);
 
@@ -82,7 +88,7 @@ public:
 
     /// Attach a metrics registry: aggregate payload/wire/echo byte counters
     /// plus a concurrent-transfer gauge then update live with account() /
-    /// register_transfer().
+    /// begin_transfer().
     void bind_metrics(obs::MetricsRegistry& m);
 
     [[nodiscard]] const LinkStats& link_stats(int link) const {
@@ -154,18 +160,30 @@ public:
     /// the fabric's instantaneous backlog (flight-recorder probe).
     [[nodiscard]] std::uint64_t inflight_bytes() const { return inflight_bytes_; }
 
+    /// Payload snapshots of the posted PIO stores in flight, shared by every
+    /// adapter on this fabric (SciAdapter::write / write_gather).
+    StoreBuffer& store_buffer() { return stores_; }
+
     /// Emit per-link load + active-transfer counter tracks to the tracer of
     /// `self`'s engine (no-op while tracing is disabled). Called after each
     /// register/unregister by the paths that hold a Process.
     void trace_load(sim::Process& self, const RoutePath& path);
 
 private:
+    /// True if every link of `route` is up (at once while none is down).
+    [[nodiscard]] bool all_up(const Route& route) const;
+    /// Add one transfer's bytes to the registry counters, once per route.
+    void count_bytes(const RoutePath& path, std::uint64_t payload, std::uint64_t wire,
+                     std::uint64_t echo);
+
     Topology topo_;
     SciParams params_;
     std::vector<double> load_;
     std::vector<char> up_;
     std::vector<double> error_rate_;
     std::vector<LinkStats> stats_;
+    int down_links_ = 0;   // links with up_ == 0
+    int error_links_ = 0;  // links with an injected error rate > 0
     int active_transfers_ = 0;
     int peak_transfers_ = 0;
     std::uint64_t inflight_bytes_ = 0;
@@ -175,6 +193,7 @@ private:
     std::uint64_t link_up_events_ = 0;
     std::vector<std::string> link_track_names_;  // lazily built "linkN.load"
     std::function<void(int, bool)> link_listener_;
+    StoreBuffer stores_;
     sim::Engine* engine_ = nullptr;
     obs::Counter* payload_bytes_c_ = nullptr;
     obs::Counter* wire_bytes_c_ = nullptr;

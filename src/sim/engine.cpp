@@ -19,7 +19,7 @@ void Engine::bind_metrics(obs::MetricsRegistry& m) {
     deadlock_checks_ = &m.counter("sim.deadlock_checks");
 }
 
-Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
+Process& Engine::spawn(std::string name, Process::Body body) {
     const int id = static_cast<int>(processes_.size());
     tracer_.set_track_name(id, name);
     processes_.push_back(std::unique_ptr<Process>(
@@ -29,7 +29,7 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
     return p;
 }
 
-Process& Engine::spawn_daemon(std::string name, std::function<void(Process&)> body) {
+Process& Engine::spawn_daemon(std::string name, Process::Body body) {
     Process& p = spawn(std::move(name), std::move(body));
     p.daemon_ = true;
     return p;
@@ -46,11 +46,22 @@ void Engine::schedule(Process& p, SimTime t) {
         else if (in_callback_)
             sched_->on_edge(kCallbackActor, p.id());
     }
-    push(QEntry{t, seq_++, &p, {}});
+    push(QEntry{t, seq_++, p.id(), 0});
 }
 
-void Engine::at(SimTime t, std::function<void()> fn) {
+std::uint32_t Engine::claim_slot(SimTime t) {
     SCIMPI_REQUIRE(t >= now_, "Engine::at() into the past");
+    if (!free_slots_.empty()) {
+        const std::uint32_t s = free_slots_.back();
+        free_slots_.pop_back();
+        return s;
+    }
+    if (slots_made_ % kSlotChunk == 0)
+        slot_chunks_.push_back(std::make_unique<Callback[]>(kSlotChunk));
+    return slots_made_++;
+}
+
+void Engine::post(SimTime t, std::uint32_t s) {
     if (sched_ != nullptr) {
         // A callback happens after its poster. Posting is also a footprint
         // on the queue: two processes posting concurrently race on the
@@ -58,25 +69,29 @@ void Engine::at(SimTime t, std::function<void()> fn) {
         if (current_ != nullptr) sched_->on_edge(current_->id(), kCallbackActor);
         note_subject(&queue_);
     }
-    push(QEntry{t, seq_++, nullptr, std::move(fn)});
+    push(QEntry{t, seq_++, kCallbackEntry, s});
 }
 
 void Engine::push(QEntry e) {
-    queue_.push_back(std::move(e));
+    queue_.push_back(e);
     std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
 }
 
 Engine::QEntry Engine::pop() {
     std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    QEntry e = std::move(queue_.back());
+    const QEntry e = queue_.back();
     queue_.pop_back();
     return e;
 }
 
-void Engine::set_sampler(SimTime cadence, std::function<void(SimTime)> fn) {
+bool Engine::stale(const QEntry& e) const {
+    return e.pid != kCallbackEntry && processes_[static_cast<std::size_t>(e.pid)]->finished();
+}
+
+void Engine::set_sampler(SimTime cadence, Callback fn) {
     if (cadence <= 0 || !fn) {
         sampler_cadence_ = 0;
-        sampler_ = nullptr;
+        sampler_.reset();
         return;
     }
     sampler_cadence_ = cadence;
@@ -202,33 +217,36 @@ Engine::QEntry Engine::choose(QEntry first) {
     // default. A timed callback is offered as "d<seq>" under the one
     // kCallbackActor identity.
     const SimTime limit = first.t + sched_->fuzz();
-    std::vector<QEntry> cands;
-    cands.push_back(std::move(first));
+    std::vector<QEntry> cands{first};
     while (!queue_.empty() && queue_.front().t <= limit) {
-        QEntry n = pop();
-        if (n.p == nullptr || !n.p->finished()) cands.push_back(std::move(n));
+        const QEntry n = pop();
+        if (!stale(n)) cands.push_back(n);
     }
-    if (cands.size() == 1) return std::move(cands.front());
+    if (cands.size() == 1) return first;
     ChoicePoint cp;
     cp.kind = ChoiceKind::dispatch;
     cp.now = now_;
     cp.alts.reserve(cands.size());
-    for (const QEntry& c : cands)
-        cp.alts.push_back(c.p != nullptr
-                              ? ChoiceAlt{c.p->name(), c.p->id(), c.t}
-                              : ChoiceAlt{"d" + std::to_string(c.seq), kCallbackActor, c.t});
+    for (const QEntry& c : cands) {
+        if (c.pid == kCallbackEntry) {
+            cp.alts.push_back(ChoiceAlt{"d" + std::to_string(c.seq), kCallbackActor, c.t});
+        } else {
+            const Process& p = *processes_[static_cast<std::size_t>(c.pid)];
+            cp.alts.push_back(ChoiceAlt{p.name(), p.id(), c.t});
+        }
+    }
     const std::size_t pick = sched_->choose(cp);
     SCIMPI_REQUIRE(pick < cands.size(), "schedule choice out of range");
     for (std::size_t i = 0; i < cands.size(); ++i)
-        if (i != pick) push(std::move(cands[i]));
-    return std::move(cands[pick]);
+        if (i != pick) push(cands[i]);
+    return cands[pick];
 }
 
 void Engine::run_loop() {
     while (!queue_.empty() && pending_error_.empty()) {
         QEntry e = pop();
-        if (e.p != nullptr && e.p->finished()) continue;  // finished while queued
-        if (sched_ != nullptr) e = choose(std::move(e));
+        if (stale(e)) continue;  // finished while queued
+        if (sched_ != nullptr) e = choose(e);
         // Dispatching a later co-enabled entry first leaves earlier entries
         // in the queue with t < now_; time never runs backwards for them.
         const SimTime t_eff = e.t > now_ ? e.t : now_;
@@ -237,36 +255,42 @@ void Engine::run_loop() {
             // events, stamped at the time actually reached. Catch up
             // sampler_next_ past t_eff so an idle stretch costs one sample.
             now_ = t_eff;
-            sampler_(now_);
+            sampler_();
             sampler_next_ = (t_eff / sampler_cadence_ + 1) * sampler_cadence_;
         }
         now_ = t_eff;
         ++events_dispatched_;
-        if (e.p == nullptr) {
+        if (e.pid == kCallbackEntry) {
             run_callback(e);
             continue;
         }
-        e.p->scheduled_ = false;
+        Process& p = *processes_[static_cast<std::size_t>(e.pid)];
+        p.scheduled_ = false;
         if (ctx_switches_ != nullptr) ctx_switches_->inc();
-        if (sched_ != nullptr) sched_->on_dispatch(e.p->id(), now_);
-        resume(*e.p);
+        if (sched_ != nullptr) sched_->on_dispatch(p.id(), now_);
+        resume(p);
     }
 }
 
-void Engine::run_callback(QEntry& e) {
+void Engine::run_callback(const QEntry& e) {
     if (sched_ != nullptr) sched_->on_dispatch(kCallbackActor, now_);
     // Argument-less primitives (Mailbox::send) reach the controller through
     // sim::current_engine(), as they do from a process slice.
     Engine* const outer = current_engine();
     set_current_engine(this);
     in_callback_ = true;
+    // The slot stays claimed while its closure runs, so callbacks it posts
+    // take other slots; chunked storage keeps it in place meanwhile.
+    Callback& fn = slot(e.slot);
     try {
-        e.fn();
+        fn();
     } catch (const std::exception& ex) {
         pending_error_ = "timed callback d" + std::to_string(e.seq) + ": " + ex.what();
     } catch (...) {
         pending_error_ = "timed callback d" + std::to_string(e.seq) + ": unknown exception";
     }
+    fn.reset();
+    free_slots_.push_back(e.slot);
     in_callback_ = false;
     set_current_engine(outer);
 }
@@ -281,7 +305,11 @@ void Engine::shutdown_remaining() {
     // ~Process switches into each parked fiber with shutdown_ set, so it
     // throws ShutdownSignal through the user stack, running destructors.
     processes_.clear();
+    // Closures that never ran are destroyed here, with their captures.
     queue_.clear();
+    slot_chunks_.clear();
+    free_slots_.clear();
+    slots_made_ = 0;
 }
 
 }  // namespace scimpi::sim

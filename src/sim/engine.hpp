@@ -9,14 +9,19 @@
 //
 // Scheduling is one min-heap ordered by (time, insertion sequence) that holds
 // both process wakeups and timed callbacks (at/after), so simultaneous events
-// of either kind run in FIFO order of insertion.
+// of either kind run in FIFO order of insertion. Heap entries are small
+// trivially copyable {t, seq, target} records; a timed callback's closure
+// lives in an engine-owned slot pool of inline sim::Callbacks, so posting
+// and running one allocates nothing once the pool has grown to the peak
+// number of pending callbacks.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -25,6 +30,8 @@
 #include "obs/evgraph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "sim/callback.hpp"
+#include "sim/process.hpp"
 #include "sim/trace.hpp"
 
 namespace scimpi::obs {
@@ -33,7 +40,6 @@ class Span;
 
 namespace scimpi::sim {
 
-class Process;
 class ScheduleController;
 
 /// The views an obs::Span can feed (bit flags for Engine::enable_views).
@@ -48,12 +54,12 @@ public:
 
     /// Create a process. May be called before run() or from a running
     /// process (the child is scheduled at the current time).
-    Process& spawn(std::string name, std::function<void(Process&)> body);
+    Process& spawn(std::string name, Process::Body body);
 
     /// Like spawn(), but the process is a service daemon: it may block
     /// forever without tripping deadlock detection (it is unwound at engine
     /// teardown instead).
-    Process& spawn_daemon(std::string name, std::function<void(Process&)> body);
+    Process& spawn_daemon(std::string name, Process::Body body);
 
     /// Run until every process has finished. Throws Panic if a process threw
     /// or if all remaining processes are blocked (deadlock), listing them.
@@ -71,11 +77,12 @@ public:
     [[nodiscard]] std::uint64_t wall_ns() const;
 
     /// Install a flight-recorder hook: whenever the event loop's clock first
-    /// reaches the next multiple of `cadence` it calls `fn(now)` between two
-    /// event dispatches (sampling never perturbs simulated time, and cannot
-    /// keep the queue alive the way a self-rescheduling daemon would).
+    /// reaches the next multiple of `cadence` it calls `fn()` between two
+    /// event dispatches, with now() at the time reached (sampling never
+    /// perturbs simulated time, and cannot keep the queue alive the way a
+    /// self-rescheduling daemon would).
     /// cadence <= 0 removes the hook.
-    void set_sampler(SimTime cadence, std::function<void(SimTime)> fn);
+    void set_sampler(SimTime cadence, Callback fn);
 
     /// Turn on views (View bits, or-ed in); all are off by default. Spans
     /// (obs/span.hpp) feed exactly the enabled views; the views themselves
@@ -134,14 +141,24 @@ public:
 
     /// Run `fn` on the engine thread at absolute time `t` (>= now), between
     /// two process dispatches. It shares the (time, insertion sequence)
-    /// queue with process wakeups, and the closure is moved in and out of
-    /// it, never copied. A callback must not delay or block; it may wake
+    /// queue with process wakeups. The closure is constructed in place in a
+    /// pooled sim::Callback slot (a closure too large for one does not
+    /// compile), never copied, and destroyed right after it runs or at
+    /// engine teardown. A callback must not delay or block; it may wake
     /// processes and post further callbacks. If it throws, run() ends in a
-    /// Panic like a throwing process does.
-    void at(SimTime t, std::function<void()> fn);
+    /// Panic naming it ("timed callback d<seq>") like a throwing process.
+    template <class F>
+    void at(SimTime t, F&& fn) {
+        const std::uint32_t s = claim_slot(t);
+        slot(s).emplace(std::forward<F>(fn));
+        post(t, s);
+    }
 
     /// Run `fn` after `delay` ns.
-    void after(SimTime delay, std::function<void()> fn) { at(now_ + delay, std::move(fn)); }
+    template <class F>
+    void after(SimTime delay, F&& fn) {
+        at(now_ + delay, std::forward<F>(fn));
+    }
 
     /// True while a timed callback runs (no process is current then).
     [[nodiscard]] bool in_callback() const { return in_callback_; }
@@ -149,28 +166,46 @@ public:
 private:
     friend class Process;
 
+    /// One queue entry: a process wakeup (pid >= 0) or the timed callback
+    /// in slot `slot` (pid == kCallbackEntry).
+    /// (t, seq) as one 128-bit key (t >= 0). Comparing keys is branch-free,
+    /// so the heap's sift loops have no data-dependent branch to mispredict.
+    __extension__ typedef unsigned __int128 Key;
     struct QEntry {
         SimTime t;
         std::uint64_t seq;
-        Process* p;                // nullptr: a timed callback
-        std::function<void()> fn;  // the callback, when p is nullptr
-        bool operator>(const QEntry& o) const {
-            return t != o.t ? t > o.t : seq > o.seq;
+        std::int32_t pid;
+        std::uint32_t slot;
+        bool operator>(const QEntry& o) const { return key() > o.key(); }
+        [[nodiscard]] Key key() const {
+            return static_cast<Key>(static_cast<std::uint64_t>(t)) << 64 | seq;
         }
     };
+    static constexpr std::int32_t kCallbackEntry = -1;
+    static_assert(std::is_trivially_copyable_v<QEntry>);
 
+    /// Callback slots come in fixed chunks, so a slot never moves while its
+    /// closure runs (the closure may post further callbacks).
+    static constexpr std::uint32_t kSlotChunk = 64;
+    Callback& slot(std::uint32_t s) { return slot_chunks_[s / kSlotChunk][s % kSlotChunk]; }
+    std::uint32_t claim_slot(SimTime t);    // checks t, returns a free slot
+    void post(SimTime t, std::uint32_t s);  // queue the filled slot at t
+
+    [[nodiscard]] bool stale(const QEntry& e) const;  // a finished process's wakeup
     void push(QEntry e);
     QEntry pop();
     QEntry choose(QEntry first);  // controller pick among co-enabled entries
     void resume(Process& p);      // switch into p until it suspends
-    void run_callback(QEntry& e);
+    void run_callback(const QEntry& e);
     void run_loop();              // dispatch until quiescent or error
-    void shutdown_remaining();    // unwind parked fibers before throwing/destroying
+    void shutdown_remaining();    // unwind parked fibers, drop pending callbacks
 
     std::vector<std::unique_ptr<Process>> processes_;
-    /// A min-heap on (t, seq) kept with std::push_heap/pop_heap, so entries
-    /// (and the closures they own) are moved, never copied.
+    /// A min-heap on (t, seq) kept with std::push_heap/pop_heap.
     std::vector<QEntry> queue_;
+    std::vector<std::unique_ptr<Callback[]>> slot_chunks_;
+    std::vector<std::uint32_t> free_slots_;
+    std::uint32_t slots_made_ = 0;
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t events_dispatched_ = 0;
@@ -178,7 +213,7 @@ private:
     std::chrono::steady_clock::time_point wall_run_start_{};
     SimTime sampler_cadence_ = 0;
     SimTime sampler_next_ = 0;
-    std::function<void(SimTime)> sampler_;
+    Callback sampler_;
     Process* current_ = nullptr;
     unsigned views_ = 0;
     std::uint64_t next_flow_ = 1;

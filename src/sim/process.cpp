@@ -282,8 +282,7 @@ private:
     }
 };
 
-Process::Process(Engine& engine, int id, std::string name,
-                 std::function<void(Process&)> body)
+Process::Process(Engine& engine, int id, std::string name, Body body)
     : engine_(engine), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 Process::~Process() {

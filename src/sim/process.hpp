@@ -21,6 +21,9 @@ class Engine;
 /// runs at any moment.
 class Process {
 public:
+    /// A process body; made once per process, never per event.
+    using Body = std::function<void(Process&)>;
+
     ~Process();
     Process(const Process&) = delete;
     Process& operator=(const Process&) = delete;
@@ -56,7 +59,7 @@ private:
     struct ShutdownSignal {};
     struct Fiber;  // stack, saved stack pointers and sanitizer state (process.cpp)
 
-    Process(Engine& engine, int id, std::string name, std::function<void(Process&)> body);
+    Process(Engine& engine, int id, std::string name, Body body);
     [[noreturn]] static void fiber_entry(Process* p);
     [[noreturn]] void fiber_main();
     void suspend();             // switch back to the scheduler until resumed
@@ -65,7 +68,7 @@ private:
     Engine& engine_;
     const int id_;
     const std::string name_;
-    std::function<void(Process&)> body_;
+    Body body_;
 
     std::unique_ptr<Fiber> fiber_;  // made on the first resume
     bool shutdown_ = false;         // true: unwind instead of resuming

@@ -13,6 +13,7 @@
 #include <deque>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "common/status.hpp"
 #include "sim/engine.hpp"
@@ -92,7 +93,9 @@ private:
     WaitQueue q_;
 };
 
-/// Unbounded message queue with blocking receive.
+/// Unbounded message queue with blocking receive. Items sit in a vector
+/// read from `head_`, which is rewound whenever the queue drains, so a
+/// steady message flow reuses one buffer instead of allocating per item.
 template <typename T>
 class Mailbox {
 public:
@@ -104,27 +107,39 @@ public:
 
     T recv(Process& self, std::string_view why = "mailbox recv") {
         note_subject(this);
-        while (items_.empty()) q_.park(self, why);
-        T v = std::move(items_.front());
-        items_.pop_front();
+        while (empty()) q_.park(self, why);
+        T v = take();
         // More items may remain for other waiters parked behind us.
-        if (!items_.empty()) q_.wake_one();
+        if (!empty()) q_.wake_one();
         return v;
     }
 
     std::optional<T> try_recv() {
         note_subject(this);
-        if (items_.empty()) return std::nullopt;
-        T v = std::move(items_.front());
-        items_.pop_front();
+        if (empty()) return std::nullopt;
+        return take();
+    }
+
+    [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+    [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+
+private:
+    T take() {
+        T v = std::move(items_[head_++]);
+        if (head_ == items_.size()) {
+            items_.clear();
+            head_ = 0;
+        } else if (head_ >= kCompactAt && 2 * head_ >= items_.size()) {
+            // Never drains: drop the consumed prefix.
+            items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
         return v;
     }
 
-    [[nodiscard]] bool empty() const { return items_.empty(); }
-    [[nodiscard]] std::size_t size() const { return items_.size(); }
-
-private:
-    std::deque<T> items_;
+    static constexpr std::size_t kCompactAt = 64;
+    std::vector<T> items_;
+    std::size_t head_ = 0;
     WaitQueue q_;
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sci_fixture.hpp"
+#include "sim/schedule.hpp"
 
 namespace scimpi::sci {
 namespace {
@@ -68,6 +69,51 @@ TEST(Adapter, BarrierWaitsForAllPendingStores) {
     });
     c.engine.run();
     EXPECT_EQ(c.adapters[0]->stats().barriers, 1u);
+}
+
+/// At the first dispatch choice among timed callbacks only, runs the second
+/// (the later landing) first, then the observer, then the earlier landing.
+struct LaterLandingFirst : sim::ScheduleController {
+    int reorders = 0;
+    [[nodiscard]] SimTime fuzz() const override { return 5'000; }
+    std::size_t choose(const sim::ChoicePoint& cp) override {
+        for (const sim::ChoiceAlt& a : cp.alts)
+            if (a.proc != sim::kCallbackActor) return 0;
+        if (reorders >= 2) return 0;
+        ++reorders;
+        return 1;  // [A, B, obs] -> B, then [A, obs] -> obs
+    }
+};
+
+TEST(Adapter, CoEnabledLandingsRunOutOfOrderEachCopyingItsOwnStore) {
+    MiniCluster c(2);
+    LaterLandingFirst ctrl;
+    c.engine.set_schedule_controller(&ctrl);
+    const auto seg = c.export_segment(1, 4_KiB);
+    const auto a_bytes = pattern_bytes(8, 1);
+    const auto b_bytes = pattern_bytes(8, 2);
+    bool observed = false, a_seen = true, b_seen = false;
+    c.engine.spawn("writer", [&](sim::Process& p) {
+        const SciMapping map = c.import(0, seg);
+        ASSERT_TRUE(c.adapters[0]->write(p, map, 0, a_bytes.data(), 8));
+        ASSERT_TRUE(c.adapters[0]->write(p, map, 256, b_bytes.data(), 8));
+        // Due just after B lands: co-enabled with both landings.
+        c.engine.after(c.fabric.params().write_latency + 1, [&] {
+            observed = true;
+            a_seen = std::memcmp(map.mem.data(), a_bytes.data(), 8) == 0;
+            b_seen = std::memcmp(map.mem.data() + 256, b_bytes.data(), 8) == 0;
+        });
+        p.delay(100'000);
+        EXPECT_EQ(std::memcmp(map.mem.data(), a_bytes.data(), 8), 0);
+        EXPECT_EQ(std::memcmp(map.mem.data() + 256, b_bytes.data(), 8), 0);
+        EXPECT_EQ(c.adapters[0]->pending_store_count(), 0);
+    });
+    c.engine.run();
+    EXPECT_EQ(ctrl.reorders, 2);
+    ASSERT_TRUE(observed);
+    // The later store is visible first; the earlier one is still in flight.
+    EXPECT_TRUE(b_seen);
+    EXPECT_FALSE(a_seen);
 }
 
 TEST(Adapter, ContiguousAscendingStreamReachesBurstBandwidth) {

@@ -19,37 +19,40 @@ TEST(Fabric, NominalLinkBandwidthMatchesPaper) {
 
 TEST(Fabric, UncontendedBandwidthIsSourceCapped) {
     auto f = make_ring_fabric(8);
-    f.register_transfer(f.resolve_route(0, 1));
+    (void)f.begin_transfer(f.resolve_route(0, 1), 1e9);
     EXPECT_DOUBLE_EQ(f.effective_bw(f.resolve_route(0, 1), 100.0), 100.0);
-    f.unregister_transfer(f.resolve_route(0, 1));
+    f.end_transfer(f.resolve_route(0, 1), 0);
 }
 
 TEST(Fabric, LinkSharingDividesBandwidth) {
     auto f = make_ring_fabric(8);
-    // Four transfers crossing link 0.
-    for (int i = 0; i < 4; ++i) f.register_transfer(f.resolve_route(0, 1));
+    // Four transfers crossing link 0; the last one's begin_transfer reads
+    // exactly the share effective_bw reports once it is registered.
+    for (int i = 0; i < 3; ++i) (void)f.begin_transfer(f.resolve_route(0, 1), 1e9);
+    const double fourth = f.begin_transfer(f.resolve_route(0, 1), 1e9);
     const double per_link =
         f.params().nominal_link_bw() * 64.0 / 80.0;  // header efficiency
     EXPECT_NEAR(f.effective_bw(f.resolve_route(0, 1), 1e9), per_link / 4.0, 1.0);
-    for (int i = 0; i < 4; ++i) f.unregister_transfer(f.resolve_route(0, 1));
+    EXPECT_EQ(fourth, f.effective_bw(f.resolve_route(0, 1), 1e9));
+    for (int i = 0; i < 4; ++i) f.end_transfer(f.resolve_route(0, 1), 0);
 }
 
 TEST(Fabric, BottleneckLinkGoverns) {
     auto f = make_ring_fabric(8);
-    f.register_transfer(f.resolve_route(0, 4));   // uses links 0..3
-    f.register_transfer(f.resolve_route(2, 3));   // contends on link 2
-    f.register_transfer(f.resolve_route(2, 3));
+    (void)f.begin_transfer(f.resolve_route(0, 4), 1e9);   // uses links 0..3
+    (void)f.begin_transfer(f.resolve_route(2, 3), 1e9);   // contends on link 2
+    (void)f.begin_transfer(f.resolve_route(2, 3), 1e9);
     const double eff = f.effective_bw(f.resolve_route(0, 4), 1e9);
     const double per_link = f.params().nominal_link_bw() * 0.8;
     EXPECT_NEAR(eff, per_link / 3.0, 1.0);  // link 2 has 3 users
-    f.unregister_transfer(f.resolve_route(0, 4));
-    f.unregister_transfer(f.resolve_route(2, 3));
-    f.unregister_transfer(f.resolve_route(2, 3));
+    f.end_transfer(f.resolve_route(0, 4), 0);
+    f.end_transfer(f.resolve_route(2, 3), 0);
+    f.end_transfer(f.resolve_route(2, 3), 0);
 }
 
 TEST(Fabric, UnregisterUnderflowPanics) {
     auto f = make_ring_fabric(4);
-    EXPECT_THROW(f.unregister_transfer(f.resolve_route(0, 1)), Panic);
+    EXPECT_THROW(f.end_transfer(f.resolve_route(0, 1), 0), Panic);
 }
 
 TEST(Fabric, AccountTracksPayloadWireAndEcho) {

@@ -33,10 +33,8 @@ void exercise(Topology topo, const std::function<int(int)>& far, int far_hops) {
         EXPECT_EQ(f.topology().hops(src, dst), far_hops) << src << "->" << dst;
         const RoutePath path = f.resolve_route(src, dst);
         ASSERT_TRUE(path.healthy);
-        f.register_transfer(path);
-        f.account(path, 4096);
-        EXPECT_GT(f.effective_bw(path, 1e9), 0.0);
-        f.unregister_transfer(path);
+        EXPECT_GT(f.begin_transfer(path, 1e9), 0.0);
+        f.end_transfer(path, 4096);
     }
     EXPECT_EQ(f.active_transfers(), 0);
     for (int l = 0; l < f.topology().links(); ++l) EXPECT_NEAR(f.load_on_link(l), 0.0, 1e-9);

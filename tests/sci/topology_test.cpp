@@ -312,5 +312,36 @@ TEST(RouteEquivalence, Torus3dMatchesReferenceTables) {
     }
 }
 
+/// No link is on both `a` and `b`.
+bool disjoint(const Route& a, const Route& b) {
+    const std::vector<int> la = links_of(a);
+    const std::set<int> sa(la.begin(), la.end());
+    for (const int l : links_of(b))
+        if (sa.count(l) != 0) return false;
+    return true;
+}
+
+// Fabric::begin_transfer reads each forward link's share in the same walk
+// that registers it, which equals registering first only because a route
+// and its echo never share a link: on every ring both use, they run
+// opposite ways round. Rerouted transfers pair alt_route with its echo.
+TEST(RouteEquivalence, ForwardAndEchoRoutesShareNoLink) {
+    std::vector<std::pair<std::string, Topology>> topos;
+    for (int n = 1; n <= 9; ++n) topos.emplace_back("ring " + std::to_string(n), Topology::ring(n));
+    for (int w = 1; w <= 4; ++w)
+        for (int h = 1; h <= 4; ++h)
+            topos.emplace_back("torus2d", Topology::torus2d(w, h));
+    topos.emplace_back("torus3d", Topology::torus3d(3, 2, 4));
+    topos.emplace_back("torus3d", Topology::torus3d(4, 3, 2));
+    for (const auto& [name, t] : topos)
+        for (int s = 0; s < t.nodes(); ++s)
+            for (int d = 0; d < t.nodes(); ++d) {
+                if (s == d) continue;
+                SCOPED_TRACE(name + " " + std::to_string(s) + "->" + std::to_string(d));
+                EXPECT_TRUE(disjoint(t.route(s, d), t.echo_route(s, d)));
+                EXPECT_TRUE(disjoint(t.alt_route(s, d), t.alt_route(d, s)));
+            }
+}
+
 }  // namespace
 }  // namespace scimpi::sci

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -257,6 +258,70 @@ TEST(Dispatcher, ThrowingCallbackEndsRunInAPanicWithEveryFiberUnwound) {
     }
     EXPECT_FALSE(after_ran);
     EXPECT_EQ(unwound, 3);
+}
+
+TEST(Dispatcher, CallbackHoldsAMoveOnlyCapture) {
+    auto box = std::make_unique<int>(41);
+    int seen = 0;
+    Callback cb([&seen, b = std::move(box)] { seen = ++*b; });
+    Callback moved = std::move(cb);
+    EXPECT_FALSE(cb);
+    ASSERT_TRUE(moved);
+    moved();
+    EXPECT_EQ(seen, 42);
+
+    // The same kind of closure, constructed in place in an engine slot.
+    Engine eng;
+    eng.spawn("driver", [&](Process& p) {
+        eng.at(20, [&seen, b = std::make_unique<int>(99)] { seen = *b; });
+        p.delay(5);
+    });
+    eng.run();
+    EXPECT_EQ(seen, 99);
+}
+
+TEST(Dispatcher, ClosuresThatNeverRanAreDestroyedAtTeardown) {
+    auto token = std::make_shared<int>(7);
+    Engine eng;
+    eng.spawn("poster", [&](Process& p) {
+        eng.after(10, [] { throw std::runtime_error("stop"); });
+        for (int i = 0; i < 3; ++i) eng.after(100 + i, [token] {});
+        p.delay(1);
+    });
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_THROW(eng.run(), Panic);
+    // run() ended at t = 10: the three closures never ran, and the
+    // teardown before the panic destroyed them with their captures.
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Dispatcher, PendingClosuresAreReleasedWhenTheEngineIsDestroyedUnrun) {
+    auto token = std::make_shared<int>(1);
+    {
+        Engine eng;
+        eng.spawn("poster", [&](Process&) {});
+        for (int i = 0; i < 100; ++i) eng.at(10 + i, [token] {});
+        EXPECT_EQ(token.use_count(), 101);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Dispatcher, ThrowingCallbackPanicNamesItsSequenceNumber) {
+    Engine eng;
+    // Sequence 0 is the driver's start; its callbacks are d1 and d2.
+    eng.spawn("driver", [&](Process& p) {
+        eng.after(10, [] {});
+        eng.after(20, [] { throw std::runtime_error("late boom"); });
+        p.delay(30);
+    });
+    try {
+        eng.run();
+        FAIL() << "expected a panic";
+    } catch (const Panic& e) {
+        EXPECT_NE(std::string(e.what()).find("timed callback d2: late boom"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 }  // namespace
