@@ -160,10 +160,9 @@ int run_pscw_seeds(int seeds) {
     return dirty == 0 ? 0 : 1;
 }
 
-int run_pscw_explore(const ClusterOptions::ExploreSpec& spec) {
-    ClusterOptions opt = pscw_options();
-    opt.explore = spec;
-    const ExploreClusterResult res = explore_cluster(opt, pscw_program);
+int run_pscw_explore(const check::ExploreOptions& xopt, const std::string& trace_file) {
+    const ExploreClusterResult res =
+        explore_cluster(pscw_options(), xopt, trace_file, pscw_program);
     const check::ExploreResult& r = res.result;
 
     std::printf(
@@ -175,7 +174,7 @@ int run_pscw_explore(const ClusterOptions::ExploreSpec& spec) {
     if (!r.found) {
         std::fprintf(stderr, "race_demo: explorer exhausted=%d budget=%llu\n",
                      r.exhausted ? 1 : 0,
-                     static_cast<unsigned long long>(spec.max_schedules));
+                     static_cast<unsigned long long>(xopt.max_schedules));
         return 1;
     }
     std::fputs(r.finding.report.c_str(), stdout);
@@ -187,8 +186,7 @@ int run_pscw_explore(const ClusterOptions::ExploreSpec& spec) {
         return 1;
     }
     std::printf("race_demo (pscw explore): trace replay byte-identical%s%s\n",
-                spec.trace_file.empty() ? "" : ", trace written to ",
-                spec.trace_file.c_str());
+                trace_file.empty() ? "" : ", trace written to ", trace_file.c_str());
     return 0;
 }
 
@@ -199,8 +197,10 @@ int main(int argc, char** argv) {
     bool pscw = false;
     bool explore = false;
     int seeds = 1;
-    ClusterOptions::ExploreSpec spec;
-    spec.fuzz = 20000;  // 20us: generous co-enabled window for irq jitter
+    check::ExploreOptions xopt;
+    xopt.fuzz = 20000;  // 20us: generous co-enabled window for irq jitter
+    xopt.progress = stderr;
+    std::string trace_file;
 
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
@@ -214,13 +214,13 @@ int main(int argc, char** argv) {
         } else if (arg == "--seeds" && has_next) {
             seeds = std::atoi(argv[++i]);
         } else if (arg == "--budget" && has_next) {
-            spec.max_schedules = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            xopt.max_schedules = static_cast<std::uint64_t>(std::atoll(argv[++i]));
         } else if (arg == "--fuzz" && has_next) {
-            spec.fuzz = static_cast<SimTime>(std::atoll(argv[++i]));
+            xopt.fuzz = static_cast<SimTime>(std::atoll(argv[++i]));
         } else if (arg == "--naive") {
-            spec.dpor = false;
+            xopt.dpor = false;
         } else if (arg == "--trace" && has_next) {
-            spec.trace_file = argv[++i];
+            trace_file = argv[++i];
         } else {
             std::fprintf(stderr, "race_demo: unknown flag '%s'\n",
                          std::string(arg).c_str());
@@ -237,6 +237,6 @@ int main(int argc, char** argv) {
     }
 
     if (!pscw) return run_fence_mode(clean);
-    if (explore) return run_pscw_explore(spec);
+    if (explore) return run_pscw_explore(xopt, trace_file);
     return run_pscw_seeds(seeds);
 }

@@ -144,6 +144,22 @@ if [ -n "$layer_includes" ]; then
     exit 1
 fi
 
+# Reachable modules: every header under src/ is included by some file of
+# src/, bench/, examples/, tools/ or perfbench/src other than its own .cpp.
+# A header that only its own .cpp and the tests include is a module no
+# program reaches.
+unreached=""
+for h in $(find src -name '*.hpp' | sort); do
+    users=$(grep -rlF "#include \"${h#src/}\"" src bench examples tools perfbench/src \
+                --include='*.cpp' --include='*.hpp' | grep -vxF "${h%.hpp}.cpp")
+    [ -n "$users" ] || unreached="$unreached $h"
+done
+if [ -n "$unreached" ]; then
+    echo "lint: headers no program includes (delete the module, or use it):" >&2
+    printf '  %s\n' $unreached >&2
+    exit 1
+fi
+
 if command -v clang-tidy >/dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then
     echo "lint: clang-tidy ($(clang-tidy --version | head -n1))"
     # shellcheck disable=SC2086

@@ -33,7 +33,6 @@ struct Config {
     bool osc_direct = true;                   ///< allow direct PIO access to shared windows
 
     // ---- collective engine (src/mpi/coll/; see DESIGN.md §11) ----
-    bool coll_segments = true;                ///< allow the shared-segment collective path
     std::size_t coll_chunk = 64_KiB;          ///< pipeline chunk of a collective stream
     std::size_t coll_seg_max = 8_MiB;         ///< per-rank data-segment cap (shrinks chunk)
     std::size_t coll_seg_min = 1_KiB;         ///< below this payload collectives stay p2p
@@ -52,10 +51,6 @@ struct Config {
     SimTime retry_backoff_max = 2'000'000;    ///< ns backoff ceiling
     SimTime retry_budget = 20'000'000;        ///< ns of backoff per op before giving up
                                               ///< with peer_unreachable
-    bool torus_reroute = true;                ///< route around a down link via the
-                                              ///< alternate dimension order
-    bool rma_fallback = true;                 ///< direct RMA falls back to the emulated
-                                              ///< handler path when the route is dead
     SimTime monitor_period = 0;               ///< ns between connection-monitor probe
                                               ///< sweeps (0 = monitor disabled)
     int monitor_dead_after = 3;               ///< consecutive probe failures -> dead

@@ -33,7 +33,6 @@ void FaultController::bind_metrics(obs::MetricsRegistry& m) {
 }
 
 void FaultController::count(obs::Counter* c) {
-    ++counters_.injected;
     if (injected_c_ != nullptr) injected_c_->inc();
     if (c != nullptr) c->inc();
 }
@@ -80,7 +79,6 @@ void FaultController::apply(sim::Process& self, const FaultEvent& e) {
             rates.push_back(e.rate);
             fabric_.set_link_error_rate(e.target,
                                         *std::max_element(rates.begin(), rates.end()));
-            ++counters_.error_windows;
             count(error_windows_c_);
             break;
         }
@@ -97,14 +95,12 @@ void FaultController::apply(sim::Process& self, const FaultEvent& e) {
         case FaultKind::adapter_stall: {
             sci::SciAdapter* a = adapters_.at(static_cast<std::size_t>(e.target));
             if (a != nullptr) a->stall_until(self.now() + e.duration);
-            ++counters_.adapter_stalls;
             count(stalls_c_);
             break;
         }
         case FaultKind::irq_drop: {
             for (smi::SignalChannel* ch : channels_.at(static_cast<std::size_t>(e.target)))
                 ch->drop_next(e.count);
-            ++counters_.irq_drops;
             count(irq_drops_c_);
             break;
         }

@@ -40,12 +40,8 @@ public:
     void start();
 
     struct Counters {
-        std::uint64_t injected = 0;
         std::uint64_t link_downs = 0;
         std::uint64_t link_ups = 0;
-        std::uint64_t error_windows = 0;
-        std::uint64_t adapter_stalls = 0;
-        std::uint64_t irq_drops = 0;
     };
     [[nodiscard]] const Counters& counters() const { return counters_; }
     [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }

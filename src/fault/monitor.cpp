@@ -78,7 +78,6 @@ void ConnectionMonitor::run(sim::Process& self) {
 }
 
 void ConnectionMonitor::sweep(sim::Process& self) {
-    ++counters_.sweeps;
     if (sweeps_c_ != nullptr) sweeps_c_->inc();
     for (int src = 0; src < nodes_; ++src) {
         sci::SciAdapter* adapter = adapters_[static_cast<std::size_t>(src)];
@@ -87,14 +86,11 @@ void ConnectionMonitor::sweep(sim::Process& self) {
             if (src == dst) continue;
             Pair& p = pair(src, dst);
             if (p.state == PeerState::dead) continue;  // until a link returns
-            ++counters_.probes;
             if (probes_c_ != nullptr) probes_c_->inc();
             const bool ok = adapter->probe_peer(self, dst);
             if (ok) {
-                if (p.state == PeerState::suspect) {
-                    ++counters_.peers_recovered;
-                    if (recovered_c_ != nullptr) recovered_c_->inc();
-                }
+                if (p.state == PeerState::suspect && recovered_c_ != nullptr)
+                    recovered_c_->inc();
                 p.state = PeerState::healthy;
                 p.fails = 0;
                 continue;
@@ -104,7 +100,6 @@ void ConnectionMonitor::sweep(sim::Process& self) {
             ++p.fails;
             if (p.state == PeerState::healthy) {
                 p.state = PeerState::suspect;
-                ++counters_.peers_suspect;
                 if (suspect_c_ != nullptr) suspect_c_->inc();
             }
             if (p.fails >= cfg_.monitor_dead_after) {

@@ -49,12 +49,8 @@ public:
     }
 
     struct Counters {
-        std::uint64_t sweeps = 0;
-        std::uint64_t probes = 0;
         std::uint64_t probe_failures = 0;
-        std::uint64_t peers_suspect = 0;
         std::uint64_t peers_dead = 0;
-        std::uint64_t peers_recovered = 0;
     };
     [[nodiscard]] const Counters& counters() const { return counters_; }
 

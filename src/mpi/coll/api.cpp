@@ -65,8 +65,7 @@ Alg choose(Comm& c, Op op, std::size_t bytes, CollSegmentSet** set_out) {
     SelectCtx ctx{
         .bytes = bytes,
         .comm_size = c.size(),
-        .segments_ok = rt.tuning().segments_enabled() && opt.cfg.coll_segments &&
-                       c.size() > 1,
+        .segments_ok = rt.tuning().segments_enabled() && c.size() > 1,
         .torus = opt.torus_w > 0,
         .procs_per_node = opt.procs_per_node,
     };

@@ -105,7 +105,7 @@ Alg Tuning::select(Op op, const SelectCtx& c) const {
     Alg a = force_[static_cast<std::size_t>(op)];
     if (a == Alg::auto_) a = pick_auto(op, c);
     // A segment algorithm without a usable segment set degrades to the
-    // matching p2p implementation (same happens under cfg.coll_segments=0).
+    // matching p2p implementation (also when SCIMPI_COLL=p2p turns segments off).
     if (find_alg(op, a)->seg && !c.segments_ok) {
         if (op == Op::allreduce) return Alg::rdouble;
         return Alg::p2p;

@@ -10,6 +10,8 @@
 namespace scimpi::mpi {
 
 ExploreClusterResult explore_cluster(const ClusterOptions& base,
+                                     check::ExploreOptions xopt,
+                                     const std::string& trace_file,
                                      const std::function<void(Comm&)>& rank_main) {
     SCIMPI_REQUIRE(base.schedule == nullptr,
                    "explore_cluster: base options already carry a controller");
@@ -20,13 +22,7 @@ ExploreClusterResult explore_cluster(const ClusterOptions& base,
     obs::MetricsRegistry metrics;
     metrics.enable(true);
 
-    check::ExploreOptions xopt;
-    xopt.max_schedules = base.explore.max_schedules;
-    xopt.max_depth = base.explore.max_depth;
-    xopt.fuzz = base.explore.fuzz;
-    xopt.dpor = base.explore.dpor;
     xopt.metrics = &metrics;
-    xopt.progress = stderr;
 
     // Captures the stats snapshot of the most recent violating schedule; the
     // final value comes from the verification replay below, so it always
@@ -37,7 +33,6 @@ ExploreClusterResult explore_cluster(const ClusterOptions& base,
         ClusterOptions o = base;
         o.check = true;
         o.schedule = &ctrl;
-        o.explore.enabled = false;
         check::RunOutcome ro;
         Cluster cl(o);
         cl.run(rank_main);  // Panic propagates; the explorer records it
@@ -54,14 +49,13 @@ ExploreClusterResult explore_cluster(const ClusterOptions& base,
     out.result = check::explore(run, xopt);
     check::ExploreResult& r = out.result;
 
-    std::string trace_file;
-    if (r.found && !base.explore.trace_file.empty()) {
-        trace_file = base.explore.trace_file;
+    std::string written;
+    if (r.found && !trace_file.empty()) {
         const Status st = r.trace.save(trace_file);
-        if (!st.is_ok()) {
+        if (st.is_ok())
+            written = trace_file;
+        else
             std::fprintf(stderr, "explore: %s\n", st.to_string().c_str());
-            trace_file.clear();
-        }
     }
 
     if (r.found) {
@@ -98,7 +92,7 @@ ExploreClusterResult explore_cluster(const ClusterOptions& base,
     xs.wall_seconds = r.wall_seconds;
     xs.schedules_per_sec =
         r.wall_seconds > 0 ? static_cast<double>(r.schedules) / r.wall_seconds : 0.0;
-    xs.trace_file = trace_file;
+    xs.trace_file = written;
 
     // Fold the cross-schedule explore.* counters into the report so stats
     // consumers see them alongside the finding run's own counters.

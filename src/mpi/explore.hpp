@@ -3,13 +3,14 @@
 // candidate schedule, until the checker flags a violation (or the run
 // deadlocks) or the DPOR-reduced schedule space / budget is exhausted.
 //
-// On a finding the minimized decision trace is written to
-// ClusterOptions::explore.trace_file (when set); SCIMPI_EXPLORE_REPLAY=<that
-// file> re-runs the exact schedule in a normal single-run Cluster and must
-// reproduce the byte-identical violation report.
+// On a finding the minimized decision trace is written to the given trace
+// file (when set); SCIMPI_EXPLORE_REPLAY=<that file> re-runs the exact
+// schedule in a normal single-run Cluster and must reproduce the
+// byte-identical violation report.
 #pragma once
 
 #include <functional>
+#include <string>
 
 #include "check/explorer.hpp"
 #include "mpi/runtime.hpp"
@@ -29,10 +30,15 @@ struct ExploreClusterResult {
     bool replay_matches = false;
 };
 
-/// Explore the schedule space of `rank_main` under `base` (whose `explore`
-/// spec supplies budget/depth/fuzz; `base.schedule` must be null). Each
-/// schedule runs with checking enabled regardless of base.check.
+/// Explore the schedule space of `rank_main` under `base` (`base.schedule`
+/// must be null) with the budget, depth, fuzz, DPOR and progress settings of
+/// `xopt`; its `metrics` is replaced by a cross-schedule registry whose
+/// explore.* counters land in the report. Each schedule runs with checking
+/// enabled regardless of base.check. A non-empty `trace_file` receives the
+/// minimized decision trace of a finding.
 ExploreClusterResult explore_cluster(const ClusterOptions& base,
+                                     check::ExploreOptions xopt,
+                                     const std::string& trace_file,
                                      const std::function<void(Comm&)>& rank_main);
 
 }  // namespace scimpi::mpi

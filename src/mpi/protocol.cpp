@@ -220,7 +220,6 @@ void Rank::dispatch(CtrlMsg msg) {
                     deliver_inline(*op, msg);
                 return;
             }
-            ++stats_.unexpected;
             pm_.unexpected->inc();
             msg.arrived = proc().now();
             unexpected_.push_back(std::move(msg));
@@ -295,7 +294,7 @@ void Rank::dispatch(CtrlMsg msg) {
 // Packing helpers
 // ---------------------------------------------------------------------------
 
-bool Rank::use_ff_side(const Datatype& type, PackMode mode, bool /*fp_match*/) const {
+bool Rank::use_ff_side(const Datatype& type, PackMode mode) const {
     if (!cluster_.options().cfg.use_direct_pack_ff) return false;
     if (mode == PackMode::ff_leaf_major) return true;
     return type.flat().leaf_major_is_canonical();
@@ -330,7 +329,7 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
     const bool small_blocks_ok =
         cfg.ff_min_block == 0 ||
         ff.dominant_pattern().block >= cfg.ff_min_block;
-    if (use_ff_side(op.type, op.mode, false) && small_blocks_ok) {
+    if (use_ff_side(op.type, op.mode) && small_blocks_ok) {
         ++stats_.ff_packs;
         pm_.ff_packs->inc();
         std::vector<sci::SciAdapter::ConstIovec> blocks;
@@ -392,7 +391,7 @@ void Rank::unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t 
                                   .drop_empty = true,
                                   .bytes = usable});
     self.delay(count_pack(unpack_stream(&op.type, op.count, op.buf, pos, usable,
-                                        chunk.data(), use_ff_side(op.type, op.mode, false),
+                                        chunk.data(), use_ff_side(op.type, op.mode),
                                         copy_model_)));
 }
 
@@ -449,7 +448,6 @@ void Rank::start_send(SendOp& op) {
     const Config& cfg = cluster_.options().cfg;
     const std::size_t bytes = op.env.bytes;
     const obs::Span span(self, {.name = "mpi:send_start", .trace = "p2p", .bytes = bytes});
-    stats_.bytes_sent += bytes;
     op.env.post_time = self.now();
     const bool is_short = bytes <= cfg.short_threshold;
     const bool is_eager = !is_short && bytes <= cfg.eager_threshold;
@@ -520,8 +518,7 @@ void Rank::start_send(SendOp& op) {
         if (bytes > 0)
             self.delay(count_pack(pack_stream(&op.type, op.count, op.buf, 0, bytes,
                                               msg.inline_data.data(),
-                                              use_ff_side(op.type, PackMode::canonical,
-                                                          false),
+                                              use_ff_side(op.type, PackMode::canonical),
                                               copy_model_),
                                   bytes));
     }
@@ -674,10 +671,9 @@ void Rank::deliver_inline(RecvOp& op, const CtrlMsg& msg) {
                                       .bytes = usable});
         self.delay(count_pack(unpack_stream(&op.type, op.count, op.buf, 0, usable,
                                             msg.inline_data.data(),
-                                            use_ff_side(op.type, PackMode::canonical, false),
+                                            use_ff_side(op.type, PackMode::canonical),
                                             copy_model_)));
     }
-    stats_.bytes_received += msg.env.bytes;
     op.received = msg.env.bytes;
     finish_recv(op, msg,
                 msg.kind == CtrlKind::short_msg ? *pm_.lat_short : *pm_.lat_eager);
@@ -739,7 +735,6 @@ void Rank::handle_chunk(RecvOp& op, const CtrlMsg& msg) {
     ack.a = slot;
     post_ctrl(op.env.src, std::move(ack));
     if (op.received >= op.env.bytes) {
-        stats_.bytes_received += op.env.bytes;
         SCIMPI_REQUIRE(cluster_.directory().destroy(op.ring_seg).is_ok(),
                        "ring segment release failed");
         SCIMPI_REQUIRE(cluster_.memory(node_).free(op.ring_mem).is_ok(),

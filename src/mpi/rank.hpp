@@ -170,8 +170,6 @@ public:
     /// Aggregate protocol statistics.
     struct Stats {
         std::uint64_t sends_short = 0, sends_eager = 0, sends_rndv = 0;
-        std::uint64_t bytes_sent = 0, bytes_received = 0;
-        std::uint64_t unexpected = 0;
         std::uint64_t ff_packs = 0, generic_packs = 0;
         std::uint64_t send_retries = 0, send_recoveries = 0, send_giveups = 0;
     };
@@ -230,8 +228,7 @@ private:
     void unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t pos,
                           std::size_t len);
 
-    [[nodiscard]] bool use_ff_side(const Datatype& type, PackMode mode,
-                                   bool fp_match) const;
+    [[nodiscard]] bool use_ff_side(const Datatype& type, PackMode mode) const;
     /// Count a pack/unpack in the ff/generic stats (`staged`: bytes a
     /// generic pack copied into a staging buffer) and return its cost.
     SimTime count_pack(const StreamMove& m, std::size_t staged = 0);

@@ -151,9 +151,6 @@ bool Win::direct_path_usable(int target) {
     if (cluster.fabric().route_usable(rank_->node(), peer.node()) &&
         cluster.fabric().route_usable(peer.node(), rank_->node()))
         return true;
-    // Leave the error to the direct path when fallback is disabled: callers
-    // then see link_failure naming the dead link instead of a silent detour.
-    if (!cluster.options().cfg.rma_fallback) return true;
     ++stats_.path_fallbacks;
     rm_.path_fallbacks->inc();
     return false;
@@ -331,7 +328,6 @@ Status Win::get_remote_put(void* origin, int count, const Datatype& type, int ta
 
 Status Win::accumulate(const void* origin, int count, const Datatype& type,
                        int target, std::size_t disp, ReduceOp op) {
-    ++stats_.accumulates;
     rm_.accumulates->inc();
     sim::Process& self = rank_->proc();
     Datatype t = type;

@@ -109,7 +109,6 @@ public:
         std::uint64_t emulated_puts = 0;
         std::uint64_t remote_put_gets = 0;
         std::uint64_t local_ops = 0;
-        std::uint64_t accumulates = 0;
         std::uint64_t path_fallbacks = 0;  ///< direct path dead -> emulated
     };
     [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -140,8 +139,8 @@ private:
                  bool doubles);
 
     /// Degraded-mode routing: false when the direct (mapped-segment) path to
-    /// `target` is currently unusable and Config::rma_fallback redirects the
-    /// op to the handler-based emulation (counted as a path fallback).
+    /// `target` is currently unusable, so the op goes through the
+    /// handler-based emulation instead (counted as a path fallback).
     bool direct_path_usable(int target);
 
     Comm* comm_;

@@ -80,16 +80,6 @@ Cluster::Cluster(ClusterOptions opt)
     // A caller-installed controller means an explorer drives this Cluster:
     // it owns violation reporting, so the teardown stderr report is muted.
     external_schedule_ = opt_.schedule != nullptr;
-    if (env_flag("SCIMPI_EXPLORE")) opt_.explore.enabled = true;
-    if (const std::uint64_t b = env_u64("SCIMPI_EXPLORE_BUDGET"); b > 0)
-        opt_.explore.max_schedules = b;
-    if (const std::uint64_t d = env_u64("SCIMPI_EXPLORE_DEPTH"); d > 0)
-        opt_.explore.max_depth = d;
-    if (const SimTime f = env_duration("SCIMPI_EXPLORE_FUZZ"); f > 0)
-        opt_.explore.fuzz = f;
-    if (env_flag("SCIMPI_EXPLORE_NAIVE")) opt_.explore.dpor = false;
-    if (opt_.explore.trace_file.empty())
-        opt_.explore.trace_file = env_path("SCIMPI_EXPLORE_TRACE");
     if (const std::string replay = env_path("SCIMPI_EXPLORE_REPLAY");
         opt_.schedule == nullptr && !replay.empty()) {
         auto trace = sim::DecisionTrace::load(replay);
@@ -118,7 +108,6 @@ Cluster::Cluster(ClusterOptions opt)
     engine_.bind_metrics(metrics_);
     fabric_.bind_metrics(metrics_);
     fabric_.bind_engine(&engine_);
-    fabric_.set_reroute(opt_.cfg.torus_reroute);
     if (!opt_.fault_spec_file.empty()) {
         auto loaded = fault::FaultSchedule::load(opt_.fault_spec_file);
         SCIMPI_REQUIRE(loaded.is_ok(), "fault spec '" + opt_.fault_spec_file +

@@ -16,7 +16,6 @@
 #include "mpi/rank.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "sci/dma.hpp"
 #include "sci/fabric.hpp"
 #include "sci/segment.hpp"
 #include "sim/engine.hpp"
@@ -98,19 +97,6 @@ struct ClusterOptions {
     /// emitted by exploration and replays that exact schedule (the report is
     /// printed normally in that case).
     sim::ScheduleController* schedule = nullptr;
-    /// Schedule-space exploration (check/explorer.hpp, driven through
-    /// mpi::explore_cluster). The Cluster itself only folds the env toggles
-    /// into this spec; front ends (race_demo --explore) read it back and run
-    /// the explorer around fresh Clusters.
-    struct ExploreSpec {
-        bool enabled = false;                ///< SCIMPI_EXPLORE=1
-        std::uint64_t max_schedules = 256;   ///< SCIMPI_EXPLORE_BUDGET
-        std::uint64_t max_depth = 4096;      ///< SCIMPI_EXPLORE_DEPTH
-        SimTime fuzz = 2000;                 ///< SCIMPI_EXPLORE_FUZZ (10us style)
-        bool dpor = true;                    ///< SCIMPI_EXPLORE_NAIVE=1 disables
-        std::string trace_file;              ///< SCIMPI_EXPLORE_TRACE
-    };
-    ExploreSpec explore;
 };
 
 class Cluster {

@@ -315,7 +315,7 @@ struct RunReport {
     CriticalPathSummary critical_path;
 
     /// Schedule-space exploration summary (v6): what check::Explorer did
-    /// when the run was driven by `--explore` / SCIMPI_EXPLORE. `enabled` is
+    /// when the run was driven by mpi::explore_cluster. `enabled` is
     /// false (and the rest zero/empty) for ordinary single-schedule runs.
     struct ExploreSummary {
         bool enabled = false;

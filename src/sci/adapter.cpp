@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "check/checker.hpp"
 #include "mem/copy_block.hpp"
@@ -34,10 +35,29 @@ void SciAdapter::bind_metrics(obs::MetricsRegistry& m) {
 
 void SciAdapter::wait_if_stalled(sim::Process& self) {
     if (self.now() >= stall_until_) return;
-    ++stats_.stall_waits;
     if (stall_waits_c_ != nullptr) stall_waits_c_->inc();
     // The stall may be extended while we wait, so loop until clear.
     while (self.now() < stall_until_) self.delay(stall_until_ - self.now());
+}
+
+std::optional<Status> SciAdapter::begin_access(sim::Process& self, const SciMapping& map,
+                                               std::size_t off, std::size_t len,
+                                               bool is_store, const char* what,
+                                               RoutePath& path) {
+    SCIMPI_REQUIRE(off + len <= map.size(), std::string(what) + " out of segment bounds");
+    if (len == 0) return Status::ok();
+    if (checker_ != nullptr)
+        checker_->on_segment_access(map.seg.node, map.seg.id, self.id(), off, len,
+                                    is_store, self.now());
+    wait_if_stalled(self);
+    if (!map.remote()) return std::nullopt;
+    // Loads travel target -> node: the response path is what matters.
+    const int from = is_store ? node_ : map.target_node;
+    const int to = is_store ? map.target_node : node_;
+    path = fabric_.resolve_route(from, to);
+    if (!path.healthy)
+        return Status::error(Errc::link_failure, fabric_.describe_down_route(from, to));
+    return std::nullopt;
 }
 
 SciAdapter::StreamState& SciAdapter::stream(int pid) {
@@ -83,12 +103,10 @@ SimTime SciAdapter::partial_segment_cost(std::size_t off, std::size_t len) {
             t += p.txn_overhead;
         } else {
             t += p.txn_misaligned;
-            ++stats_.misaligned_txns;
         }
         pos += chunk;
         left -= chunk;
     }
-    ++stats_.partial_flushes;
     return t;
 }
 
@@ -168,19 +186,10 @@ Status SciAdapter::inject_errors(std::size_t packets, SimTime* t, double rate) {
 
 Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t off,
                          const void* src, std::size_t len, std::size_t src_traffic) {
-    SCIMPI_REQUIRE(off + len <= map.size(), "remote write out of segment bounds");
-    if (len == 0) return Status::ok();
-    if (checker_ != nullptr)
-        checker_->on_segment_access(map.seg.node, map.seg.id, self.id(), off, len,
-                                    /*is_store=*/true, self.now());
-    wait_if_stalled(self);
     RoutePath path;
-    if (map.remote()) {
-        path = fabric_.resolve_route(node_, map.target_node);
-        if (!path.healthy)
-            return Status::error(Errc::link_failure,
-                                 fabric_.describe_down_route(node_, map.target_node));
-    }
+    if (auto done = begin_access(self, map, off, len, /*is_store=*/true, "remote write",
+                                 path))
+        return *done;
     if (src_traffic == 0) src_traffic = len;
     ++stats_.write_calls;
     stats_.bytes_written += len;
@@ -240,22 +249,13 @@ Status SciAdapter::write_gather(sim::Process& self, const SciMapping& map,
                                 std::size_t src_traffic) {
     std::size_t total = 0;
     for (const auto& b : blocks) total += b.len;
-    SCIMPI_REQUIRE(off + total <= map.size(), "gather write out of segment bounds");
-    if (total == 0) return Status::ok();
     // Gathered blocks land back to back at `off` (the destination is
     // contiguous, only the source is scattered), so the single
     // [off, off+total) record covers exactly the bytes written.
-    if (checker_ != nullptr)
-        checker_->on_segment_access(map.seg.node, map.seg.id, self.id(), off, total,
-                                    /*is_store=*/true, self.now());
-    wait_if_stalled(self);
     RoutePath path;
-    if (map.remote()) {
-        path = fabric_.resolve_route(node_, map.target_node);
-        if (!path.healthy)
-            return Status::error(Errc::link_failure,
-                                 fabric_.describe_down_route(node_, map.target_node));
-    }
+    if (auto done = begin_access(self, map, off, total, /*is_store=*/true, "gather write",
+                                 path))
+        return *done;
     if (src_traffic == 0) src_traffic = total;
     ++stats_.write_calls;
     stats_.bytes_written += total;
@@ -304,21 +304,10 @@ Status SciAdapter::write_gather(sim::Process& self, const SciMapping& map,
 
 Status SciAdapter::read(sim::Process& self, const SciMapping& map, std::size_t off,
                         void* dst, std::size_t len) {
-    SCIMPI_REQUIRE(off + len <= map.size(), "remote read out of segment bounds");
-    if (len == 0) return Status::ok();
-    if (checker_ != nullptr)
-        checker_->on_segment_access(map.seg.node, map.seg.id, self.id(), off, len,
-                                    /*is_store=*/false, self.now());
-    wait_if_stalled(self);
     RoutePath path;
-    if (map.remote()) {
-        // Reads travel target -> node: the response path is what matters.
-        path = fabric_.resolve_route(map.target_node, node_);
-        if (!path.healthy)
-            return Status::error(Errc::link_failure,
-                                 fabric_.describe_down_route(map.target_node, node_));
-    }
-    ++stats_.read_calls;
+    if (auto done = begin_access(self, map, off, len, /*is_store=*/false, "remote read",
+                                 path))
+        return *done;
     stats_.bytes_read += len;
     if (read_bytes_c_ != nullptr) read_bytes_c_->add(len);
 
@@ -354,16 +343,10 @@ Status SciAdapter::dma_write_gather(sim::Process& self, const SciMapping& map,
                                     std::span<const ConstIovec> blocks) {
     std::size_t total = 0;
     for (const auto& b : blocks) total += b.len;
-    SCIMPI_REQUIRE(off + total <= map.size(), "DMA gather out of segment bounds");
-    if (total == 0) return Status::ok();
-    wait_if_stalled(self);
     RoutePath path;
-    if (map.remote()) {
-        path = fabric_.resolve_route(node_, map.target_node);
-        if (!path.healthy)
-            return Status::error(Errc::link_failure,
-                                 fabric_.describe_down_route(node_, map.target_node));
-    }
+    if (auto done = begin_access(self, map, off, total, /*is_store=*/true, "DMA gather",
+                                 path))
+        return *done;
     const SciParams& p = fabric_.params();
     stats_.dma_bytes += total;
     if (dma_bytes_c_ != nullptr) dma_bytes_c_->add(total);
@@ -423,16 +406,10 @@ void SciAdapter::store_barrier(sim::Process& self) {
 
 Status SciAdapter::dma_write(sim::Process& self, const SciMapping& map, std::size_t off,
                              const void* src, std::size_t len) {
-    SCIMPI_REQUIRE(off + len <= map.size(), "DMA write out of segment bounds");
-    if (len == 0) return Status::ok();
-    wait_if_stalled(self);
     RoutePath path;
-    if (map.remote()) {
-        path = fabric_.resolve_route(node_, map.target_node);
-        if (!path.healthy)
-            return Status::error(Errc::link_failure,
-                                 fabric_.describe_down_route(node_, map.target_node));
-    }
+    if (auto done = begin_access(self, map, off, len, /*is_store=*/true, "DMA write",
+                                 path))
+        return *done;
     const SciParams& p = fabric_.params();
     stats_.dma_bytes += len;
     if (dma_bytes_c_ != nullptr) dma_bytes_c_->add(len);
@@ -449,38 +426,6 @@ Status SciAdapter::dma_write(sim::Process& self, const SciMapping& map, std::siz
     if (!err) return err;
     fabric_.timed_transfer(self, path, len, p.dma_bw);
     std::memcpy(map.mem.data() + off, src, len);
-    return Status::ok();
-}
-
-Status SciAdapter::dma_read(sim::Process& self, const SciMapping& map, std::size_t off,
-                            void* dst, std::size_t len) {
-    SCIMPI_REQUIRE(off + len <= map.size(), "DMA read out of segment bounds");
-    if (len == 0) return Status::ok();
-    wait_if_stalled(self);
-    RoutePath path;
-    if (map.remote()) {
-        path = fabric_.resolve_route(map.target_node, node_);
-        if (!path.healthy)
-            return Status::error(Errc::link_failure,
-                                 fabric_.describe_down_route(map.target_node, node_));
-    }
-    const SciParams& p = fabric_.params();
-    stats_.dma_bytes += len;
-    if (dma_bytes_c_ != nullptr) dma_bytes_c_->add(len);
-    self.delay(p.dma_startup);
-    if (!map.remote()) {
-        self.delay(transfer_time(len, p.dma_bw));
-        std::memcpy(dst, map.mem.data() + off, len);
-        return Status::ok();
-    }
-    const std::size_t packets = (len + p.sci_packet - 1) / p.sci_packet;
-    SimTime t_err = 0;
-    const Status err = inject_errors(packets, &t_err, route_error_rate(path));
-    if (t_err > 0) self.delay(t_err);
-    if (!err) return err;
-    // DMA reads stream request/response pairs; effective rate is lower.
-    fabric_.timed_transfer(self, path, len, p.dma_bw * 0.7);
-    std::memcpy(dst, map.mem.data() + off, len);
     return Status::ok();
 }
 

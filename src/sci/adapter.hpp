@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,18 +47,14 @@ public:
     struct Stats {
         std::uint64_t write_calls = 0;
         std::uint64_t bytes_written = 0;
-        std::uint64_t read_calls = 0;
         std::uint64_t bytes_read = 0;
         std::uint64_t stream_restarts = 0;
-        std::uint64_t partial_flushes = 0;
-        std::uint64_t misaligned_txns = 0;
         std::uint64_t gather_timeouts = 0;
         std::uint64_t barriers = 0;
         std::uint64_t retries = 0;
         std::uint64_t dma_bytes = 0;
         std::uint64_t probes = 0;
         std::uint64_t probe_failures = 0;
-        std::uint64_t stall_waits = 0;  ///< calls that waited out an injected stall
     };
 
     /// Transparent remote store of `len` bytes to `map` at `off`.
@@ -95,8 +92,6 @@ public:
     /// Synchronous DMA transfer (descriptor setup + engine streaming).
     Status dma_write(sim::Process& self, const SciMapping& map, std::size_t off,
                      const void* src, std::size_t len);
-    Status dma_read(sim::Process& self, const SciMapping& map, std::size_t off,
-                    void* dst, std::size_t len);
     /// Chained-descriptor gather DMA: the non-contiguous transfer mode the
     /// paper's Section 6 outlook proposes. One descriptor per block
     /// (dma_desc_cost each) plus the usual startup; the engine streams the
@@ -122,7 +117,8 @@ public:
 
     /// Attach the scimpi-check checker (may be null). The adapter is the
     /// choke point for every access through an imported mapping, so all
-    /// remote loads/stores of watched segments are observed here.
+    /// remote loads, PIO stores and DMA writes of watched segments are
+    /// observed here.
     void bind_checker(check::Checker* ck) { checker_ = ck; }
     /// The bound checker (null unless SCIMPI_CHECK); smi::Region inherits
     /// it at creation so loopback accesses that bypass the adapter are
@@ -173,6 +169,16 @@ private:
 
     /// Block `self` until any injected adapter stall has elapsed.
     void wait_if_stalled(sim::Process& self);
+
+    /// The preamble of every load and store through a mapping, in this
+    /// order: bounds check (`what` names the access in the panic), empty
+    /// access, checker hook, injected-stall wait and, for a remote mapping,
+    /// the route into `path` (node -> target for stores, target -> node for
+    /// loads). Returns the status to return at once (ok for an empty
+    /// access, link_failure for a down route), or nullopt to go on.
+    std::optional<Status> begin_access(sim::Process& self, const SciMapping& map,
+                                       std::size_t off, std::size_t len, bool is_store,
+                                       const char* what, RoutePath& path);
 
     /// Per-process state, indexed by process id (grown on first use).
     StreamState& stream(int pid);

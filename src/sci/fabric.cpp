@@ -44,7 +44,7 @@ bool Fabric::all_up(const Route& route) const {
 RoutePath Fabric::resolve_route(int src, int dst) {
     RoutePath p{src, dst, topo_.route(src, dst), topo_.echo_route(src, dst)};
     p.healthy = all_up(p.fwd);
-    if (!p.healthy && reroute_enabled_) {
+    if (!p.healthy) {
         const Route alt = topo_.alt_route(src, dst);
         if (alt != p.fwd && all_up(alt)) {
             p.fwd = alt;
@@ -60,7 +60,6 @@ RoutePath Fabric::resolve_route(int src, int dst) {
 
 bool Fabric::route_usable(int src, int dst) {
     if (route_healthy(src, dst)) return true;
-    if (!reroute_enabled_) return false;
     const Route alt = topo_.alt_route(src, dst);
     return alt != topo_.route(src, dst) && all_up(alt);
 }
@@ -215,13 +214,8 @@ void Fabric::set_link_up(int link, bool up) {
     if (cell == want) return;  // idempotent: only real state changes count
     cell = want;
     down_links_ += up ? -1 : 1;
-    if (up) {
-        ++link_up_events_;
-        if (link_up_c_ != nullptr) link_up_c_->inc();
-    } else {
-        ++link_down_events_;
-        if (link_down_c_ != nullptr) link_down_c_->inc();
-    }
+    obs::Counter* events_c = up ? link_up_c_ : link_down_c_;
+    if (events_c != nullptr) events_c->inc();
     if (engine_ != nullptr && engine_->tracer().enabled()) {
         const std::string mark = std::string(up ? "link_up " : "link_down ") +
                                  std::to_string(link) + " (" +

@@ -111,7 +111,7 @@ public:
     /// True if every link on the route src -> dst is up.
     [[nodiscard]] bool route_healthy(int src, int dst) const;
     /// True if the route src -> dst resolves to a usable path (considers
-    /// the alternate dimension order when rerouting is enabled).
+    /// the alternate dimension order).
     [[nodiscard]] bool route_usable(int src, int dst);
 
     /// Human-readable diagnosis of why src -> dst is unusable: names the
@@ -119,11 +119,8 @@ public:
     /// "route 0->2 down at link 1 (1->2)". Empty if the route is healthy.
     [[nodiscard]] std::string describe_down_route(int src, int dst) const;
 
-    /// Enable/disable degraded-mode routing via the alternate dimension
-    /// order (Config::torus_reroute). On a plain ring there is no
-    /// alternative, so this has no effect there.
-    void set_reroute(bool on) { reroute_enabled_ = on; }
-    [[nodiscard]] bool reroute_enabled() const { return reroute_enabled_; }
+    /// Routes resolved around a down link via the alternate dimension
+    /// order (degraded mode; a plain ring has no alternative).
     [[nodiscard]] std::uint64_t reroutes() const { return reroutes_; }
 
     /// Per-link injected CRC error rate (fault windows). The adapter takes
@@ -144,9 +141,6 @@ public:
     /// Bind the engine so state changes made from outside any sim process
     /// (e.g. the fault controller) can still emit trace instants.
     void bind_engine(sim::Engine* eng) { engine_ = eng; }
-
-    [[nodiscard]] std::uint64_t link_down_events() const { return link_down_events_; }
-    [[nodiscard]] std::uint64_t link_up_events() const { return link_up_events_; }
 
     /// Aggregate wire traffic over all links (for ring-load metrics).
     [[nodiscard]] std::uint64_t total_wire_bytes() const;
@@ -187,10 +181,7 @@ private:
     int active_transfers_ = 0;
     int peak_transfers_ = 0;
     std::uint64_t inflight_bytes_ = 0;
-    bool reroute_enabled_ = true;
     std::uint64_t reroutes_ = 0;
-    std::uint64_t link_down_events_ = 0;
-    std::uint64_t link_up_events_ = 0;
     std::vector<std::string> link_track_names_;  // lazily built "linkN.load"
     std::function<void(int, bool)> link_listener_;
     StoreBuffer stores_;

@@ -11,7 +11,7 @@ namespace scimpi::sim {
 
 class Engine;
 
-/// A simulated thread of control (an MPI rank, a DMA engine, a handler
+/// A simulated thread of control (an MPI rank, a progress daemon, a handler
 /// thread...). Created via Engine::spawn. All member functions except those
 /// documented as engine-side must be called from the process's own body.
 ///

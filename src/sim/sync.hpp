@@ -203,22 +203,6 @@ private:
     Process* owner_ = nullptr;
 };
 
-class SimCondVar {
-public:
-    /// Atomically release `m`, park, and re-acquire `m` before returning.
-    void wait(Process& self, SimMutex& m) {
-        m.unlock(self);
-        q_.park(self, "condvar wait");
-        m.lock(self);
-    }
-
-    void notify_one() { q_.wake_one(); }
-    void notify_all() { q_.wake_all(); }
-
-private:
-    WaitQueue q_;
-};
-
 /// Reusable cyclic barrier for a fixed participant count.
 class SimBarrier {
 public:

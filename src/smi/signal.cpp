@@ -18,16 +18,12 @@ void SignalChannel::post(sim::Process& self, int from_node, Signal s) {
         // notices the missing completion and rings the doorbell again, so
         // the signal arrives late by one retry timeout — delayed, not lost.
         --drop_next_;
-        ++dropped_;
-        ++retransmits_;
         if (dropped_c_ != nullptr) dropped_c_->inc();
         if (retransmits_c_ != nullptr) retransmits_c_->inc();
         extra = params_.irq_retry_timeout;
     }
-    self.engine().after(latency + extra, [this, s = std::move(s)]() mutable {
-        ++delivered_;
-        inbox_.send(std::move(s));
-    });
+    self.engine().after(latency + extra,
+                        [this, s = std::move(s)]() mutable { inbox_.send(std::move(s)); });
 }
 
 }  // namespace scimpi::smi

@@ -38,14 +38,11 @@ public:
     Signal wait(sim::Process& self) { return inbox_.recv(self, "signal inbox"); }
 
     [[nodiscard]] bool pending() const { return !inbox_.empty(); }
-    [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
     /// Fault injection: swallow the next `n` interrupts. The doorbell write
     /// still lands, so the origin notices the missing completion after
     /// irq_retry_timeout and retransmits — delivery is delayed, never lost.
     void drop_next(int n) { drop_next_ += n; }
-    [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-    [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
 
     /// Cluster counters smi.irq_dropped / smi.irq_retransmits.
     void bind_metrics(obs::MetricsRegistry& m);
@@ -54,10 +51,7 @@ private:
     sci::SciParams params_;
     int target_node_;
     sim::Mailbox<Signal> inbox_;
-    std::uint64_t delivered_ = 0;
     int drop_next_ = 0;
-    std::uint64_t dropped_ = 0;
-    std::uint64_t retransmits_ = 0;
     obs::Counter* dropped_c_ = nullptr;
     obs::Counter* retransmits_c_ = nullptr;
 };

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "check/checker.hpp"
 #include "sci_fixture.hpp"
 #include "sim/schedule.hpp"
 
@@ -348,6 +349,32 @@ TEST(Adapter, DmaBeatsPioForLargeTransfersOnly) {
         EXPECT_GT(time_pio(2_MiB), time_dma(2_MiB));   // streaming dominates
     });
     c.engine.run();
+}
+
+TEST(Adapter, DmaWriteIntoAWatchedSegmentReachesTheChecker) {
+    // A DMA write goes through the same access guard as a PIO store, so a
+    // DMA write and a store from two unordered ranks into overlapping bytes
+    // of a watched segment are a race.
+    MiniCluster c(2);
+    check::Checker ck(2);
+    ck.enable();
+    c.adapters[0]->bind_checker(&ck);
+    const auto seg = c.export_segment(1, 4_KiB);
+    ck.watch_segment(seg.node, seg.id);
+    c.engine.spawn("dma", [&](sim::Process& p) {
+        ck.register_actor(p.id(), 0);
+        const std::uint64_t v = 1;
+        ASSERT_TRUE(c.adapters[0]->dma_write(p, c.import(0, seg), 0, &v, sizeof v));
+    });
+    c.engine.spawn("pio", [&](sim::Process& p) {
+        ck.register_actor(p.id(), 1);
+        const std::uint64_t v = 2;
+        ASSERT_TRUE(c.adapters[0]->write(p, c.import(0, seg), 4, &v, sizeof v));
+    });
+    c.engine.run();
+    ASSERT_EQ(ck.count(check::ViolationKind::segment_race), 1u);
+    EXPECT_EQ(ck.violations().front().range.lo, 4u);
+    EXPECT_EQ(ck.violations().front().range.hi, 8u);
 }
 
 TEST(Adapter, StatsAccumulateAndReset) {

@@ -8,7 +8,6 @@
 #include "common/config.hpp"
 #include "mem/node_memory.hpp"
 #include "sci/adapter.hpp"
-#include "sci/dma.hpp"
 #include "sci/fabric.hpp"
 #include "sci/segment.hpp"
 #include "sim/engine.hpp"

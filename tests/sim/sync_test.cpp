@@ -167,55 +167,6 @@ TEST(SimMutex, UnlockByNonOwnerPanics) {
     eng.run();
 }
 
-TEST(SimCondVar, WaitReleasesMutexAndReacquires) {
-    Engine eng;
-    SimMutex m;
-    SimCondVar cv;
-    bool ready = false;
-    std::vector<std::string> order;
-    eng.spawn("waiter", [&](Process& p) {
-        m.lock(p);
-        while (!ready) cv.wait(p, m);
-        order.push_back("consumed");
-        EXPECT_EQ(m.owner(), &p);
-        m.unlock(p);
-    });
-    eng.spawn("producer", [&](Process& p) {
-        p.delay(20);
-        m.lock(p);  // must succeed: waiter released it inside wait()
-        ready = true;
-        order.push_back("produced");
-        cv.notify_one();
-        m.unlock(p);
-    });
-    eng.run();
-    EXPECT_EQ(order, (std::vector<std::string>{"produced", "consumed"}));
-}
-
-TEST(SimCondVar, NotifyAllWakesEveryWaiter) {
-    Engine eng;
-    SimMutex m;
-    SimCondVar cv;
-    bool go = false;
-    int done = 0;
-    for (int i = 0; i < 5; ++i)
-        eng.spawn("w" + std::to_string(i), [&](Process& p) {
-            m.lock(p);
-            while (!go) cv.wait(p, m);
-            ++done;
-            m.unlock(p);
-        });
-    eng.spawn("n", [&](Process& p) {
-        p.delay(10);
-        m.lock(p);
-        go = true;
-        cv.notify_all();
-        m.unlock(p);
-    });
-    eng.run();
-    EXPECT_EQ(done, 5);
-}
-
 TEST(SimBarrier, AllArriveBeforeAnyPasses) {
     Engine eng;
     SimBarrier bar(4);

@@ -4,7 +4,6 @@
 
 #include "../sci/sci_fixture.hpp"
 #include "check/checker.hpp"
-#include "smi/barrier.hpp"
 #include "smi/lock.hpp"
 #include "smi/region.hpp"
 #include "smi/signal.hpp"
@@ -137,24 +136,6 @@ TEST(SmiLock, UncontendedRemoteAcquireIsMicroseconds) {
         lock.release(p, 1);
     });
     c.engine.run();
-}
-
-TEST(SmiBarrier, SynchronizesRanksOnDistinctNodes) {
-    MiniCluster c(4);
-    SmiBarrier bar(0, {0, 1, 2, 3}, c.fabric.params());
-    std::vector<SimTime> release(4);
-    for (int r = 0; r < 4; ++r)
-        c.engine.spawn("rank" + std::to_string(r), [&, r](sim::Process& p) {
-            p.delay((r + 1) * 10'000);
-            bar.arrive_and_wait(p, r);
-            release[static_cast<std::size_t>(r)] = p.now();
-        });
-    c.engine.run();
-    // Nobody passes before the last arrival at 40 us.
-    for (const SimTime t : release) EXPECT_GE(t, 40'000);
-    // And everyone passes within a few microseconds of each other.
-    const auto [lo, hi] = std::minmax_element(release.begin(), release.end());
-    EXPECT_LT(*hi - *lo, 10'000);
 }
 
 TEST(SignalChannel, DeliversAfterInterruptLatency) {
