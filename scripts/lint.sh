@@ -131,6 +131,30 @@ if [ -n "$timed_calls" ]; then
     exit 1
 fi
 
+# One direct_pack_ff path: the ff/generic decision lives in src/mpi/datatype
+# (ff_may_move, gather_direct) and the contiguous / ff-gather / staged SCI
+# chunk write in src/mpi/chunk_writer.hpp. A packer built or a gather write
+# issued anywhere else is another copy of that path, free to disagree with
+# it. Exempt: the datatype layer, the chunk writer, the layers below mpi
+# (sci, smi), plat, Comm::pack/unpack (MPI_Pack keeps its own cost charge)
+# and src/mpi/rma (emulation and remote-put pack by design).
+pack_sources=$(find src bench examples tools perfbench/src \( -name '*.cpp' -o -name '*.hpp' \) | sort)
+pack_sites=$(awk "$fn_track"'
+    /(^|[^A-Za-z0-9_:])(FFPacker|GenericPacker)([[:space:]]+[A-Za-z_][A-Za-z0-9_]*)?[[:space:]]*[({]/ ||
+    /(\.|->)(dma_)?write_gather\(/ {
+        key = FILENAME ":" fn
+        if (FILENAME !~ /^src\/(mpi\/datatype|mpi\/rma|sci|smi|plat)\// &&
+            FILENAME != "src/mpi/chunk_writer.hpp" &&
+            key !~ /^src\/mpi\/comm\.cpp:(pack|unpack)$/)
+            print FILENAME ":" FNR ": " $0
+    }' $pack_sources)
+if [ -n "$pack_sites" ]; then
+    echo "lint: a packer or gather write outside the pack-path policy and the" \
+         "chunk writer (call ff_may_move/gather_direct and write_chunk):" >&2
+    echo "$pack_sites" >&2
+    exit 1
+fi
+
 # Layering: the layers below the MPI library (common, sim, mem, sci, smi,
 # fault, obs, check) never include an mpi/ or plat/ header (plat models
 # the packers of the MPI layer, so it sits above them too). This keeps

@@ -30,7 +30,6 @@ struct Config {
     // ---- one-sided communication ----
     std::size_t get_remote_put_threshold = 2_KiB;  ///< D5: larger gets served by
                                                    ///< target-side remote-put
-    bool osc_direct = true;                   ///< allow direct PIO access to shared windows
 
     // ---- collective engine (src/mpi/coll/; see DESIGN.md §11) ----
     std::size_t coll_chunk = 64_KiB;          ///< pipeline chunk of a collective stream

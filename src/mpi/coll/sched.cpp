@@ -318,8 +318,7 @@ Sched allgather_pairwise_typed(Comm& c, const Args& a) {
         std::size_t pos = 0;
         (void)cp->pack(a.in, a.count, *a.type, tmp, &pos);
         const obs::Span pk(cp->proc(), {.prof = obs::ProfState::pack});
-        const bool ff = cp->cluster().options().cfg.use_direct_pack_ff &&
-                        a.type->flat().leaf_major_is_canonical();
+        const bool ff = ff_may_move(cp->cluster().options().cfg, *a.type);
         cp->proc().delay(unpack_stream(a.type, n * a.count, a.out, at(r, be), be,
                                        tmp.data(), ff, cp->rank_state().copy_model())
                              .cost);

@@ -5,32 +5,12 @@
 
 #include "check/checker.hpp"
 #include "fault/retry.hpp"
+#include "mpi/chunk_writer.hpp"
 #include "mpi/coll/coll.hpp"
 #include "mpi/comm.hpp"
-#include "mpi/datatype/pack_ff.hpp"
-#include "mpi/datatype/pack_generic.hpp"
 #include "obs/span.hpp"
 
 namespace scimpi::mpi::coll {
-
-namespace {
-
-/// Same wire-order predicate as Comm::pack / the rendezvous direct path:
-/// ff may feed the segment only when its leaf-major order is canonical.
-bool use_ff(const Config& cfg, const Datatype& t) {
-    return cfg.use_direct_pack_ff && t.flat().leaf_major_is_canonical();
-}
-
-/// Same granularity gate as Rank::pack_into_ring (config D6): below
-/// ff_min_block the per-transaction PIO overhead of a gather write exceeds
-/// the staging copy it saves, so fall back to the generic path.
-bool ff_blocks_ok(const Config& cfg, const Datatype& t, const XferView& v) {
-    if (cfg.ff_min_block == 0) return true;
-    FFPacker ff(t, v.count, v.data);
-    return ff.dominant_pattern().block >= cfg.ff_min_block;
-}
-
-}  // namespace
 
 CollSegmentSet::CollSegmentSet(Cluster& cluster, int comm_size, CollMetrics& cm)
     : cluster_(cluster), cm_(cm), n_(comm_size) {
@@ -188,47 +168,19 @@ Status CollSegmentSet::publish_chunk(Comm& c, ActiveSend& s, std::size_t ci) {
     const std::size_t clen = std::min(chunk_, s.len - ci * chunk_);
     const std::size_t spos = s.pos + ci * chunk_;
     const std::size_t doff = area_off(me, static_cast<int>(seq & 1));
-    smi::Region& data = data_region(me, s.to);
-    Status st;
-    bool ff_used = false;
-    bool generic_used = false;
-    if (s.v.type == nullptr || s.v.type->is_contiguous()) {
-        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
-        st = data.write(self, doff, static_cast<const std::byte*>(s.v.data) + spos,
-                        clen, clen);
-    } else if (use_ff(cfg, *s.v.type) && ff_blocks_ok(cfg, *s.v.type, s.v)) {
-        // The paper's §3 trick applied to collectives: gather the flattened
-        // blocks straight into the remote segment, no staging copy.
-        FFPacker ff(*s.v.type, s.v.count, s.v.data);
-        std::vector<sci::SciAdapter::ConstIovec> blocks;
-        blocks.reserve(ff.block_estimate(clen));
-        ff.for_range(spos, clen, [&blocks](std::byte* mem, std::size_t len) {
-            blocks.push_back({mem, len});
-        });
-        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
-        st = data.write_gather(self, doff, blocks,
-                               ff.memory_traffic(clen, c.rank_state().copy_model()));
-        ff_used = true;
-    } else {
-        std::vector<std::byte> stage(clen);
-        {
-            const obs::Span pk(self, {.prof = obs::ProfState::pack});
-            self.delay(pack_stream(s.v.type, s.v.count, s.v.data, spos, clen,
-                                   stage.data(), false, c.rank_state().copy_model())
-                           .cost);
-        }
-        const obs::Span io(self, {.prof = obs::ProfState::pio_write});
-        st = data.write(self, doff, stage.data(), clen, clen);
-        generic_used = true;
-    }
-    if (!st) return st;
-    st = put_word(c, s.to, ready_off(me), seq);  // wakes the reader
+    // The paper's §3 trick applied to collectives: a type the policy admits
+    // is gathered straight into the remote segment, no staging copy.
+    const ChunkWrite w = write_chunk(self, data_region(me, s.to), doff,
+                                     {s.v.type, s.v.count, s.v.data}, spos, clen, cfg,
+                                     c.rank_state().copy_model(), "coll:write");
+    if (!w.status) return w.status;
+    const Status st = put_word(c, s.to, ready_off(me), seq);  // wakes the reader
     if (!st) return st;
     member(me).tx[static_cast<std::size_t>(s.to)].sent = seq;
     cm_.seg_chunks->inc();
     cm_.seg_bytes->add(clen);
-    if (ff_used) cm_.ff_seg_packs->inc();
-    if (generic_used) cm_.generic_seg_packs->inc();
+    if (w.path == PackPath::ff) cm_.ff_seg_packs->inc();
+    if (w.path == PackPath::generic) cm_.generic_seg_packs->inc();
     return Status::ok();
 }
 
@@ -256,7 +208,7 @@ void CollSegmentSet::consume_chunk(Comm& c, ActiveRecv& r, std::size_t ci) {
         const obs::Span pk(self, {.prof = obs::ProfState::pack});
         const StreamMove mv =
             unpack_stream(r.v.type, r.v.count, r.v.data, spos, clen,
-                          m.data_mem.data() + doff, use_ff(cfg, *r.v.type),
+                          m.data_mem.data() + doff, ff_may_move(cfg, *r.v.type),
                           c.rank_state().copy_model());
         self.delay(mv.cost);
         (mv.path == PackPath::ff ? cm_.ff_seg_packs : cm_.generic_seg_packs)->inc();
@@ -304,7 +256,7 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
     {
         const obs::Span pk(self, {.prof = obs::ProfState::pack});
         self.delay(pack_stream(s.v.type, s.v.count, s.v.data, s.pos + off0, rem, payload,
-                               s.v.type != nullptr && use_ff(cfg, *s.v.type),
+                               s.v.type != nullptr && ff_may_move(cfg, *s.v.type),
                                c.rank_state().copy_model())
                        .cost);
     }
@@ -355,7 +307,7 @@ bool CollSegmentSet::fallback_recv(Comm& c, ActiveRecv& r) {
     {
         const obs::Span pk(self, {.prof = obs::ProfState::pack});
         self.delay(unpack_stream(r.v.type, r.v.count, r.v.data, spos, rem, payload,
-                                 r.v.type != nullptr && use_ff(cfg, *r.v.type),
+                                 r.v.type != nullptr && ff_may_move(cfg, *r.v.type),
                                  c.rank_state().copy_model())
                        .cost);
     }

@@ -217,8 +217,7 @@ Status Comm::pack(const void* inbuf, int count, const Datatype& type,
     if (*position + bytes > outbuf.size())
         return Status::error(Errc::truncated, "pack buffer too small");
     // Canonical order on the wire; ff machinery when it is order-safe.
-    if (cluster_->options().cfg.use_direct_pack_ff &&
-        t.flat().leaf_major_is_canonical()) {
+    if (ff_may_move(cluster_->options().cfg, t)) {
         FFPacker ff(t, count, const_cast<void*>(inbuf));
         const PackWork w = ff.pack(0, bytes, outbuf.data() + *position);
         proc().delay(FFPacker::cost(w, rank_->copy_model()));
@@ -239,8 +238,7 @@ Status Comm::unpack(std::span<const std::byte> inbuf, std::size_t* position,
     const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
     if (*position + bytes > inbuf.size())
         return Status::error(Errc::truncated, "unpack past end of buffer");
-    if (cluster_->options().cfg.use_direct_pack_ff &&
-        t.flat().leaf_major_is_canonical()) {
+    if (ff_may_move(cluster_->options().cfg, t)) {
         FFPacker ff(t, count, outbuf);
         const PackWork w = ff.unpack(0, bytes, inbuf.data() + *position);
         proc().delay(FFPacker::cost(w, rank_->copy_model()));

@@ -1,8 +1,8 @@
 #include "mpi/datatype/pack_ff.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "mem/copy_block.hpp"
 
@@ -62,6 +62,23 @@ mem::AccessPattern FFPacker::dominant_pattern() const {
 std::size_t FFPacker::memory_traffic(std::size_t bytes,
                                      const mem::CopyModel& model) const {
     return model.traffic_bytes(bytes, dominant_pattern());
+}
+
+bool ff_may_move(const Config& cfg, const Datatype& type, PackMode mode) {
+    if (!cfg.use_direct_pack_ff) return false;
+    return mode == PackMode::ff_leaf_major || type.flat().leaf_major_is_canonical();
+}
+
+bool gather_direct(const Config& cfg, const Datatype& type, PackMode mode) {
+    if (!ff_may_move(cfg, type, mode)) return false;
+    return cfg.ff_min_block == 0 ||
+           FFPacker(type, 0, nullptr).dominant_pattern().block >= cfg.ff_min_block;
+}
+
+void apply_direct_pack_env(Config& cfg) {
+    const char* v = std::getenv("SCIMPI_DIRECT_PACK");
+    if (v != nullptr && v[0] != '\0')
+        cfg.use_direct_pack_ff = !(v[0] == '0' && v[1] == '\0');
 }
 
 namespace {

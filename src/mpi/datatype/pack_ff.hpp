@@ -1,5 +1,6 @@
 // direct_pack_ff (paper Section 3.3): non-recursive packing driven by the
-// flattened ff-stack representation built at commit time.
+// flattened ff-stack representation built at commit time, and the pack-path
+// policy that decides when it runs instead of the generic walker.
 //
 //   * find_position: O(log N) + O(D) location of an arbitrary stream offset
 //     (N = leaves, D = max stack depth): a binary search over the per-leaf
@@ -25,13 +26,14 @@
 #pragma once
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <vector>
 
+#include "common/config.hpp"
 #include "mem/copy_model.hpp"
 #include "mpi/datatype/datatype.hpp"
 #include "mpi/datatype/pack_generic.hpp"  // PackWork
+#include "mpi/types.hpp"                  // PackMode
 
 namespace scimpi::mpi {
 
@@ -149,17 +151,11 @@ PackWork FFPacker::for_range(std::size_t pos, std::size_t len, Emit&& emit) cons
 
     // PackWork lives in locals and is stored once; bytes == len on return.
     std::int64_t blocks = 0;
-    std::size_t min_block = std::numeric_limits<std::size_t>::max();
-    std::size_t max_block = 0;
-    const auto done = [&] {
-        return PackWork{len, blocks, min_block, max_block};
-    };
+    const auto done = [&] { return PackWork{len, blocks}; };
     // One block of n <= remaining bytes, possibly cut by the range.
     const auto one = [&](std::byte* mem, std::size_t n) {
         emit(mem, n);
         ++blocks;
-        min_block = std::min(min_block, n);
-        max_block = std::max(max_block, n);
         remaining -= n;
     };
 
@@ -194,12 +190,8 @@ PackWork FFPacker::for_range(std::size_t pos, std::size_t len, Emit&& emit) cons
                 const std::int64_t full = std::min<std::int64_t>(
                     s.count - block, static_cast<std::int64_t>(remaining / blocklen));
                 for (std::int64_t i = 0; i < full; ++i, mem += s.extent) emit(mem, blocklen);
-                if (full > 0) {
-                    blocks += full;
-                    min_block = std::min(min_block, blocklen);
-                    max_block = std::max(max_block, blocklen);
-                    remaining -= static_cast<std::size_t>(full) * blocklen;
-                }
+                blocks += full;
+                remaining -= static_cast<std::size_t>(full) * blocklen;
                 if (remaining == 0) return done();
                 if (block + full < s.count) {  // the tail block, cut by this range
                     one(mem, remaining);
@@ -227,6 +219,22 @@ PackWork FFPacker::for_range(std::size_t pos, std::size_t len, Emit&& emit) cons
         }
     }
 }
+
+// ---- pack-path policy: every transport asks these two questions, so a
+// layout takes the same path by rendezvous, short/eager, segment or
+// Comm::pack ----
+
+/// May ff move `type` in wire order `mode`? ff walks leaf-major: the wire
+/// order under a negotiated ff_leaf_major, or when leaf-major is canonical.
+[[nodiscard]] bool ff_may_move(const Config& cfg, const Datatype& type,
+                               PackMode mode = PackMode::canonical);
+/// Should an SCI write of `type` gather its blocks directly (Figure 4
+/// bottom)? ff_may_move plus the D6 gate: below `ff_min_block` a gather
+/// write's per-transaction overhead exceeds the staging copy it saves.
+[[nodiscard]] bool gather_direct(const Config& cfg, const Datatype& type, PackMode mode);
+/// SCIMPI_DIRECT_PACK=0|1 overrides the choice, so one binary produces
+/// both event logs of a `scimpi-analyze --diff` A/B.
+void apply_direct_pack_env(Config& cfg);
 
 /// Which engine moved a stream range: a plain copy (contiguous layout), the
 /// ff engine, or the generic walker.

@@ -1,7 +1,6 @@
 #include "mpi/datatype/pack_generic.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "mem/copy_block.hpp"
 
@@ -21,7 +20,6 @@ PackWork GenericPacker::run(std::size_t pos, std::size_t len, std::byte* stream)
     SCIMPI_REQUIRE(pos + len <= total_, "pack range exceeds message");
     PackWork work;
     if (len == 0) return work;
-    work.min_block = std::numeric_limits<std::size_t>::max();
     std::size_t cursor = 0;  // position in the packed stream
     const std::size_t end = pos + len;
     type_.for_each_block_while(0, count_, [&](std::ptrdiff_t mem_off, std::size_t blk) {
@@ -40,13 +38,10 @@ PackWork GenericPacker::run(std::size_t pos, std::size_t len, std::byte* stream)
             mem::copy_block(usr, str, n);
         work.bytes += n;
         ++work.blocks;
-        work.min_block = std::min(work.min_block, n);
-        work.max_block = std::max(work.max_block, n);
         cursor += blk;
         return cursor < end;
     });
     SCIMPI_REQUIRE(work.bytes == len, "generic pack: type map shorter than range");
-    if (work.blocks == 0) work.min_block = 0;
     return work;
 }
 

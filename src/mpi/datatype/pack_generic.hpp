@@ -18,8 +18,6 @@ namespace scimpi::mpi {
 struct PackWork {
     std::size_t bytes = 0;        ///< payload moved
     std::int64_t blocks = 0;      ///< basic blocks touched
-    std::size_t min_block = 0;    ///< smallest block touched (0 if none)
-    std::size_t max_block = 0;    ///< largest block touched
 };
 
 class GenericPacker {

@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include "fault/retry.hpp"
+#include "mpi/chunk_writer.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/rank.hpp"
 #include "mpi/req/request.hpp"
@@ -88,7 +89,7 @@ std::uint64_t Rank::post_ctrl(int dst, CtrlMsg msg) {
     // The wire push; the gap to the peer's arrival node is the hop itself.
     obs::Span push(self, {.name = ctrl_name(msg.kind),
                           .ev = local ? obs::EvCat::proto : obs::EvCat::pio,
-                          .bytes = msg.inline_data.size()});
+                          .bytes = msg.inline_len});
     SimTime delivery;
     if (local) {
         self.delay(kLocalCtrlIssue);
@@ -97,9 +98,8 @@ std::uint64_t Rank::post_ctrl(int dst, CtrlMsg msg) {
         // Doorbell word plus any inline payload, pushed by PIO.
         const obs::Span io(self, {.prof = obs::ProfState::pio_write});
         self.delay(p.txn_overhead + p.stream_restart);
-        if (!msg.inline_data.empty())
-            self.delay(adapter().pio_stream_cost(msg.inline_data.size()));
-        cluster_.fabric().account(node_, peer.node(), msg.inline_data.size() + 32);
+        if (msg.inline_len > 0) self.delay(adapter().pio_stream_cost(msg.inline_len));
+        cluster_.fabric().account(node_, peer.node(), msg.inline_len + 32);
         delivery = p.write_latency + kRemotePollDetect;
     }
     msg.cause.node = push.close();
@@ -188,7 +188,7 @@ void Rank::dispatch(CtrlMsg msg) {
         const std::uint64_t arr = obs::Span::point(
             self, {.name = ctrl_name(msg.kind),
                    .ev = obs::EvCat::proto,
-                   .bytes = msg.inline_data.size()});
+                   .bytes = msg.inline_len});
         const int from_node =
             msg.env.src >= 0 ? cluster_.rank_state(msg.env.src).node() : -1;
         if (from_node >= 0 && from_node != node_)
@@ -294,12 +294,6 @@ void Rank::dispatch(CtrlMsg msg) {
 // Packing helpers
 // ---------------------------------------------------------------------------
 
-bool Rank::use_ff_side(const Datatype& type, PackMode mode) const {
-    if (!cluster_.options().cfg.use_direct_pack_ff) return false;
-    if (mode == PackMode::ff_leaf_major) return true;
-    return type.flat().leaf_major_is_canonical();
-}
-
 Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
                             std::size_t ring_off, std::size_t pos, std::size_t len) {
     sim::Process& self = cur_proc();
@@ -308,70 +302,20 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
                                 .prof = obs::ProfState::pack,
                                 .bytes = len});
     const Config& cfg = cluster_.options().cfg;
-    auto* src = static_cast<std::byte*>(const_cast<void*>(op.buf));
-    // DMA rendezvous (paper Section 6 outlook): move large chunks with the
-    // adapter's DMA engine instead of PIO.
-    const bool dma_ok = cfg.use_dma_rndv && len >= cfg.dma_rndv_threshold;
-    const obs::ProfState io_state =
-        dma_ok ? obs::ProfState::dma : obs::ProfState::pio_write;
-    const obs::EvCat io_cat = dma_ok ? obs::EvCat::dma : obs::EvCat::pio;
-
-    if (op.type.is_contiguous()) {
-        const obs::Span io(self, {.name = "rndv:write",
-                                  .prof = io_state,
-                                  .ev = io_cat,
-                                  .bytes = len});
-        return dma_ok ? adapter().dma_write(self, ring, ring_off, src + pos, len)
-                      : adapter().write(self, ring, ring_off, src + pos, len, len);
-    }
-
-    FFPacker ff(op.type, op.count, src);
-    const bool small_blocks_ok =
-        cfg.ff_min_block == 0 ||
-        ff.dominant_pattern().block >= cfg.ff_min_block;
-    if (use_ff_side(op.type, op.mode) && small_blocks_ok) {
-        ++stats_.ff_packs;
-        pm_.ff_packs->inc();
-        std::vector<sci::SciAdapter::ConstIovec> blocks;
-        blocks.reserve(ff.block_estimate(len));
-        ff.for_range(pos, len, [&blocks](std::byte* mem, std::size_t n) {
-            blocks.push_back({mem, n});
-        });
+    RingSink sink{adapter(), ring, cfg.use_dma_rndv && len >= cfg.dma_rndv_threshold};
+    const SimTime t0 = self.now();
+    const ChunkWrite w = write_chunk(self, sink, ring_off,
+                                     {&op.type, op.count, op.buf, op.mode}, pos, len, cfg,
+                                     copy_model_, "rndv:write");
+    count_pack({w.path, 0}, w.path == PackPath::generic ? len : 0);
+    if (w.path == PackPath::ff) {
         pm_.ff_direct_writes->inc();
-        pm_.ff_direct_blocks->add(blocks.size());
+        pm_.ff_direct_blocks->add(w.blocks);
         pm_.ff_direct_bytes->add(len);
-        const std::size_t traffic = ff.memory_traffic(len, copy_model_);
-        const obs::Span io(self, {.name = "pack:ff_direct",
-                                  .prof = io_state,
-                                  .ev = io_cat,
-                                  .bytes = len});
-        const SimTime t0 = self.now();
-        const Status st =
-            dma_ok ? adapter().dma_write_gather(self, ring, ring_off, blocks)
-                   : adapter().write_gather(self, ring, ring_off, blocks, traffic);
-        if (const SimTime dt = self.now() - t0; st && dt > 0)
+        if (const SimTime dt = self.now() - t0; w.status && dt > 0)
             pm_.ff_throughput->record(len * 1'000'000'000ull / (dt * 1'048'576ull));
-        return st;
     }
-
-    // Generic: local pack into a scratch buffer, then one contiguous write
-    // (the extra copy of Figure 4 top). Two nodes so scimpi-analyze --diff
-    // separates the staging copy (the extra hop the ff path avoids) from the
-    // wire write itself.
-    std::vector<std::byte> scratch(len);
-    const SimTime stage_cost = count_pack(
-        pack_stream(&op.type, op.count, src, pos, len, scratch.data(), false, copy_model_),
-        len);
-    {
-        const obs::Span stage(
-            self, {.name = "pack:stage", .ev = obs::EvCat::pack, .bytes = len});
-        self.delay(stage_cost);
-    }
-    const obs::Span io(self, {.name = "pack:write",
-                              .prof = obs::ProfState::pio_write,
-                              .ev = obs::EvCat::pio,
-                              .bytes = len});
-    return adapter().write(self, ring, ring_off, scratch.data(), len, len);
+    return w.status;
 }
 
 void Rank::unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t pos,
@@ -391,7 +335,8 @@ void Rank::unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t 
                                   .drop_empty = true,
                                   .bytes = usable});
     self.delay(count_pack(unpack_stream(&op.type, op.count, op.buf, pos, usable,
-                                        chunk.data(), use_ff_side(op.type, op.mode),
+                                        chunk.data(),
+                                        ff_may_move(cluster_.options().cfg, op.type, op.mode),
                                         copy_model_)));
 }
 
@@ -427,7 +372,6 @@ std::shared_ptr<SendOp> Rank::isend(const void* buf, int count, const Datatype& 
     op->env.seq = send_seq_[static_cast<std::size_t>(dst)]++;
     op->env.bytes = type.size() * static_cast<std::size_t>(count);
     op->env.type_fp = op->type.fingerprint();
-    op->env.sender_canonical = op->type.flat().leaf_major_is_canonical();
     ops_.insert_send(op->handle, op);
     // scimpi-check: the buffer belongs to the library until the matching
     // Wait/Test; conflicting accesses to it through a watched segment are
@@ -514,13 +458,14 @@ void Rank::start_send(SendOp& op) {
                                     .ev = obs::EvCat::pack,
                                     .drop_empty = true,
                                     .bytes = bytes});
-        msg.inline_data.resize(bytes);
-        if (bytes > 0)
+        if (bytes > 0) {
+            msg.inline_data = std::make_unique_for_overwrite<std::byte[]>(bytes);
+            msg.inline_len = bytes;
             self.delay(count_pack(pack_stream(&op.type, op.count, op.buf, 0, bytes,
-                                              msg.inline_data.data(),
-                                              use_ff_side(op.type, PackMode::canonical),
-                                              copy_model_),
+                                              msg.inline_data.get(),
+                                              ff_may_move(cfg, op.type), copy_model_),
                                   bytes));
+        }
     }
     op.ev_done = post_ctrl(op.env.dst, std::move(msg));
     op.complete = true;
@@ -670,8 +615,8 @@ void Rank::deliver_inline(RecvOp& op, const CtrlMsg& msg) {
                                       .drop_empty = true,
                                       .bytes = usable});
         self.delay(count_pack(unpack_stream(&op.type, op.count, op.buf, 0, usable,
-                                            msg.inline_data.data(),
-                                            use_ff_side(op.type, PackMode::canonical),
+                                            msg.inline_data.get(),
+                                            ff_may_move(cluster_.options().cfg, op.type),
                                             copy_model_)));
     }
     op.received = msg.env.bytes;

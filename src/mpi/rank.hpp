@@ -228,7 +228,6 @@ private:
     void unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t pos,
                           std::size_t len);
 
-    [[nodiscard]] bool use_ff_side(const Datatype& type, PackMode mode) const;
     /// Count a pack/unpack in the ff/generic stats (`staged`: bytes a
     /// generic pack copied into a staging buffer) and return its cost.
     SimTime count_pack(const StreamMove& m, std::size_t staged = 0);

@@ -80,8 +80,7 @@ Status Win::put(const void* origin, int count, const Datatype& type, int target,
         return st;
     if (target == my_rank())
         return op_local(const_cast<void*>(origin), count, t, disp, /*is_put=*/true);
-    if (peers_[static_cast<std::size_t>(target)].shared &&
-        comm_->cluster().options().cfg.osc_direct && direct_path_usable(target))
+    if (peers_[static_cast<std::size_t>(target)].shared && direct_path_usable(target))
         return put_direct(origin, count, t, target, disp);
     return put_emulated(origin, count, t, target, disp);
 }
@@ -101,11 +100,10 @@ Status Win::get(void* origin, int count, const Datatype& type, int target,
     const Config& cfg = comm_->cluster().options().cfg;
     // Direct remote reads are slow on SCI: only up to the threshold, and
     // only when the target window is directly accessible (Section 4.2).
-    if (peers_[static_cast<std::size_t>(target)].shared && cfg.osc_direct &&
+    if (peers_[static_cast<std::size_t>(target)].shared &&
         bytes <= cfg.get_remote_put_threshold && direct_path_usable(target))
         return get_direct(origin, count, t, target, disp);
-    if (peers_[static_cast<std::size_t>(target)].shared && cfg.osc_direct)
-        rm_.get_conversions->inc();
+    if (peers_[static_cast<std::size_t>(target)].shared) rm_.get_conversions->inc();
     return get_remote_put(origin, count, t, target, disp);
 }
 

@@ -90,11 +90,7 @@ Cluster::Cluster(ClusterOptions opt)
         opt_.check = true;  // replaying a violation schedule implies checking
     }
     if (opt_.schedule != nullptr) engine_.set_schedule_controller(opt_.schedule);
-    // SCIMPI_DIRECT_PACK=0|1 overrides the pack engine choice, so one binary
-    // can produce the two event logs a `scimpi-analyze --diff` A/B needs.
-    if (const char* ff = std::getenv("SCIMPI_DIRECT_PACK");
-        ff != nullptr && ff[0] != '\0')
-        opt_.cfg.use_direct_pack_ff = env_flag("SCIMPI_DIRECT_PACK");
+    apply_direct_pack_env(opt_.cfg);
     if (!opt_.stats_file.empty()) opt_.collect_stats = true;
     metrics_.enable(opt_.collect_stats);
     engine_.enable_views((opt_.profile ? sim::kViewProfile : 0u) |

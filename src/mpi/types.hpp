@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
@@ -22,7 +22,6 @@ struct Envelope {
     std::uint64_t seq = 0;        ///< per-(src,dst) sequence number
     std::size_t bytes = 0;        ///< payload size
     std::uint64_t type_fp = 0;    ///< sender datatype fingerprint
-    bool sender_canonical = true; ///< sender's leaf-major order == type map
     SimTime post_time = 0;        ///< virtual time the send was posted
                                   ///< (post→delivery latency histograms)
 };
@@ -53,7 +52,10 @@ struct CtrlMsg {
     std::uint64_t a = 0;              ///< kind-specific scalar (slot / chunk idx)
     std::uint64_t b = 0;              ///< kind-specific scalar (chunk bytes)
     PackMode mode = PackMode::canonical;
-    std::vector<std::byte> inline_data;  ///< short payload
+    /// Short/eager payload of `inline_len` bytes, allocated uninitialised
+    /// because the sender packs over all of it.
+    std::unique_ptr<std::byte[]> inline_data;
+    std::size_t inline_len = 0;
     SimTime arrived = 0;  ///< receiver-side arrival stamp (set when the message
                           ///< is parked in the unexpected queue)
     obs::Cause cause;  ///< graph node the message hangs off (the sender's

@@ -15,13 +15,8 @@ SimTime PlatformModel::pack_time(std::size_t total, std::size_t block) const {
     }
     const std::size_t nblocks = (total + block - 1) / block;
     switch (spec_.dt_opt) {
-        case DatatypeOpt::generic: {
-            PackWork w;
-            w.bytes = total;
-            w.blocks = static_cast<std::int64_t>(nblocks);
-            w.min_block = w.max_block = block;
-            return GenericPacker::cost(w, copy_);
-        }
+        case DatatypeOpt::generic:
+            return GenericPacker::cost({total, static_cast<std::int64_t>(nblocks)}, copy_);
         case DatatypeOpt::shm_blockjump: {
             // Sun HPC shared memory (Fig. 10): for blocks >= 16 KiB the
             // library copies each block directly between the user buffers

@@ -341,19 +341,23 @@ Status SciAdapter::read(sim::Process& self, const SciMapping& map, std::size_t o
 Status SciAdapter::dma_write_gather(sim::Process& self, const SciMapping& map,
                                     std::size_t off,
                                     std::span<const ConstIovec> blocks) {
+    return dma(self, map, off, blocks, blocks.size(), "DMA gather");
+}
+
+Status SciAdapter::dma(sim::Process& self, const SciMapping& map, std::size_t off,
+                       std::span<const ConstIovec> blocks, std::size_t descs,
+                       const char* what) {
     std::size_t total = 0;
     for (const auto& b : blocks) total += b.len;
     RoutePath path;
-    if (auto done = begin_access(self, map, off, total, /*is_store=*/true, "DMA gather",
-                                 path))
+    if (auto done = begin_access(self, map, off, total, /*is_store=*/true, what, path))
         return *done;
     const SciParams& p = fabric_.params();
     stats_.dma_bytes += total;
     if (dma_bytes_c_ != nullptr) dma_bytes_c_->add(total);
-    // Descriptor chain setup: one per block. This is why DMA pays off only
-    // for large basic blocks (Section 6 outlook).
-    self.delay(p.dma_startup +
-               static_cast<SimTime>(blocks.size()) * p.dma_desc_cost);
+    // Descriptor chain setup: one per gathered block. This is why DMA pays
+    // off only for large basic blocks (Section 6 outlook).
+    self.delay(p.dma_startup + static_cast<SimTime>(descs) * p.dma_desc_cost);
     if (map.remote()) {
         const std::size_t packets = (total + p.sci_packet - 1) / p.sci_packet;
         SimTime t_err = 0;
@@ -406,27 +410,8 @@ void SciAdapter::store_barrier(sim::Process& self) {
 
 Status SciAdapter::dma_write(sim::Process& self, const SciMapping& map, std::size_t off,
                              const void* src, std::size_t len) {
-    RoutePath path;
-    if (auto done = begin_access(self, map, off, len, /*is_store=*/true, "DMA write",
-                                 path))
-        return *done;
-    const SciParams& p = fabric_.params();
-    stats_.dma_bytes += len;
-    if (dma_bytes_c_ != nullptr) dma_bytes_c_->add(len);
-    self.delay(p.dma_startup);
-    if (!map.remote()) {
-        self.delay(transfer_time(len, p.dma_bw));
-        std::memcpy(map.mem.data() + off, src, len);
-        return Status::ok();
-    }
-    const std::size_t packets = (len + p.sci_packet - 1) / p.sci_packet;
-    SimTime t_err = 0;
-    const Status err = inject_errors(packets, &t_err, route_error_rate(path));
-    if (t_err > 0) self.delay(t_err);
-    if (!err) return err;
-    fabric_.timed_transfer(self, path, len, p.dma_bw);
-    std::memcpy(map.mem.data() + off, src, len);
-    return Status::ok();
+    const ConstIovec one{src, len};
+    return dma(self, map, off, {&one, 1}, 0, "DMA write");
 }
 
 }  // namespace scimpi::sci

@@ -167,6 +167,11 @@ private:
     /// `path` (empty path -> just the configured rate).
     [[nodiscard]] double route_error_rate(const RoutePath& path) const;
 
+    /// Synchronous DMA of `blocks` landing back to back at `off`: startup
+    /// plus `descs` chained descriptors, then the engine streams at dma_bw.
+    Status dma(sim::Process& self, const SciMapping& map, std::size_t off,
+               std::span<const ConstIovec> blocks, std::size_t descs, const char* what);
+
     /// Block `self` until any injected adapter stall has elapsed.
     void wait_if_stalled(sim::Process& self);
 

@@ -30,15 +30,9 @@ Region Region::sci(sci::SciMapping map, sci::SciAdapter& adapter) {
 Status Region::write(sim::Process& self, std::size_t off, const void* src,
                      std::size_t len, std::size_t src_traffic) {
     if (remote()) return adapter_->write(self, map_, off, src, len, src_traffic);
-    SCIMPI_REQUIRE(off + len <= size(), "region write out of bounds");
-    if (len == 0) return Status::ok();
-    if (checker_ != nullptr)
-        checker_->on_segment_access(map_.seg.node, map_.seg.id, self.id(), off, len,
-                                    /*is_store=*/true, self.now());
-    const std::size_t traffic = src_traffic == 0 ? len : src_traffic;
-    self.delay(local_model_.copy_cost(traffic, {}, {}));
-    std::memcpy(map_.mem.data() + off, src, len);
-    return Status::ok();
+    // Loopback: the same cached copy as a one-block gather.
+    const sci::SciAdapter::ConstIovec one{src, len};
+    return write_gather(self, off, {&one, 1}, src_traffic);
 }
 
 Status Region::write_gather(sim::Process& self, std::size_t off,

@@ -122,6 +122,70 @@ TEST(CollSeg, NonContiguousBcastFlattensIntoSegments) {
     EXPECT_EQ(r.counter("coll.generic_seg_packs"), 0u);
 }
 
+/// One vector layout sent by rendezvous and broadcast through segments on
+/// two nodes: both transports must take the path the pack-path policy
+/// picks. `gathers`: SCI writes gather the blocks directly (ff) rather than
+/// stage them; `unpacks_ff`: receivers unpack with ff (the D6 gate applies
+/// to writes only).
+void expect_same_pack_path(void (*tweak)(Config&), bool gathers, bool unpacks_ff) {
+    ClusterOptions opt;
+    opt.nodes = 2;
+    opt.coll = "seg";
+    opt.collect_stats = true;
+    tweak(opt.cfg);
+    Cluster c(opt);
+    // 1024 blocks of 4 doubles (32 B) every 8: 32 KiB of payload, above the
+    // eager threshold and one chunk on either transport.
+    constexpr int kBlocks = 1024;
+    constexpr int kStride = 8;
+    constexpr int kBlock = 4;
+    c.run([&](Comm& comm) {
+        const Datatype vec =
+            Datatype::vector(kBlocks, kBlock, kStride, Datatype::float64());
+        std::vector<double> p2p(kBlocks * kStride, -1.0);
+        std::vector<double> bc(kBlocks * kStride, -1.0);
+        if (comm.rank() == 0) {
+            std::iota(p2p.begin(), p2p.end(), 0.0);
+            std::iota(bc.begin(), bc.end(), 0.0);
+            ASSERT_TRUE(comm.send(p2p.data(), 1, vec, 1, 0));
+        } else {
+            ASSERT_TRUE(comm.recv(p2p.data(), 1, vec, 0, 0).status);
+        }
+        ASSERT_TRUE(comm.bcast(bc.data(), 1, vec, 0));
+        if (comm.rank() == 1) {
+            for (int i = 0; i < kBlocks * kStride; ++i) {
+                const double want = i % kStride < kBlock ? i : -1.0;
+                ASSERT_EQ(p2p[static_cast<std::size_t>(i)], want) << "rendezvous at " << i;
+                ASSERT_EQ(bc[static_cast<std::size_t>(i)], want) << "bcast at " << i;
+            }
+        }
+    });
+    const obs::RunReport r = c.stats_report();
+    EXPECT_EQ(r.counter("pack.ff_direct_blocks"), gathers ? kBlocks : 0u);
+    EXPECT_EQ(r.counter("pack.generic_staged_bytes"), gathers ? 0u : 32_KiB);
+    // Every published chunk has one reader here.
+    const std::uint64_t chunks = r.counter("coll.seg_chunks");
+    ASSERT_GT(chunks, 0u);
+    EXPECT_EQ(r.counter("coll.ff_seg_packs"),
+              (gathers ? chunks : 0u) + (unpacks_ff ? chunks : 0u));
+    EXPECT_EQ(r.counter("coll.generic_seg_packs"),
+              (gathers ? 0u : chunks) + (unpacks_ff ? 0u : chunks));
+}
+
+TEST(PackPath, FFGathersOnRendezvousAndSegments) {
+    expect_same_pack_path([](Config&) {}, /*gathers=*/true, /*unpacks_ff=*/true);
+}
+
+TEST(PackPath, DirectPackOffStagesOnRendezvousAndSegments) {
+    expect_same_pack_path([](Config& cfg) { cfg.use_direct_pack_ff = false; },
+                          /*gathers=*/false, /*unpacks_ff=*/false);
+}
+
+TEST(PackPath, MinBlockGateStagesOnRendezvousAndSegments) {
+    expect_same_pack_path([](Config& cfg) { cfg.ff_min_block = 64; },
+                          /*gathers=*/false, /*unpacks_ff=*/true);
+}
+
 TEST(CollSeg, TypedAllgatherUnpacksFromOwnSegment) {
     ClusterOptions opt;
     opt.nodes = 4;

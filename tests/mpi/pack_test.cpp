@@ -173,8 +173,6 @@ TEST(PackFF, WorkMetricsCountBlocksAndBytes) {
     const PackWork w = p.pack(0, 80, out.data());
     EXPECT_EQ(w.bytes, 80u);
     EXPECT_EQ(w.blocks, 10);
-    EXPECT_EQ(w.min_block, 8u);
-    EXPECT_EQ(w.max_block, 8u);
 }
 
 TEST(PackFF, SplitBlocksCountedSeparately) {
@@ -184,7 +182,6 @@ TEST(PackFF, SplitBlocksCountedSeparately) {
     std::vector<std::byte> out(16);
     const PackWork w = p.pack(4, 8, out.data());  // tail of b0 + head of b1
     EXPECT_EQ(w.blocks, 2);
-    EXPECT_EQ(w.min_block, 4u);
 }
 
 TEST(PackCost, FFBeatsGenericForSmallBlocks) {
@@ -636,7 +633,6 @@ TEST(WalkEquivalence, ChunkedGenericPackWorkMatchesReference) {
             const std::size_t pos = rng.below(total);
             const std::size_t len = 1 + rng.below(total - pos);
             PackWork ref;
-            ref.min_block = std::numeric_limits<std::size_t>::max();
             std::vector<std::byte> stream;
             std::size_t cursor = 0;
             for (const auto& [off, blk] : want) {
@@ -649,8 +645,6 @@ TEST(WalkEquivalence, ChunkedGenericPackWorkMatchesReference) {
                                   from + static_cast<std::ptrdiff_t>(b - a));
                     ref.bytes += b - a;
                     ++ref.blocks;
-                    ref.min_block = std::min(ref.min_block, b - a);
-                    ref.max_block = std::max(ref.max_block, b - a);
                 }
                 cursor += blk;
             }
@@ -658,8 +652,6 @@ TEST(WalkEquivalence, ChunkedGenericPackWorkMatchesReference) {
             EXPECT_TRUE(std::equal(stream.begin(), stream.end(), out.begin()));
             EXPECT_EQ(w.bytes, ref.bytes);
             EXPECT_EQ(w.blocks, ref.blocks);
-            EXPECT_EQ(w.min_block, ref.min_block);
-            EXPECT_EQ(w.max_block, ref.max_block);
         }
     }
 }
@@ -808,7 +800,6 @@ Blocks ref_ff_blocks(const FlatRep& rep, int count) {
 Blocks clip_blocks(const Blocks& blocks, std::size_t pos, std::size_t len, PackWork& work) {
     Blocks out;
     work = PackWork{};
-    work.min_block = std::numeric_limits<std::size_t>::max();
     std::size_t cursor = 0;
     for (const auto& [off, blk] : blocks) {
         const std::size_t a = std::max(cursor, pos);
@@ -817,18 +808,14 @@ Blocks clip_blocks(const Blocks& blocks, std::size_t pos, std::size_t len, PackW
             out.emplace_back(off + static_cast<std::ptrdiff_t>(a - cursor), b - a);
             work.bytes += b - a;
             ++work.blocks;
-            work.min_block = std::min(work.min_block, b - a);
-            work.max_block = std::max(work.max_block, b - a);
         }
         cursor += blk;
     }
-    if (work.blocks == 0) work.min_block = 0;
     return out;
 }
 
 bool same_work(const PackWork& a, const PackWork& b) {
-    return a.bytes == b.bytes && a.blocks == b.blocks && a.min_block == b.min_block &&
-           a.max_block == b.max_block;
+    return a.bytes == b.bytes && a.blocks == b.blocks;
 }
 
 /// Two mirror trees from one seed: identical structure, separate nodes, so

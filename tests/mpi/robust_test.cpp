@@ -263,6 +263,33 @@ TEST(DmaRendezvous, GatherModeHandlesNoncontig) {
     EXPECT_GT(c.adapter(0).stats().dma_bytes, 0u);
 }
 
+TEST(DmaRendezvous, StagedGenericChunksGoByDmaToo) {
+    // DMA is a property of the ring sink, not of the ff path: a chunk the
+    // generic walker stages still moves by DMA once it reaches the threshold.
+    ClusterOptions opt;
+    opt.nodes = 2;
+    opt.cfg.use_dma_rndv = true;
+    opt.cfg.use_direct_pack_ff = false;
+    opt.cfg.rndv_chunk = 64_KiB;
+    opt.cfg.dma_rndv_threshold = 64_KiB;
+    Cluster c(opt);
+    c.run([](Comm& comm) {
+        // 128 KiB of payload: two full 64 KiB chunks, both staged.
+        auto t = Datatype::vector(4096, 4, 8, Datatype::float64());
+        std::vector<double> buf(4096 * 8, -1.0);
+        if (comm.rank() == 0) {
+            std::iota(buf.begin(), buf.end(), 0.0);
+            ASSERT_TRUE(comm.send(buf.data(), 1, t, 1, 0));
+        } else {
+            ASSERT_TRUE(comm.recv(buf.data(), 1, t, 0, 0).status);
+            EXPECT_EQ(buf[3], 3.0);
+            EXPECT_EQ(buf[4], -1.0);  // gap
+            EXPECT_EQ(buf[4095 * 8 + 3], 4095.0 * 8 + 3);
+        }
+    });
+    EXPECT_EQ(c.adapter(0).stats().dma_bytes, 128_KiB);
+}
+
 TEST(DmaRendezvous, SmallChunksStayOnPio) {
     ClusterOptions opt;
     opt.nodes = 2;
