@@ -131,26 +131,37 @@ if [ -n "$timed_calls" ]; then
     exit 1
 fi
 
-# One direct_pack_ff path: the ff/generic decision lives in src/mpi/datatype
-# (ff_may_move, gather_direct) and the contiguous / ff-gather / staged SCI
-# chunk write in src/mpi/chunk_writer.hpp. A packer built or a gather write
+# One direct_pack_ff path and one copy-cost model: the ff/generic decision
+# and every pack charge live in src/mpi/datatype (ff_may_move, gather_direct,
+# pack_stream/unpack_stream, copy_blocks) and the contiguous / ff-gather /
+# staged SCI chunk write in src/mpi/chunk_writer.hpp. A packer built, a
+# packer's cost charged, a copy charged in the MPI layer or a gather write
 # issued anywhere else is another copy of that path, free to disagree with
-# it. Exempt: the datatype layer, the chunk writer, the layers below mpi
-# (sci, smi), plat, Comm::pack/unpack (MPI_Pack keeps its own cost charge)
-# and src/mpi/rma (emulation and remote-put pack by design).
+# it. Exempt: packers and their costs in the datatype layer and plat (its
+# comparator models price other MPIs' packers), the chunk writer's packer,
+# gather writes in the layers below mpi (sci, smi), the chunk writer and
+# the remote-put in RmaState::serve_get.
 pack_sources=$(find src bench examples tools perfbench/src \( -name '*.cpp' -o -name '*.hpp' \) | sort)
 pack_sites=$(awk "$fn_track"'
-    /(^|[^A-Za-z0-9_:])(FFPacker|GenericPacker)([[:space:]]+[A-Za-z_][A-Za-z0-9_]*)?[[:space:]]*[({]/ ||
-    /(\.|->)(dma_)?write_gather\(/ {
+    {
         key = FILENAME ":" fn
-        if (FILENAME !~ /^src\/(mpi\/datatype|mpi\/rma|sci|smi|plat)\// &&
-            FILENAME != "src/mpi/chunk_writer.hpp" &&
-            key !~ /^src\/mpi\/comm\.cpp:(pack|unpack)$/)
-            print FILENAME ":" FNR ": " $0
+        packer_ok = FILENAME ~ /^src\/(mpi\/datatype|plat)\// ||
+                    FILENAME == "src/mpi/chunk_writer.hpp"
+        cost_ok = FILENAME ~ /^src\/(mpi\/datatype|plat)\//
+        gather_ok = FILENAME ~ /^src\/(sci|smi)\// ||
+                    FILENAME == "src/mpi/chunk_writer.hpp" ||
+                    key == "src/mpi/rma/emulation.cpp:serve_get"
+    }
+    (!packer_ok && /(^|[^A-Za-z0-9_:])(FFPacker|GenericPacker)([[:space:]]+[A-Za-z_][A-Za-z0-9_]*)?[[:space:]]*[({]/) ||
+    (!cost_ok && /(FFPacker|GenericPacker)::cost\(/) ||
+    (!cost_ok && FILENAME ~ /^src\/mpi\// && /copy_cost\(/) ||
+    (!gather_ok && /(\.|->)(dma_)?write_gather\(/) {
+        print FILENAME ":" FNR ": " $0
     }' $pack_sources)
 if [ -n "$pack_sites" ]; then
-    echo "lint: a packer or gather write outside the pack-path policy and the" \
-         "chunk writer (call ff_may_move/gather_direct and write_chunk):" >&2
+    echo "lint: a packer, copy charge or gather write outside the pack-path" \
+         "module and the chunk writer (call pack_stream/unpack_stream," \
+         "copy_blocks or write_chunk):" >&2
     echo "$pack_sites" >&2
     exit 1
 fi

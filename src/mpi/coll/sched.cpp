@@ -314,13 +314,13 @@ Sched allgather_pairwise_typed(Comm& c, const Args& a) {
     Sched s;
     Comm* cp = &c;
     s.rounds.push_back({.post = [cp, a, be, n, r] {
-        std::vector<std::byte> tmp(be);
+        const auto tmp = std::make_unique_for_overwrite<std::byte[]>(be);
         std::size_t pos = 0;
-        (void)cp->pack(a.in, a.count, *a.type, tmp, &pos);
+        (void)cp->pack(a.in, a.count, *a.type, {tmp.get(), be}, &pos);
         const obs::Span pk(cp->proc(), {.prof = obs::ProfState::pack});
         const bool ff = ff_may_move(cp->cluster().options().cfg, *a.type);
         cp->proc().delay(unpack_stream(a.type, n * a.count, a.out, at(r, be), be,
-                                       tmp.data(), ff, cp->rank_state().copy_model())
+                                       tmp.get(), ff, cp->rank_state().copy_model())
                              .cost);
     }});
     const XferView sv = typed(a.in, a.count, *a.type);

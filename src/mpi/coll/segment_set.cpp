@@ -249,10 +249,11 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
     const std::uint64_t end_seq = s.base + s.n_chunks;
     const std::size_t off0 = ci * chunk_;
     const std::size_t rem = s.len - off0;
-    std::vector<std::byte> buf(2 * sizeof(std::uint64_t) + rem);
-    std::memcpy(buf.data(), &start_seq, sizeof start_seq);
-    std::memcpy(buf.data() + sizeof start_seq, &end_seq, sizeof end_seq);
-    std::byte* payload = buf.data() + 2 * sizeof(std::uint64_t);
+    const std::size_t len = 2 * sizeof(std::uint64_t) + rem;
+    const auto buf = std::make_unique_for_overwrite<std::byte[]>(len);
+    std::memcpy(buf.get(), &start_seq, sizeof start_seq);
+    std::memcpy(buf.get() + sizeof start_seq, &end_seq, sizeof end_seq);
+    std::byte* payload = buf.get() + 2 * sizeof(std::uint64_t);
     {
         const obs::Span pk(self, {.prof = obs::ProfState::pack});
         self.delay(pack_stream(s.v.type, s.v.count, s.v.data, s.pos + off0, rem, payload,
@@ -264,7 +265,7 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
     // phase for the next transfer on this edge.
     t.sent = end_seq;
     t.acked = end_seq;
-    return c.rank_state().send(buf.data(), static_cast<int>(buf.size()),
+    return c.rank_state().send(buf.get(), static_cast<int>(len),
                                Datatype::byte_(), c.world_rank(s.to),
                                kTagStreamFbk, c.context());
 }

@@ -217,15 +217,9 @@ Status Comm::pack(const void* inbuf, int count, const Datatype& type,
     if (*position + bytes > outbuf.size())
         return Status::error(Errc::truncated, "pack buffer too small");
     // Canonical order on the wire; ff machinery when it is order-safe.
-    if (ff_may_move(cluster_->options().cfg, t)) {
-        FFPacker ff(t, count, const_cast<void*>(inbuf));
-        const PackWork w = ff.pack(0, bytes, outbuf.data() + *position);
-        proc().delay(FFPacker::cost(w, rank_->copy_model()));
-    } else {
-        GenericPacker gp(t, count, const_cast<void*>(inbuf));
-        const PackWork w = gp.pack(0, bytes, outbuf.data() + *position);
-        proc().delay(GenericPacker::cost(w, rank_->copy_model()));
-    }
+    proc().delay(pack_stream(&t, count, inbuf, 0, bytes, outbuf.data() + *position,
+                             ff_may_move(cluster_->options().cfg, t), rank_->copy_model())
+                     .cost);
     *position += bytes;
     return Status::ok();
 }
@@ -238,15 +232,10 @@ Status Comm::unpack(std::span<const std::byte> inbuf, std::size_t* position,
     const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
     if (*position + bytes > inbuf.size())
         return Status::error(Errc::truncated, "unpack past end of buffer");
-    if (ff_may_move(cluster_->options().cfg, t)) {
-        FFPacker ff(t, count, outbuf);
-        const PackWork w = ff.unpack(0, bytes, inbuf.data() + *position);
-        proc().delay(FFPacker::cost(w, rank_->copy_model()));
-    } else {
-        GenericPacker gp(t, count, outbuf);
-        const PackWork w = gp.unpack(0, bytes, inbuf.data() + *position);
-        proc().delay(GenericPacker::cost(w, rank_->copy_model()));
-    }
+    proc().delay(unpack_stream(&t, count, outbuf, 0, bytes, inbuf.data() + *position,
+                               ff_may_move(cluster_->options().cfg, t),
+                               rank_->copy_model())
+                     .cost);
     *position += bytes;
     return Status::ok();
 }

@@ -256,4 +256,36 @@ StreamMove unpack_stream(const Datatype* type, int count, void* user, std::size_
                          std::size_t len, const std::byte* in, bool ff,
                          const mem::CopyModel& cm);
 
+/// The block copy: a flattened layout moved with one copy call per block
+/// and no packed stream in between (the RMA window copies: local ops, the
+/// remote-put scatter, the target handler's put and accumulate).
+/// `move(off, len, at)` runs once per block of `layout` (a range of
+/// `{off, len}`) in order, `at` being the block's offset in the packed
+/// stream. Returns the simulated CPU time of those copies.
+template <class Layout, class Move>
+SimTime copy_blocks(const Layout& layout, const mem::CopyModel& cm, Move&& move) {
+    std::size_t at = 0;
+    std::size_t blocks = 0;
+    for (const auto& b : layout) {
+        move(b.off, b.len, at);
+        at += b.len;
+        ++blocks;
+    }
+    return cm.copy_cost(at, {}, {}, blocks);
+}
+
+/// The same over the blocks of `count` x `type` (offsets from its origin).
+template <class Move>
+SimTime copy_blocks(const Datatype& type, int count, const mem::CopyModel& cm,
+                    Move&& move) {
+    std::size_t at = 0;
+    std::size_t blocks = 0;
+    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
+        move(off, len, at);
+        at += len;
+        ++blocks;
+    });
+    return cm.copy_cost(at, {}, {}, blocks);
+}
+
 }  // namespace scimpi::mpi

@@ -46,13 +46,11 @@ void RmaState::handler_loop(sim::Process& self) {
         const smi::Signal s = channel_.wait(self);
         switch (s.kind) {
             case rma_proto::kPut:
-                serve_put(self, s);
+            case rma_proto::kAccumulate:
+                serve_write(self, s);
                 break;
             case rma_proto::kGet:
                 serve_get(self, s);
-                break;
-            case rma_proto::kAccumulate:
-                serve_accumulate(self, s);
                 break;
             case rma_proto::kAck: {
                 if (s.c != 0) {
@@ -92,31 +90,6 @@ void RmaState::handler_loop(sim::Process& self) {
                 panic("rma handler: unknown signal kind");
         }
     }
-}
-
-void RmaState::serve_put(sim::Process& self, const smi::Signal& s) {
-    obs::Span span(self, {.name = "rma:serve_put", .trace = "rma"});
-    Win& win = window_of(windows_, s);
-
-    std::size_t pos = 0;
-    const auto blocks = rma_proto::parse_blocks(s.payload, pos);
-    std::size_t moved = 0;
-    for (const auto& b : blocks) {
-        SCIMPI_REQUIRE(b.off + b.len <= win.local().size(),
-                       "emulated put beyond window");
-        std::memcpy(win.local().data() + b.off, s.payload.data() + pos + moved, b.len);
-        moved += b.len;
-    }
-    self.delay(rank_.copy_model().copy_cost(moved, {}, {}, blocks.size()));
-    span.set_bytes(moved);
-    if (win.ck_ != nullptr)
-        win.ck_->on_remote_apply(win.id(), s.from_rank, self.now(), self.id());
-    // The op is done once the data sits in the target window: record the
-    // post-to-done latency here and land the flow arrow in this handler span.
-    win.rm_.lat_emulated->record(self.now() - s.post_time);
-    self.engine().land(self, s.cause, 0, obs::EvCat::sched, true);
-
-    post_ack(self, rank_, s.from_rank, 0, 0);
 }
 
 void RmaState::serve_get(sim::Process& self, const smi::Signal& s) {
@@ -161,31 +134,35 @@ void RmaState::serve_get(sim::Process& self, const smi::Signal& s) {
     post_ack(self, rank_, s.from_rank, s.c, static_cast<std::uint64_t>(out.status.code()));
 }
 
-void RmaState::serve_accumulate(sim::Process& self, const smi::Signal& s) {
-    obs::Span span(self, {.name = "rma:serve_accumulate", .trace = "rma"});
+void RmaState::serve_write(sim::Process& self, const smi::Signal& s) {
+    const bool put = s.kind == rma_proto::kPut;
+    obs::Span span(self, {.name = put ? "rma:serve_put" : "rma:serve_accumulate",
+                          .trace = "rma"});
     Win& win = window_of(windows_, s);
 
     std::size_t pos = 0;
     const auto blocks = rma_proto::parse_blocks(s.payload, pos);
-    std::size_t moved = 0;
-    for (const auto& b : blocks) {
-        SCIMPI_REQUIRE(b.off + b.len <= win.local().size(),
-                       "accumulate beyond window");
-        SCIMPI_REQUIRE(b.len % sizeof(double) == 0, "accumulate needs doubles");
-        auto* dst = reinterpret_cast<double*>(win.local().data() + b.off);
-        const auto n = b.len / sizeof(double);
-        std::vector<double> add(n);
-        std::memcpy(add.data(), s.payload.data() + pos + moved, b.len);
-        const auto op = static_cast<Win::ReduceOp>(s.b);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = Win::apply_op(op, dst[i], add[i]);
-        moved += b.len;
-    }
-    // Read-modify-write: two local streams plus the flops.
-    self.delay(2 * rank_.copy_model().copy_cost(moved, {}, {}, blocks.size()) +
-               static_cast<SimTime>(moved / sizeof(double)));
+    const std::byte* data = s.payload.data() + pos;
+    const auto op = static_cast<Win::ReduceOp>(s.b);
+    const SimTime copy = copy_blocks(
+        blocks, rank_.copy_model(), [&](std::uint64_t off, std::uint64_t len, std::size_t at) {
+            SCIMPI_REQUIRE(off + len <= win.local().size(), "emulated op beyond window");
+            std::byte* dst = win.local().data() + off;
+            if (put) {
+                std::memcpy(dst, data + at, len);
+                return;
+            }
+            SCIMPI_REQUIRE(len % sizeof(double) == 0, "accumulate needs doubles");
+            Win::combine(op, dst, data + at, len);
+        });
+    const std::size_t moved = s.payload.size() - pos;
+    // An accumulate is a read-modify-write: two local streams plus the flops.
+    self.delay(put ? copy : 2 * copy + static_cast<SimTime>(moved / sizeof(double)));
     span.set_bytes(moved);
     if (win.ck_ != nullptr)
         win.ck_->on_remote_apply(win.id(), s.from_rank, self.now(), self.id());
+    // The op is done once the data sits in the target window: record the
+    // post-to-done latency here and land the flow arrow in this handler span.
     win.rm_.lat_emulated->record(self.now() - s.post_time);
     self.engine().land(self, s.cause, 0, obs::EvCat::sched, true);
 

@@ -25,17 +25,7 @@ obs::SpanInfo rma_span(const char* name, std::size_t bytes,
             .bytes = bytes};
 }
 
-/// The emulated paths' origin-side phases: pack into the signal payload,
-/// then stream it to the target with PIO.
-void pack_payload(sim::Process& self, smi::Signal& s, const Datatype& type, int count,
-                  const void* origin, std::size_t bytes, const mem::CopyModel& cm) {
-    const std::size_t header = s.payload.size();
-    s.payload.resize(header + bytes);
-    const obs::Span pack(self, {.prof = obs::ProfState::pack});
-    GenericPacker gp(type, count, const_cast<void*>(origin));
-    const PackWork work = gp.pack(0, bytes, s.payload.data() + header);
-    self.delay(GenericPacker::cost(work, cm));
-}
+/// Stream a signal payload to the target with PIO.
 void stream_payload(sim::Process& self, const smi::Signal& s, sci::SciAdapter& a) {
     const obs::Span io(self, {.prof = obs::ProfState::pio_write});
     self.delay(a.pio_stream_cost(s.payload.size()));
@@ -82,7 +72,7 @@ Status Win::put(const void* origin, int count, const Datatype& type, int target,
         return op_local(const_cast<void*>(origin), count, t, disp, /*is_put=*/true);
     if (peers_[static_cast<std::size_t>(target)].shared && direct_path_usable(target))
         return put_direct(origin, count, t, target, disp);
-    return put_emulated(origin, count, t, target, disp);
+    return emulate(rma_proto::kPut, 0, origin, count, t, target, disp);
 }
 
 Status Win::get(void* origin, int count, const Datatype& type, int target,
@@ -159,23 +149,20 @@ Status Win::op_local(void* origin, int count, const Datatype& type, std::size_t 
     ++stats_.local_ops;
     rm_.local_ops->inc();
     sim::Process& self = rank_->proc();
-    const mem::CopyModel& cm = rank_->copy_model();
     auto* user = static_cast<std::byte*>(origin);
-    Status st;
-    std::size_t moved = 0;
-    std::int64_t blocks = 0;
-    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-        std::byte* win_mem = local_.data() + disp + static_cast<std::size_t>(off);
-        if (is_put)
-            std::memcpy(win_mem, user + off, len);
-        else
-            std::memcpy(user + off, win_mem, len);
-        moved += len;
-        ++blocks;
-    });
-    const obs::Span span(self, rma_span("rma:local", moved));
-    self.delay(cm.copy_cost(moved, {}, {}, static_cast<std::size_t>(blocks)));
-    return st;
+    const SimTime cost = copy_blocks(
+        type, count, rank_->copy_model(),
+        [&](std::ptrdiff_t off, std::size_t len, std::size_t) {
+            std::byte* win_mem = local_.data() + disp + static_cast<std::size_t>(off);
+            if (is_put)
+                std::memcpy(win_mem, user + off, len);
+            else
+                std::memcpy(user + off, win_mem, len);
+        });
+    const obs::Span span(self,
+                         rma_span("rma:local", type.size() * static_cast<std::size_t>(count)));
+    self.delay(cost);
+    return Status::ok();
 }
 
 Status Win::put_direct(const void* origin, int count, const Datatype& type, int target,
@@ -220,29 +207,40 @@ Status Win::get_direct(void* origin, int count, const Datatype& type, int target
     return st;
 }
 
-Status Win::put_emulated(const void* origin, int count, const Datatype& type,
-                         int target, std::size_t disp) {
-    ++stats_.emulated_puts;
+Status Win::emulate(int kind, std::uint64_t op, const void* origin, int count,
+                    const Datatype& type, int target, std::size_t disp) {
     sim::Process& self = rank_->proc();
-    RmaState& rma = rank_->rma();
     const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-    rm_.emulated_puts->inc();
-    rm_.emulated_put_bytes->add(bytes);
-    const obs::Span span(self, rma_span("rma:put_emulated", bytes));
+    const bool put = kind == rma_proto::kPut;
+    if (put) {
+        ++stats_.emulated_puts;
+        rm_.emulated_puts->inc();
+        rm_.emulated_put_bytes->add(bytes);
+    }
+    const obs::Span span(self, rma_span(put ? "rma:put_emulated" : "rma:accumulate", bytes));
 
     smi::Signal s;
     s.from_rank = rank_->rank();  // world rank: acks route through the cluster
-    s.kind = rma_proto::kPut;
+    s.kind = kind;
     s.a = static_cast<std::uint64_t>(id_);
+    s.b = op;
     s.post_time = self.now();
     rma_proto::serialize_blocks(s.payload, layout_blocks(type, count, disp));
 
-    // Pack the data in canonical order behind the descriptors.
-    pack_payload(self, s, type, count, origin, bytes, rank_->copy_model());
+    // Pack the data behind the descriptors, in their (canonical) order.
+    const std::size_t header = s.payload.size();
+    s.payload.resize(header + bytes);
+    {
+        const obs::Span pack(self, {.prof = obs::ProfState::pack});
+        self.delay(pack_stream(&type, count, origin, 0, bytes, s.payload.data() + header,
+                               ff_may_move(comm_->cluster().options().cfg, type),
+                               rank_->copy_model())
+                       .cost);
+    }
     stream_payload(self, s, rank_->adapter());
 
     s.cause = self.engine().start_flow(self, obs::Flow::rma);
-    rma.add_pending();
+    rank_->rma().add_pending();
     Rank& peer = comm_->cluster().rank_state(comm_->world_rank(target));
     peer.rma().channel().post(self, rank_->node(), std::move(s));
     return Status::ok();
@@ -307,15 +305,11 @@ Status Win::get_remote_put(void* origin, int count, const Datatype& type, int ta
     // Scatter the staged stream into the origin layout (local copy).
     obs::Span scatter(self, rma_span("rma:get_scatter", bytes));
     auto* user = static_cast<std::byte*>(origin);
-    const std::byte* cursor = staging.value().data();
-    std::int64_t blocks = 0;
-    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-        std::memcpy(user + off, cursor, len);
-        cursor += len;
-        ++blocks;
-    });
-    self.delay(rank_->copy_model().copy_cost(bytes, {}, {},
-                                             static_cast<std::size_t>(blocks)));
+    const std::byte* staged = staging.value().data();
+    self.delay(copy_blocks(type, count, rank_->copy_model(),
+                           [&](std::ptrdiff_t off, std::size_t len, std::size_t at) {
+                               std::memcpy(user + off, staged + at, len);
+                           }));
     scatter.close();
 
     SCIMPI_REQUIRE(cluster.directory().destroy(seg).is_ok(), "staging seg leak");
@@ -342,52 +336,39 @@ Status Win::accumulate(const void* origin, int count, const Datatype& type,
     if (target == my_rank()) {
         // Local read-modify-write straight on the window.
         const auto* user = static_cast<const std::byte*>(origin);
-        std::int64_t blocks = 0;
-        Status st;
-        t.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-            auto* dst = reinterpret_cast<double*>(local_.data() + disp +
-                                                  static_cast<std::size_t>(off));
-            const auto* add = reinterpret_cast<const double*>(user + off);
-            for (std::size_t i = 0; i < len / sizeof(double); ++i)
-                dst[i] = apply_op(op, dst[i], add[i]);
-            ++blocks;
-        });
-        self.delay(2 * rank_->copy_model().copy_cost(bytes, {}, {},
-                                                     static_cast<std::size_t>(blocks)) +
-                   static_cast<SimTime>(bytes / sizeof(double)));
+        const SimTime copy = copy_blocks(
+            t, count, rank_->copy_model(),
+            [&](std::ptrdiff_t off, std::size_t len, std::size_t) {
+                combine(op, local_.data() + disp + static_cast<std::size_t>(off), user + off,
+                        len);
+            });
+        // Read-modify-write: two local streams plus the flops.
+        self.delay(2 * copy + static_cast<SimTime>(bytes / sizeof(double)));
         return Status::ok();
     }
 
     // Accumulate always goes through the target handler: SCI offers no
     // remote read-modify-write, so the combination happens target-side.
-    RmaState& rma = rank_->rma();
-    const obs::Span op_span(self, rma_span("rma:accumulate", bytes));
-    smi::Signal s;
-    s.from_rank = rank_->rank();
-    s.kind = rma_proto::kAccumulate;
-    s.a = static_cast<std::uint64_t>(id_);
-    s.b = static_cast<std::uint64_t>(op);
-    s.post_time = self.now();
-    rma_proto::serialize_blocks(s.payload, layout_blocks(t, count, disp));
-    pack_payload(self, s, t, count, origin, bytes, rank_->copy_model());
-    stream_payload(self, s, rank_->adapter());
-
-    s.cause = self.engine().start_flow(self, obs::Flow::rma);
-    rma.add_pending();
-    Rank& peer = comm_->cluster().rank_state(comm_->world_rank(target));
-    peer.rma().channel().post(self, rank_->node(), std::move(s));
-    return Status::ok();
+    return emulate(rma_proto::kAccumulate, static_cast<std::uint64_t>(op), origin, count, t,
+                   target, disp);
 }
 
-double Win::apply_op(ReduceOp op, double current, double incoming) {
-    switch (op) {
-        case ReduceOp::sum: return current + incoming;
-        case ReduceOp::prod: return current * incoming;
-        case ReduceOp::min: return std::min(current, incoming);
-        case ReduceOp::max: return std::max(current, incoming);
-        case ReduceOp::replace: return incoming;
+void Win::combine(ReduceOp op, std::byte* dst, const std::byte* src, std::size_t len) {
+    for (std::size_t i = 0; i + sizeof(double) <= len; i += sizeof(double)) {
+        double cur = 0.0;
+        double in = 0.0;
+        std::memcpy(&cur, dst + i, sizeof cur);
+        std::memcpy(&in, src + i, sizeof in);
+        switch (op) {
+            case ReduceOp::sum: cur += in; break;
+            case ReduceOp::prod: cur *= in; break;
+            case ReduceOp::min: cur = std::min(cur, in); break;
+            case ReduceOp::max: cur = std::max(cur, in); break;
+            case ReduceOp::replace: cur = in; break;
+            default: panic("unknown reduce op");
+        }
+        std::memcpy(dst + i, &cur, sizeof cur);
     }
-    panic("unknown reduce op");
 }
 
 }  // namespace scimpi::mpi

@@ -98,8 +98,10 @@ public:
         return peers_[static_cast<std::size_t>(target)].shared;
     }
     [[nodiscard]] std::span<std::byte> local() { return local_; }
-    /// Element-wise combination used by accumulate (also by the handler).
-    static double apply_op(ReduceOp op, double current, double incoming);
+    /// Combine the `len` bytes of doubles at `src` into `dst` element by
+    /// element (accumulate, local and at the handler). Neither side needs
+    /// to be aligned: a packed payload is not.
+    static void combine(ReduceOp op, std::byte* dst, const std::byte* src, std::size_t len);
     [[nodiscard]] int id() const { return id_; }
     [[nodiscard]] int my_rank() const;
 
@@ -124,8 +126,11 @@ private:
                       std::size_t disp);
     Status get_direct(void* origin, int count, const Datatype& type, int target,
                       std::size_t disp);
-    Status put_emulated(const void* origin, int count, const Datatype& type,
-                        int target, std::size_t disp);
+    /// Emulated put (`kind` rma_proto::kPut) or accumulate (kAccumulate,
+    /// `op` its ReduceOp): pack the data behind its block descriptors and
+    /// signal the target's handler.
+    Status emulate(int kind, std::uint64_t op, const void* origin, int count,
+                   const Datatype& type, int target, std::size_t disp);
     Status get_remote_put(void* origin, int count, const Datatype& type, int target,
                           std::size_t disp);
     Status op_local(void* origin_or_src, int count, const Datatype& type,
@@ -235,9 +240,9 @@ public:
 
 private:
     void handler_loop(sim::Process& self);
-    void serve_put(sim::Process& self, const smi::Signal& s);
+    /// Apply an emulated put or accumulate to the window.
+    void serve_write(sim::Process& self, const smi::Signal& s);
     void serve_get(sim::Process& self, const smi::Signal& s);
-    void serve_accumulate(sim::Process& self, const smi::Signal& s);
 
     Rank& rank_;
     smi::SignalChannel channel_;

@@ -1,7 +1,8 @@
 // Tests for the SCI-native collective engine (src/mpi/coll/): segment-routed
 // algorithms, size/override-driven selection, sub-communicators, non-
 // contiguous datatypes flattened straight into the collective segments,
-// p2p-fallback resilience and scimpi-check cleanliness.
+// one pack path and one pack cost on every transport, p2p-fallback
+// resilience and scimpi-check cleanliness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,9 @@
 
 #include "check/checker.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/datatype/pack_ff.hpp"
+#include "mpi/rma/window.hpp"
+#include "obs/profiler.hpp"
 #include "sim/schedule.hpp"
 
 namespace scimpi::mpi {
@@ -184,6 +188,129 @@ TEST(PackPath, DirectPackOffStagesOnRendezvousAndSegments) {
 TEST(PackPath, MinBlockGateStagesOnRendezvousAndSegments) {
     expect_same_pack_path([](Config& cfg) { cfg.ff_min_block = 64; },
                           /*gathers=*/false, /*unpacks_ff=*/true);
+}
+
+/// Simulated time `body` takes on the calling rank.
+template <class Body>
+SimTime elapsed(Comm& comm, Body&& body) {
+    const SimTime t0 = comm.proc().now();
+    body();
+    return comm.proc().now() - t0;
+}
+
+/// Comm::pack then Comm::unpack of `count` x `type` on one rank: each must
+/// charge exactly what pack_stream / unpack_stream charge for the same
+/// move, and the round trip must restore the data. Returns the pack charge.
+SimTime expect_pack_stream_charges(const Datatype& type, int count, Config cfg = {}) {
+    ClusterOptions opt;
+    opt.nodes = 1;
+    opt.cfg = cfg;
+    Cluster c(opt);
+    SimTime pack_ns = 0;
+    c.run([&](Comm& comm) {
+        Datatype t = type;
+        if (!t.committed()) t.commit(c.options().cfg);
+        const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
+        const std::size_t span = static_cast<std::size_t>(t.extent()) *
+                                 static_cast<std::size_t>(count);
+        std::vector<std::byte> in(span);
+        for (std::size_t i = 0; i < span; ++i) in[i] = static_cast<std::byte>(i * 7 + 1);
+        std::vector<std::byte> packed(bytes);
+        std::vector<std::byte> out(span);
+        std::vector<std::byte> ref(bytes);
+        const bool ff = ff_may_move(c.options().cfg, t);
+        const mem::CopyModel& cm = comm.rank_state().copy_model();
+        std::size_t pos = 0;
+        pack_ns = elapsed(comm, [&] {
+            ASSERT_TRUE(comm.pack(in.data(), count, t, packed, &pos));
+        });
+        EXPECT_EQ(pos, bytes);
+        EXPECT_EQ(pack_ns,
+                  pack_stream(&t, count, in.data(), 0, bytes, ref.data(), ff, cm).cost);
+        EXPECT_EQ(packed, ref);
+        pos = 0;
+        const SimTime unpack_ns = elapsed(comm, [&] {
+            ASSERT_TRUE(comm.unpack(packed, &pos, out.data(), count, t));
+        });
+        EXPECT_EQ(unpack_ns,
+                  unpack_stream(&t, count, out.data(), 0, bytes, packed.data(), ff, cm).cost);
+        t.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
+            EXPECT_EQ(std::memcmp(out.data() + off, in.data() + off, len), 0) << "at " << off;
+        });
+    });
+    return pack_ns;
+}
+
+// MPI_Pack of a contiguous layout costs what a memcpy of its bytes costs
+// (Hunold, Carpen-Amarie and Träff's guideline), not a strided walk with
+// one block per element.
+TEST(PackCost, ContiguousCommPackChargesWhatPackStreamCharges) {
+    for (const int n : {1024, 8192}) {
+        SCOPED_TRACE(n);
+        expect_pack_stream_charges(Datatype::float64(), n);
+    }
+}
+
+// The non-contiguous charges are pinned: the ff walk of an order-safe
+// vector and the generic walk with direct_pack_ff off (the noncontig_pack
+// workload's path).
+TEST(PackCost, NonContiguousCommPackChargeIsUnchanged) {
+    const Datatype vec = Datatype::vector(256, 4, 8, Datatype::float64());
+    EXPECT_EQ(expect_pack_stream_charges(vec, 2), 70'791);
+    Config generic;
+    generic.use_direct_pack_ff = false;
+    EXPECT_EQ(expect_pack_stream_charges(vec, 2, generic), 121'791);
+}
+
+/// Rank 0 puts `count` x `type` into rank 1's private window (the emulated
+/// path): the time it spends in the pack state must be the origin pack
+/// pack_stream charges.
+void expect_emulated_put_packs_like_pack_stream(const Datatype& type, int count) {
+    ClusterOptions opt;
+    opt.nodes = 2;
+    opt.profile = true;
+    Cluster c(opt);
+    c.run([&](Comm& comm) {
+        Datatype t = type;
+        if (!t.committed()) t.commit(c.options().cfg);
+        const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
+        const std::size_t span = static_cast<std::size_t>(t.extent()) *
+                                 static_cast<std::size_t>(count);
+        std::vector<std::byte> heap(span, std::byte{0});
+        auto win = comm.win_create(heap.data(), heap.size());
+        win->fence();
+        if (comm.rank() == 0) {
+            std::vector<std::byte> in(span);
+            for (std::size_t i = 0; i < span; ++i) in[i] = static_cast<std::byte>(i + 3);
+            sim::Engine& eng = comm.proc().engine();
+            const auto pack_state = [&] {
+                return eng.profiler()
+                    .snapshot(comm.proc().id(), eng.now())
+                    .state_ns[static_cast<std::size_t>(obs::ProfState::pack)];
+            };
+            const std::uint64_t before = pack_state();
+            ASSERT_TRUE(win->put(in.data(), count, t, 1, 0));
+            std::vector<std::byte> ref(bytes);
+            EXPECT_EQ(pack_state() - before,
+                      pack_stream(&t, count, in.data(), 0, bytes, ref.data(),
+                                  ff_may_move(c.options().cfg, t),
+                                  comm.rank_state().copy_model())
+                          .cost);
+            EXPECT_EQ(win->stats().emulated_puts, 1u);
+        }
+        win->fence();
+    });
+}
+
+TEST(PackCost, EmulatedPutPacksAContiguousRunLikePackStream) {
+    expect_emulated_put_packs_like_pack_stream(Datatype::byte_(), 4096);
+}
+
+TEST(PackCost, EmulatedPutPacksAnFFSafeVectorLikePackStream) {
+    Datatype vec = Datatype::vector(64, 4, 8, Datatype::float64());
+    vec.commit(Config{});
+    ASSERT_TRUE(ff_may_move(Config{}, vec));
+    expect_emulated_put_packs_like_pack_stream(vec, 2);
 }
 
 TEST(CollSeg, TypedAllgatherUnpacksFromOwnSegment) {

@@ -22,8 +22,15 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tsan configure failed:\n${out}${err}")
 endif()
 
+# One compile job per logical core: a bounded count, since a bare
+# --parallel leaves the job count to the generator (unbounded under Make).
+cmake_host_system_information(RESULT jobs QUERY NUMBER_OF_LOGICAL_CORES)
+if(NOT jobs GREATER 0)
+  set(jobs 1)
+endif()
 execute_process(
-  COMMAND "${CMAKE_COMMAND}" --build "${tsan_dir}" --target test_sim test_check
+  COMMAND "${CMAKE_COMMAND}" --build "${tsan_dir}" --parallel ${jobs}
+          --target test_sim test_check
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tsan build failed:\n${out}${err}")
