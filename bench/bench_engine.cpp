@@ -112,12 +112,13 @@ void BM_RemoteWrite8(benchmark::State& state) {
         sim::Engine eng;
         sci::Fabric fabric(sci::Topology::ring(nodes), sci::SciParams{});
         sci::SegmentDirectory dir;
+        obs::MetricsRegistry metrics;
         std::vector<std::unique_ptr<mem::NodeMemory>> mems;
         std::vector<std::unique_ptr<sci::SciAdapter>> adapters;
         for (int n = 0; n < nodes; ++n) {
             mems.push_back(std::make_unique<mem::NodeMemory>(n, 1_MiB));
-            adapters.push_back(std::make_unique<sci::SciAdapter>(n, fabric, mem::pentium3_800(),
-                                                                 default_config()));
+            adapters.push_back(std::make_unique<sci::SciAdapter>(
+                n, fabric, mem::pentium3_800(), default_config(), metrics));
         }
         const int target = nodes / 2;
         const sci::SegmentId seg = dir.create(target, mems[static_cast<std::size_t>(target)]

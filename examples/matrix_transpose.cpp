@@ -92,7 +92,7 @@ int main() {
             std::printf("transpose of %dx%d over %d ranks: ff packs used: %llu\n",
                         kN, kN, kRanks,
                         static_cast<unsigned long long>(
-                            comm.rank_state().stats().ff_packs));
+                            cluster.metrics().value("pack.ff_packs", 0)));
     });
 
     std::printf("matrix transpose %s, simulated %.3f ms\n", ok ? "verified" : "FAILED",

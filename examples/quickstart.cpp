@@ -120,7 +120,9 @@ int main(int argc, char** argv) {
         const double got = *reinterpret_cast<double*>(win->local().data());
         std::printf("[rank %d] window holds %.0f (from rank %d), path: %s\n", rank,
                     got, (rank + size - 1) % size,
-                    win->stats().direct_puts > 0 ? "direct SCI put" : "emulated");
+                    comm.cluster().metrics().value("rma.direct_puts", rank) > 0
+                        ? "direct SCI put"
+                        : "emulated");
         win->fence();
     });
 

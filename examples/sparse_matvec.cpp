@@ -117,8 +117,10 @@ int main() {
             "remote-put) in %.0f us, residual %.1e\n",
             rank, kRowsPerRank, A.col.size(),
             static_cast<unsigned long long>(remote_gets),
-            static_cast<unsigned long long>(win->stats().direct_gets),
-            static_cast<unsigned long long>(win->stats().remote_put_gets), gather_us,
+            static_cast<unsigned long long>(cluster.metrics().value("rma.direct_gets", rank)),
+            static_cast<unsigned long long>(
+                cluster.metrics().value("rma.remote_put_gets", rank)),
+            gather_us,
             err);
         win->fence();
     });

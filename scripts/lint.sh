@@ -179,6 +179,19 @@ if [ -n "$layer_includes" ]; then
     exit 1
 fi
 
+# One counter per fact: the metrics registry is the only counter store. A
+# per-object `struct Stats` / `struct Counters`, or a stats() accessor in
+# the sci, mpi or fault layers, would count the registry's events a second
+# time. Read one object's count as MetricsRegistry::value(name, label).
+stats_structs=$(grep -rnE '\bstruct[[:space:]]+(Stats|Counters)\b' src
+                grep -rnE '\bstats\(\)' src/sci src/mpi src/fault)
+if [ -n "$stats_structs" ]; then
+    echo "lint: a per-object stats struct or stats() accessor beside the" \
+         "metrics registry (count through a registry slot instead):" >&2
+    echo "$stats_structs" >&2
+    exit 1
+fi
+
 # Reachable modules: every header under src/ is included by some file of
 # src/, bench/, examples/, tools/ or perfbench/src other than its own .cpp.
 # A header that only its own .cpp and the tests include is a module no

@@ -6,14 +6,20 @@
 namespace scimpi::fault {
 
 FaultController::FaultController(sim::Engine& engine, sci::Fabric& fabric,
-                                 FaultSchedule schedule)
+                                 FaultSchedule schedule, obs::MetricsRegistry& metrics)
     : engine_(engine),
       fabric_(fabric),
       events_(schedule.materialize(fabric.topology().links())),
       down_depth_(static_cast<std::size_t>(fabric.topology().links()), 0),
       active_rates_(static_cast<std::size_t>(fabric.topology().links())),
       adapters_(static_cast<std::size_t>(fabric.topology().nodes()), nullptr),
-      channels_(static_cast<std::size_t>(fabric.topology().nodes())) {}
+      channels_(static_cast<std::size_t>(fabric.topology().nodes())),
+      injected_c_(metrics.counter("fault.injected")),
+      link_down_c_(metrics.counter("fault.link_down")),
+      link_up_c_(metrics.counter("fault.link_up")),
+      error_windows_c_(metrics.counter("fault.error_windows")),
+      stalls_c_(metrics.counter("fault.adapter_stalls")),
+      irq_drops_c_(metrics.counter("fault.irq_drops")) {}
 
 void FaultController::set_adapter(int node, sci::SciAdapter* adapter) {
     adapters_.at(static_cast<std::size_t>(node)) = adapter;
@@ -23,18 +29,9 @@ void FaultController::add_channel(int node, smi::SignalChannel* channel) {
     channels_.at(static_cast<std::size_t>(node)).push_back(channel);
 }
 
-void FaultController::bind_metrics(obs::MetricsRegistry& m) {
-    injected_c_ = &m.counter("fault.injected");
-    link_down_c_ = &m.counter("fault.link_down");
-    link_up_c_ = &m.counter("fault.link_up");
-    error_windows_c_ = &m.counter("fault.error_windows");
-    stalls_c_ = &m.counter("fault.adapter_stalls");
-    irq_drops_c_ = &m.counter("fault.irq_drops");
-}
-
-void FaultController::count(obs::Counter* c) {
-    if (injected_c_ != nullptr) injected_c_->inc();
-    if (c != nullptr) c->inc();
+void FaultController::count(obs::Counter& c) {
+    injected_c_.inc();
+    c.inc();
 }
 
 void FaultController::start() {
@@ -62,7 +59,6 @@ void FaultController::apply(sim::Process& self, const FaultEvent& e) {
         case FaultKind::link_down: {
             auto& depth = down_depth_.at(static_cast<std::size_t>(e.target));
             if (depth++ == 0) fabric_.set_link_up(e.target, false);
-            ++counters_.link_downs;
             count(link_down_c_);
             break;
         }
@@ -70,7 +66,6 @@ void FaultController::apply(sim::Process& self, const FaultEvent& e) {
             auto& depth = down_depth_.at(static_cast<std::size_t>(e.target));
             // A stray "up" for a link that is not down is ignored (depth 0).
             if (depth > 0 && --depth == 0) fabric_.set_link_up(e.target, true);
-            ++counters_.link_ups;
             count(link_up_c_);
             break;
         }

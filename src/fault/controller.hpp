@@ -25,7 +25,10 @@ namespace scimpi::fault {
 
 class FaultController {
 public:
-    FaultController(sim::Engine& engine, sci::Fabric& fabric, FaultSchedule schedule);
+    /// Resolves the fault.* counters (fault.injected, fault.link_down, ...)
+    /// in `metrics`.
+    FaultController(sim::Engine& engine, sci::Fabric& fabric, FaultSchedule schedule,
+                    obs::MetricsRegistry& metrics);
 
     /// Node `node`'s adapter (for stall events). Optional per node.
     void set_adapter(int node, sci::SciAdapter* adapter);
@@ -33,23 +36,15 @@ public:
     /// A node may host several (one per rank); drops hit all of them.
     void add_channel(int node, smi::SignalChannel* channel);
 
-    /// Resolve fault.* counters (fault.injected, fault.link_down, ...).
-    void bind_metrics(obs::MetricsRegistry& m);
-
     /// Spawn the "faults" process. Call before Engine::run().
     void start();
 
-    struct Counters {
-        std::uint64_t link_downs = 0;
-        std::uint64_t link_ups = 0;
-    };
-    [[nodiscard]] const Counters& counters() const { return counters_; }
     [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }
 
 private:
     void run(sim::Process& self);
     void apply(sim::Process& self, const FaultEvent& e);
-    void count(obs::Counter* c);
+    void count(obs::Counter& c);
 
     sim::Engine& engine_;
     sci::Fabric& fabric_;
@@ -58,13 +53,12 @@ private:
     std::vector<std::vector<double>> active_rates_;    // per link error windows
     std::vector<sci::SciAdapter*> adapters_;           // per node, may be null
     std::vector<std::vector<smi::SignalChannel*>> channels_;  // per node
-    Counters counters_;
-    obs::Counter* injected_c_ = nullptr;
-    obs::Counter* link_down_c_ = nullptr;
-    obs::Counter* link_up_c_ = nullptr;
-    obs::Counter* error_windows_c_ = nullptr;
-    obs::Counter* stalls_c_ = nullptr;
-    obs::Counter* irq_drops_c_ = nullptr;
+    obs::Counter& injected_c_;
+    obs::Counter& link_down_c_;
+    obs::Counter& link_up_c_;
+    obs::Counter& error_windows_c_;
+    obs::Counter& stalls_c_;
+    obs::Counter& irq_drops_c_;
     bool started_ = false;
 };
 

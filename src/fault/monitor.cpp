@@ -3,28 +3,25 @@
 namespace scimpi::fault {
 
 ConnectionMonitor::ConnectionMonitor(sim::Engine& engine, sci::Fabric& fabric,
-                                     Config cfg)
+                                     Config cfg, obs::MetricsRegistry& metrics)
     : engine_(engine),
       fabric_(fabric),
       cfg_(cfg),
       nodes_(fabric.topology().nodes()),
       pairs_(static_cast<std::size_t>(nodes_) * static_cast<std::size_t>(nodes_)),
-      adapters_(static_cast<std::size_t>(nodes_), nullptr) {
+      adapters_(static_cast<std::size_t>(nodes_), nullptr),
+      sweeps_c_(metrics.counter("monitor.sweeps")),
+      probes_c_(metrics.counter("monitor.probes")),
+      probe_fail_c_(metrics.counter("monitor.probe_failures")),
+      suspect_c_(metrics.counter("monitor.peers_suspect")),
+      dead_c_(metrics.counter("monitor.peers_dead")),
+      recovered_c_(metrics.counter("monitor.peers_recovered")) {
     SCIMPI_REQUIRE(cfg_.monitor_period > 0, "monitor needs a positive period");
     SCIMPI_REQUIRE(cfg_.monitor_dead_after > 0, "monitor_dead_after must be >= 1");
 }
 
 void ConnectionMonitor::set_adapter(int node, sci::SciAdapter* adapter) {
     adapters_.at(static_cast<std::size_t>(node)) = adapter;
-}
-
-void ConnectionMonitor::bind_metrics(obs::MetricsRegistry& m) {
-    sweeps_c_ = &m.counter("monitor.sweeps");
-    probes_c_ = &m.counter("monitor.probes");
-    probe_fail_c_ = &m.counter("monitor.probe_failures");
-    suspect_c_ = &m.counter("monitor.peers_suspect");
-    dead_c_ = &m.counter("monitor.peers_dead");
-    recovered_c_ = &m.counter("monitor.peers_recovered");
 }
 
 PeerState ConnectionMonitor::state(int src_node, int dst_node) const {
@@ -78,7 +75,7 @@ void ConnectionMonitor::run(sim::Process& self) {
 }
 
 void ConnectionMonitor::sweep(sim::Process& self) {
-    if (sweeps_c_ != nullptr) sweeps_c_->inc();
+    sweeps_c_.inc();
     for (int src = 0; src < nodes_; ++src) {
         sci::SciAdapter* adapter = adapters_[static_cast<std::size_t>(src)];
         if (adapter == nullptr) continue;
@@ -86,26 +83,23 @@ void ConnectionMonitor::sweep(sim::Process& self) {
             if (src == dst) continue;
             Pair& p = pair(src, dst);
             if (p.state == PeerState::dead) continue;  // until a link returns
-            if (probes_c_ != nullptr) probes_c_->inc();
+            probes_c_.inc();
             const bool ok = adapter->probe_peer(self, dst);
             if (ok) {
-                if (p.state == PeerState::suspect && recovered_c_ != nullptr)
-                    recovered_c_->inc();
+                if (p.state == PeerState::suspect) recovered_c_.inc();
                 p.state = PeerState::healthy;
                 p.fails = 0;
                 continue;
             }
-            ++counters_.probe_failures;
-            if (probe_fail_c_ != nullptr) probe_fail_c_->inc();
+            probe_fail_c_.inc();
             ++p.fails;
             if (p.state == PeerState::healthy) {
                 p.state = PeerState::suspect;
-                if (suspect_c_ != nullptr) suspect_c_->inc();
+                suspect_c_.inc();
             }
             if (p.fails >= cfg_.monitor_dead_after) {
                 p.state = PeerState::dead;
-                ++counters_.peers_dead;
-                if (dead_c_ != nullptr) dead_c_->inc();
+                dead_c_.inc();
             }
         }
     }

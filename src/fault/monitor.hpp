@@ -30,12 +30,11 @@ enum class PeerState : std::uint8_t { healthy, suspect, dead };
 
 class ConnectionMonitor {
 public:
-    ConnectionMonitor(sim::Engine& engine, sci::Fabric& fabric, Config cfg);
+    /// Resolves the monitor.* counters in `metrics`.
+    ConnectionMonitor(sim::Engine& engine, sci::Fabric& fabric, Config cfg,
+                      obs::MetricsRegistry& metrics);
 
     void set_adapter(int node, sci::SciAdapter* adapter);
-
-    /// Resolve monitor.* counters.
-    void bind_metrics(obs::MetricsRegistry& m);
 
     /// Spawn the daemon and hook the fabric's link listener. Call before
     /// Engine::run().
@@ -47,12 +46,6 @@ public:
     [[nodiscard]] bool reachable(int src_node, int dst_node) const {
         return state(src_node, dst_node) != PeerState::dead;
     }
-
-    struct Counters {
-        std::uint64_t probe_failures = 0;
-        std::uint64_t peers_dead = 0;
-    };
-    [[nodiscard]] const Counters& counters() const { return counters_; }
 
 private:
     struct Pair {
@@ -80,13 +73,12 @@ private:
     sim::WaitQueue wake_q_;
     bool attention_ = false;
     bool started_ = false;
-    Counters counters_;
-    obs::Counter* sweeps_c_ = nullptr;
-    obs::Counter* probes_c_ = nullptr;
-    obs::Counter* probe_fail_c_ = nullptr;
-    obs::Counter* suspect_c_ = nullptr;
-    obs::Counter* dead_c_ = nullptr;
-    obs::Counter* recovered_c_ = nullptr;
+    obs::Counter& sweeps_c_;
+    obs::Counter& probes_c_;
+    obs::Counter& probe_fail_c_;
+    obs::Counter& suspect_c_;
+    obs::Counter& dead_c_;
+    obs::Counter& recovered_c_;
 };
 
 }  // namespace scimpi::fault

@@ -4,6 +4,7 @@
 // executor its table entry names (sched.hpp), and the call is recorded in
 // coll.* metrics and the trace.
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "mpi/coll/coll.hpp"
@@ -218,12 +219,12 @@ Status Comm::allgather(const void* in, int count, const Datatype& ty, void* out)
     const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
     if (size() <= 1) {
         // Self-block copy through the canonical stream.
-        std::vector<std::byte> tmp(bytes);
+        const auto tmp = std::make_unique_for_overwrite<std::byte[]>(bytes);
         std::size_t pos = 0;
-        Status st = pack(in, count, type, tmp, &pos);
+        Status st = pack(in, count, type, {tmp.get(), bytes}, &pos);
         if (!st) return st;
         pos = 0;
-        return unpack(tmp, &pos, out, count, type);
+        return unpack({tmp.get(), bytes}, &pos, out, count, type);
     }
     return coll::run(*this, Op::allgather, bytes,
                      {.in = in, .out = out, .count = count, .type = &type});

@@ -36,22 +36,22 @@ const char* ctrl_name(CtrlKind k) {
 Rank::Rank(Cluster& cluster, int rank, int node)
     : cluster_(cluster), rank_(rank), node_(node), copy_model_(cluster.options().host) {
     obs::MetricsRegistry& m = cluster.metrics();
-    pm_.sends_short = &m.counter("mpi.sends_short");
-    pm_.sends_eager = &m.counter("mpi.sends_eager");
-    pm_.sends_rndv = &m.counter("mpi.sends_rndv");
-    pm_.bytes_short = &m.counter("mpi.bytes_short");
-    pm_.bytes_eager = &m.counter("mpi.bytes_eager");
-    pm_.bytes_rndv = &m.counter("mpi.bytes_rndv");
-    pm_.unexpected = &m.counter("mpi.unexpected_msgs");
-    pm_.ff_packs = &m.counter("pack.ff_packs");
-    pm_.generic_packs = &m.counter("pack.generic_packs");
-    pm_.ff_direct_writes = &m.counter("pack.ff_direct_writes");
-    pm_.ff_direct_blocks = &m.counter("pack.ff_direct_blocks");
-    pm_.ff_direct_bytes = &m.counter("pack.ff_direct_bytes");
-    pm_.generic_staged_bytes = &m.counter("pack.generic_staged_bytes");
-    pm_.send_retries = &m.counter("mpi.send_retries");
-    pm_.send_recoveries = &m.counter("mpi.send_recoveries");
-    pm_.send_giveups = &m.counter("mpi.send_giveups");
+    pm_.sends_short = &m.counter("mpi.sends_short", rank);
+    pm_.sends_eager = &m.counter("mpi.sends_eager", rank);
+    pm_.sends_rndv = &m.counter("mpi.sends_rndv", rank);
+    pm_.bytes_short = &m.counter("mpi.bytes_short", rank);
+    pm_.bytes_eager = &m.counter("mpi.bytes_eager", rank);
+    pm_.bytes_rndv = &m.counter("mpi.bytes_rndv", rank);
+    pm_.unexpected = &m.counter("mpi.unexpected_msgs", rank);
+    pm_.ff_packs = &m.counter("pack.ff_packs", rank);
+    pm_.generic_packs = &m.counter("pack.generic_packs", rank);
+    pm_.ff_direct_writes = &m.counter("pack.ff_direct_writes", rank);
+    pm_.ff_direct_blocks = &m.counter("pack.ff_direct_blocks", rank);
+    pm_.ff_direct_bytes = &m.counter("pack.ff_direct_bytes", rank);
+    pm_.generic_staged_bytes = &m.counter("pack.generic_staged_bytes", rank);
+    pm_.send_retries = &m.counter("mpi.send_retries", rank);
+    pm_.send_recoveries = &m.counter("mpi.send_recoveries", rank);
+    pm_.send_giveups = &m.counter("mpi.send_giveups", rank);
     pm_.lat_short = &m.histogram("mpi.latency_short_ns");
     pm_.lat_eager = &m.histogram("mpi.latency_eager_ns");
     pm_.lat_rndv = &m.histogram("mpi.latency_rndv_ns");
@@ -342,10 +342,8 @@ void Rank::unpack_from_ring(RecvOp& op, std::span<std::byte> chunk, std::size_t 
 
 SimTime Rank::count_pack(const StreamMove& m, std::size_t staged) {
     if (m.path == PackPath::ff) {
-        ++stats_.ff_packs;
         pm_.ff_packs->inc();
     } else if (m.path == PackPath::generic) {
-        ++stats_.generic_packs;
         pm_.generic_packs->inc();
         pm_.generic_staged_bytes->add(staged);
     }
@@ -396,15 +394,12 @@ void Rank::start_send(SendOp& op) {
     const bool is_short = bytes <= cfg.short_threshold;
     const bool is_eager = !is_short && bytes <= cfg.eager_threshold;
     if (is_short) {
-        ++stats_.sends_short;
         pm_.sends_short->inc();
         pm_.bytes_short->add(bytes);
     } else if (is_eager) {
-        ++stats_.sends_eager;
         pm_.sends_eager->inc();
         pm_.bytes_eager->add(bytes);
     } else {
-        ++stats_.sends_rndv;
         pm_.sends_rndv->inc();
         pm_.bytes_rndv->add(bytes);
     }
@@ -520,18 +515,9 @@ Status Rank::retry_remote(int peer_node, FunctionRef<Status()> attempt) {
     const fault::RetryOutcome out = fault::retry_with_backoff(
         cur_proc(), cluster_.options().cfg, cluster_.monitor(), node_, peer_node,
         attempt);
-    if (out.retries > 0) {
-        stats_.send_retries += static_cast<std::uint64_t>(out.retries);
-        pm_.send_retries->add(static_cast<std::uint64_t>(out.retries));
-    }
-    if (out.recovered) {
-        ++stats_.send_recoveries;
-        pm_.send_recoveries->inc();
-    }
-    if (out.gave_up) {
-        ++stats_.send_giveups;
-        pm_.send_giveups->inc();
-    }
+    pm_.send_retries->add(static_cast<std::uint64_t>(out.retries));
+    if (out.recovered) pm_.send_recoveries->inc();
+    if (out.gave_up) pm_.send_giveups->inc();
     return out.status;
 }
 

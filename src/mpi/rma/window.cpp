@@ -12,16 +12,16 @@ namespace scimpi::mpi {
 Win::Win(Comm& comm, std::span<std::byte> local, int id)
     : comm_(&comm), rank_(&comm.rank_state()), local_(local), id_(id) {
     obs::MetricsRegistry& m = comm.cluster().metrics();
-    rm_.direct_puts = &m.counter("rma.direct_puts");
-    rm_.direct_gets = &m.counter("rma.direct_gets");
-    rm_.emulated_puts = &m.counter("rma.emulated_puts");
-    rm_.remote_put_gets = &m.counter("rma.remote_put_gets");
-    rm_.get_conversions = &m.counter("rma.get_conversions");
-    rm_.local_ops = &m.counter("rma.local_ops");
-    rm_.accumulates = &m.counter("rma.accumulates");
-    rm_.direct_put_bytes = &m.counter("rma.direct_put_bytes");
-    rm_.emulated_put_bytes = &m.counter("rma.emulated_put_bytes");
-    rm_.path_fallbacks = &m.counter("rma.path_fallbacks");
+    rm_.direct_puts = &m.counter("rma.direct_puts", rank_->rank());
+    rm_.direct_gets = &m.counter("rma.direct_gets", rank_->rank());
+    rm_.emulated_puts = &m.counter("rma.emulated_puts", rank_->rank());
+    rm_.remote_put_gets = &m.counter("rma.remote_put_gets", rank_->rank());
+    rm_.get_conversions = &m.counter("rma.get_conversions", rank_->rank());
+    rm_.local_ops = &m.counter("rma.local_ops", rank_->rank());
+    rm_.accumulates = &m.counter("rma.accumulates", rank_->rank());
+    rm_.direct_put_bytes = &m.counter("rma.direct_put_bytes", rank_->rank());
+    rm_.emulated_put_bytes = &m.counter("rma.emulated_put_bytes", rank_->rank());
+    rm_.path_fallbacks = &m.counter("rma.path_fallbacks", rank_->rank());
     rm_.lat_direct = &m.histogram("rma.latency_direct_ns");
     rm_.lat_emulated = &m.histogram("rma.latency_emulated_ns");
     rm_.lat_remote_put = &m.histogram("rma.latency_remote_put_ns");

@@ -105,16 +105,6 @@ public:
     [[nodiscard]] int id() const { return id_; }
     [[nodiscard]] int my_rank() const;
 
-    struct Stats {
-        std::uint64_t direct_puts = 0;
-        std::uint64_t direct_gets = 0;
-        std::uint64_t emulated_puts = 0;
-        std::uint64_t remote_put_gets = 0;
-        std::uint64_t local_ops = 0;
-        std::uint64_t path_fallbacks = 0;  ///< direct path dead -> emulated
-    };
-    [[nodiscard]] const Stats& stats() const { return stats_; }
-
 private:
     friend class RmaState;
     Win(Comm& comm, std::span<std::byte> local, int id);
@@ -154,9 +144,9 @@ private:
     int id_;
     std::vector<WinPeer> peers_;
     std::map<int, sci::SciMapping> mappings_;
-    Stats stats_;
-
-    /// Cluster-wide registry counters (shared slots, resolved at creation).
+    /// Registry handles, resolved at creation: the owning world rank's slot
+    /// of each rma.* counter (summed over the rank's windows); the
+    /// histograms are shared by all ranks.
     struct RmaMetrics {
         obs::Counter* direct_puts = nullptr;
         obs::Counter* direct_gets = nullptr;

@@ -121,8 +121,7 @@ Cluster::Cluster(ClusterOptions opt)
     for (int n = 0; n < opt_.nodes; ++n) {
         memories_.push_back(std::make_unique<mem::NodeMemory>(n, opt_.arena_bytes));
         adapters_.push_back(std::make_unique<sci::SciAdapter>(
-            n, fabric_, opt_.host, opt_.cfg));
-        adapters_.back()->bind_metrics(metrics_);
+            n, fabric_, opt_.host, opt_.cfg, metrics_));
         adapters_.back()->bind_checker(checker_.get());
     }
     const int world = opt_.nodes * opt_.procs_per_node;
@@ -136,8 +135,7 @@ Cluster::Cluster(ClusterOptions opt)
     }
     if (!opt_.faults.empty()) {
         faults_ = std::make_unique<fault::FaultController>(engine_, fabric_,
-                                                           opt_.faults);
-        faults_->bind_metrics(metrics_);
+                                                           opt_.faults, metrics_);
         for (int n = 0; n < opt_.nodes; ++n)
             faults_->set_adapter(n, adapters_[static_cast<std::size_t>(n)].get());
         for (const auto& r : ranks_)
@@ -145,8 +143,7 @@ Cluster::Cluster(ClusterOptions opt)
     }
     if (opt_.cfg.monitor_period > 0) {
         monitor_ = std::make_unique<fault::ConnectionMonitor>(engine_, fabric_,
-                                                              opt_.cfg);
-        monitor_->bind_metrics(metrics_);
+                                                              opt_.cfg, metrics_);
         for (int n = 0; n < opt_.nodes; ++n)
             monitor_->set_adapter(n, adapters_[static_cast<std::size_t>(n)].get());
     }

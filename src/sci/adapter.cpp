@@ -15,27 +15,28 @@ constexpr std::size_t round_up(std::size_t v, std::size_t a) { return (v + a - 1
 constexpr std::size_t round_down(std::size_t v, std::size_t a) { return v / a * a; }
 }  // namespace
 
-SciAdapter::SciAdapter(int node, Fabric& fabric, mem::MachineProfile host, Config cfg)
+SciAdapter::SciAdapter(int node, Fabric& fabric, mem::MachineProfile host, Config cfg,
+                       obs::MetricsRegistry& metrics)
     : node_(node),
       fabric_(fabric),
       host_(std::move(host)),
       cfg_(cfg),
-      rng_(cfg.seed * 0x51ed2701u + static_cast<std::uint64_t>(node) + 1) {}
-
-void SciAdapter::bind_metrics(obs::MetricsRegistry& m) {
-    pio_bytes_c_ = &m.counter("sci.pio_bytes");
-    read_bytes_c_ = &m.counter("sci.read_bytes");
-    dma_bytes_c_ = &m.counter("sci.dma_bytes");
-    restarts_c_ = &m.counter("sci.stream_restarts");
-    barriers_c_ = &m.counter("sci.store_barriers");
-    probes_c_ = &m.counter("sci.probes");
-    probe_fail_c_ = &m.counter("sci.probe_failures");
-    stall_waits_c_ = &m.counter("sci.adapter_stall_waits");
-}
+      rng_(cfg.seed * 0x51ed2701u + static_cast<std::uint64_t>(node) + 1),
+      write_calls_c_(metrics.counter("sci.write_calls", node)),
+      pio_bytes_c_(metrics.counter("sci.pio_bytes", node)),
+      read_bytes_c_(metrics.counter("sci.read_bytes", node)),
+      dma_bytes_c_(metrics.counter("sci.dma_bytes", node)),
+      restarts_c_(metrics.counter("sci.stream_restarts", node)),
+      gather_timeouts_c_(metrics.counter("sci.gather_timeouts", node)),
+      retries_c_(metrics.counter("sci.retries", node)),
+      barriers_c_(metrics.counter("sci.store_barriers", node)),
+      probes_c_(metrics.counter("sci.probes", node)),
+      probe_fail_c_(metrics.counter("sci.probe_failures", node)),
+      stall_waits_c_(metrics.counter("sci.adapter_stall_waits", node)) {}
 
 void SciAdapter::wait_if_stalled(sim::Process& self) {
     if (self.now() >= stall_until_) return;
-    if (stall_waits_c_ != nullptr) stall_waits_c_->inc();
+    stall_waits_c_.inc();
     // The stall may be extended while we wait, so loop until clear.
     while (self.now() < stall_until_) self.delay(stall_until_ - self.now());
 }
@@ -126,7 +127,7 @@ SimTime SciAdapter::wc_write_time(StreamState& st, const SciMapping& map,
         if (len < p.wc_gather_min) {
             // The source-side pause between tiny blocks lets the WC buffer
             // time out and flush partially.
-            ++stats_.gather_timeouts;
+            gather_timeouts_c_.inc();
             return p.wc_gather_timeout + transfer_time(len, p.burst_bw);
         }
         return transfer_time(len, p.burst_bw);
@@ -136,8 +137,7 @@ SimTime SciAdapter::wc_write_time(StreamState& st, const SciMapping& map,
     // transmission when it was written; only the stream re-arm costs extra.
     SimTime t = 0;
     if (cfg_.stream_buffers) t += p.stream_restart;
-    ++stats_.stream_restarts;
-    if (restarts_c_ != nullptr) restarts_c_->inc();
+    restarts_c_.inc();
 
     const std::size_t line = p.wc_line;
     const std::size_t head_end = std::min(round_up(off, line), off + len);
@@ -173,7 +173,7 @@ Status SciAdapter::inject_errors(std::size_t packets, SimTime* t, double rate) {
         int attempts = 0;
         while (rng_.chance(rate)) {
             ++attempts;
-            ++stats_.retries;
+            retries_c_.inc();
             *t += p.retry_penalty;
             if (attempts >= cfg_.max_retries)
                 return Status::error(Errc::link_failure,
@@ -191,9 +191,8 @@ Status SciAdapter::write(sim::Process& self, const SciMapping& map, std::size_t 
                                  path))
         return *done;
     if (src_traffic == 0) src_traffic = len;
-    ++stats_.write_calls;
-    stats_.bytes_written += len;
-    if (pio_bytes_c_ != nullptr) pio_bytes_c_->add(len);
+    write_calls_c_.inc();
+    pio_bytes_c_.add(len);
 
     if (!map.remote()) {
         // Loopback mapping: an ordinary cached local copy.
@@ -257,9 +256,8 @@ Status SciAdapter::write_gather(sim::Process& self, const SciMapping& map,
                                  path))
         return *done;
     if (src_traffic == 0) src_traffic = total;
-    ++stats_.write_calls;
-    stats_.bytes_written += total;
-    if (pio_bytes_c_ != nullptr) pio_bytes_c_->add(total);
+    write_calls_c_.inc();
+    pio_bytes_c_.add(total);
 
     if (!map.remote()) {
         // Local scatter-gather copy: strided source, contiguous destination.
@@ -308,8 +306,7 @@ Status SciAdapter::read(sim::Process& self, const SciMapping& map, std::size_t o
     if (auto done = begin_access(self, map, off, len, /*is_store=*/false, "remote read",
                                  path))
         return *done;
-    stats_.bytes_read += len;
-    if (read_bytes_c_ != nullptr) read_bytes_c_->add(len);
+    read_bytes_c_.add(len);
 
     if (!map.remote()) {
         mem::CopyModel cm(host_);
@@ -353,8 +350,7 @@ Status SciAdapter::dma(sim::Process& self, const SciMapping& map, std::size_t of
     if (auto done = begin_access(self, map, off, total, /*is_store=*/true, what, path))
         return *done;
     const SciParams& p = fabric_.params();
-    stats_.dma_bytes += total;
-    if (dma_bytes_c_ != nullptr) dma_bytes_c_->add(total);
+    dma_bytes_c_.add(total);
     // Descriptor chain setup: one per gathered block. This is why DMA pays
     // off only for large basic blocks (Section 6 outlook).
     self.delay(p.dma_startup + static_cast<SimTime>(descs) * p.dma_desc_cost);
@@ -374,8 +370,7 @@ Status SciAdapter::dma(sim::Process& self, const SciMapping& map, std::size_t of
 
 bool SciAdapter::probe_peer(sim::Process& self, int peer_node) {
     const SciParams& p = fabric_.params();
-    ++stats_.probes;
-    if (probes_c_ != nullptr) probes_c_->inc();
+    probes_c_.inc();
     if (peer_node == node_) {
         self.delay(100);
         return true;
@@ -385,8 +380,7 @@ bool SciAdapter::probe_peer(sim::Process& self, int peer_node) {
         !fabric_.route_usable(peer_node, node_)) {
         // Probe times out after the retry budget.
         self.delay(static_cast<SimTime>(cfg_.max_retries) * p.retry_penalty);
-        ++stats_.probe_failures;
-        if (probe_fail_c_ != nullptr) probe_fail_c_->inc();
+        probe_fail_c_.inc();
         return false;
     }
     self.delay(p.read_latency);  // one small round trip
@@ -395,8 +389,7 @@ bool SciAdapter::probe_peer(sim::Process& self, int peer_node) {
 
 void SciAdapter::store_barrier(sim::Process& self) {
     const SciParams& p = fabric_.params();
-    ++stats_.barriers;
-    if (barriers_c_ != nullptr) barriers_c_->inc();
+    barriers_c_.inc();
     SimTime t = p.barrier_latency;
     StreamState& st = stream(self.id());
     if (st.valid) {

@@ -42,20 +42,10 @@ namespace scimpi::sci {
 
 class SciAdapter {
 public:
-    SciAdapter(int node, Fabric& fabric, mem::MachineProfile host, Config cfg);
-
-    struct Stats {
-        std::uint64_t write_calls = 0;
-        std::uint64_t bytes_written = 0;
-        std::uint64_t bytes_read = 0;
-        std::uint64_t stream_restarts = 0;
-        std::uint64_t gather_timeouts = 0;
-        std::uint64_t barriers = 0;
-        std::uint64_t retries = 0;
-        std::uint64_t dma_bytes = 0;
-        std::uint64_t probes = 0;
-        std::uint64_t probe_failures = 0;
-    };
+    /// Resolves slot `node` of every sci.* counter in `metrics` (see
+    /// obs/metrics.hpp): sci.pio_bytes, sci.write_calls, sci.retries, ...
+    SciAdapter(int node, Fabric& fabric, mem::MachineProfile host, Config cfg,
+               obs::MetricsRegistry& metrics);
 
     /// Transparent remote store of `len` bytes to `map` at `off`.
     /// `src_traffic` is the number of bytes the CPU reads locally to feed the
@@ -110,11 +100,6 @@ public:
     void stall_until(SimTime t) { stall_until_ = std::max(stall_until_, t); }
     [[nodiscard]] SimTime stalled_until() const { return stall_until_; }
 
-    /// Attach a metrics registry: every adapter resolves the same cluster
-    /// counters (sci.pio_bytes, sci.dma_bytes, ...), so increments aggregate
-    /// over all nodes. Per-adapter Stats stay unconditional.
-    void bind_metrics(obs::MetricsRegistry& m);
-
     /// Attach the scimpi-check checker (may be null). The adapter is the
     /// choke point for every access through an imported mapping, so all
     /// remote loads, PIO stores and DMA writes of watched segments are
@@ -127,11 +112,9 @@ public:
 
     [[nodiscard]] int node() const { return node_; }
     [[nodiscard]] Fabric& fabric() { return fabric_; }
-    [[nodiscard]] const Stats& stats() const { return stats_; }
     [[nodiscard]] const Config& config() const { return cfg_; }
     Config& config() { return cfg_; }
     [[nodiscard]] const mem::MachineProfile& host() const { return host_; }
-    void reset_stats() { stats_ = Stats{}; }
 
     /// Posted stores currently in flight across all processes on this node
     /// (the adapter's write-queue depth; flight-recorder probe).
@@ -200,21 +183,24 @@ private:
     mem::MachineProfile host_;
     Config cfg_;
     Rng rng_;
-    Stats stats_;
     SimTime stall_until_ = 0;
 
     std::vector<StreamState> streams_;   // per process id
     std::vector<int> pending_stores_;    // per process id: stores in flight
     sim::WaitQueue barrier_waiters_;
 
-    obs::Counter* pio_bytes_c_ = nullptr;       // PIO store bytes (write paths)
-    obs::Counter* read_bytes_c_ = nullptr;      // transparent remote loads
-    obs::Counter* dma_bytes_c_ = nullptr;       // DMA engine bytes
-    obs::Counter* restarts_c_ = nullptr;        // stream buffer restarts
-    obs::Counter* barriers_c_ = nullptr;        // store barriers issued
-    obs::Counter* probes_c_ = nullptr;          // connection-monitor probes
-    obs::Counter* probe_fail_c_ = nullptr;      // probes that timed out
-    obs::Counter* stall_waits_c_ = nullptr;     // ops delayed by injected stalls
+    // This adapter's slot of each sci.* counter.
+    obs::Counter& write_calls_c_;     // write / write_gather calls
+    obs::Counter& pio_bytes_c_;       // PIO store bytes (write paths)
+    obs::Counter& read_bytes_c_;      // transparent remote loads
+    obs::Counter& dma_bytes_c_;       // DMA engine bytes
+    obs::Counter& restarts_c_;        // stream buffer restarts
+    obs::Counter& gather_timeouts_c_; // WC flushes between tiny blocks
+    obs::Counter& retries_c_;         // transaction retries (injected errors)
+    obs::Counter& barriers_c_;        // store barriers issued
+    obs::Counter& probes_c_;          // connection-monitor probes
+    obs::Counter& probe_fail_c_;      // probes that timed out
+    obs::Counter& stall_waits_c_;     // ops delayed by injected stalls
     check::Checker* checker_ = nullptr;         // null unless SCIMPI_CHECK
 };
 

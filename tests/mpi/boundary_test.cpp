@@ -37,10 +37,10 @@ TEST(Boundary, ExactProtocolThresholdEdges) {
     });
     // Inclusive thresholds: 127 and 128 go short; 129, 16383 and 16384 go
     // eager; only 16385 needs a rendezvous.
-    const auto& st = c.rank_state(0).stats();
-    EXPECT_GE(st.sends_short, 2u);  // plus finalize-barrier tokens
-    EXPECT_EQ(st.sends_eager, 3u);
-    EXPECT_EQ(st.sends_rndv, 1u);
+    const obs::MetricsRegistry& m = c.metrics();
+    EXPECT_GE(m.value("mpi.sends_short", 0), 2u);  // plus finalize-barrier tokens
+    EXPECT_EQ(m.value("mpi.sends_eager", 0), 3u);
+    EXPECT_EQ(m.value("mpi.sends_rndv", 0), 1u);
 }
 
 TEST(Boundary, ResizedTypeTilesWithCustomExtent) {

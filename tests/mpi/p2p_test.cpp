@@ -39,9 +39,9 @@ TEST(P2P, ShortMessageRoundTrip) {
         }
     });
     // The user message plus the finalize-barrier token are both short sends.
-    EXPECT_GE(c.rank_state(0).stats().sends_short, 1u);
-    EXPECT_EQ(c.rank_state(0).stats().sends_eager, 0u);
-    EXPECT_EQ(c.rank_state(0).stats().sends_rndv, 0u);
+    EXPECT_GE(c.metrics().value("mpi.sends_short", 0), 1u);
+    EXPECT_EQ(c.metrics().value("mpi.sends_eager", 0), 0u);
+    EXPECT_EQ(c.metrics().value("mpi.sends_rndv", 0), 0u);
 }
 
 TEST(P2P, ShortMessageLatencyIsMicroseconds) {
@@ -79,7 +79,7 @@ TEST(P2P, EagerMessageRoundTrip) {
             EXPECT_EQ(out, data);
         }
     });
-    EXPECT_EQ(c.rank_state(0).stats().sends_eager, 1u);
+    EXPECT_EQ(c.metrics().value("mpi.sends_eager", 0), 1u);
 }
 
 TEST(P2P, RendezvousLargeMessageRoundTrip) {
@@ -97,7 +97,7 @@ TEST(P2P, RendezvousLargeMessageRoundTrip) {
             EXPECT_EQ(out, data);
         }
     });
-    EXPECT_EQ(c.rank_state(0).stats().sends_rndv, 1u);
+    EXPECT_EQ(c.metrics().value("mpi.sends_rndv", 0), 1u);
 }
 
 TEST(P2P, RendezvousMultiChunkUsesRingTwice) {
@@ -145,8 +145,8 @@ TEST(P2P, NonContiguousVectorSendViaFF) {
             EXPECT_EQ(out[128], -1.0);
         }
     });
-    EXPECT_GT(c.rank_state(0).stats().ff_packs, 0u);
-    EXPECT_EQ(c.rank_state(0).stats().generic_packs, 0u);
+    EXPECT_GT(c.metrics().value("pack.ff_packs", 0), 0u);
+    EXPECT_EQ(c.metrics().value("pack.generic_packs", 0), 0u);
 }
 
 TEST(P2P, NonContiguousFallsBackToGenericWhenFFDisabled) {
@@ -166,8 +166,8 @@ TEST(P2P, NonContiguousFallsBackToGenericWhenFFDisabled) {
             EXPECT_EQ(out[1], 1.0);
         }
     });
-    EXPECT_EQ(c.rank_state(0).stats().ff_packs, 0u);
-    EXPECT_GT(c.rank_state(0).stats().generic_packs, 0u);
+    EXPECT_EQ(c.metrics().value("pack.ff_packs", 0), 0u);
+    EXPECT_GT(c.metrics().value("pack.generic_packs", 0), 0u);
 }
 
 TEST(P2P, MixedTypeSignatures) {

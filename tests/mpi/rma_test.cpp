@@ -25,6 +25,12 @@ std::shared_ptr<Win> shared_window(Comm& comm, std::size_t bytes) {
     return comm.win_create(mem.value().data(), bytes);
 }
 
+/// This rank's slot of an rma.* counter (the sum over its windows; each
+/// test below gives a rank one window).
+std::uint64_t rma_count(Comm& comm, const char* name) {
+    return comm.cluster().metrics().value(name, comm.rank_state().rank());
+}
+
 TEST(Rma, SharedWindowIsDetected) {
     Cluster c(nodes(2));
     c.run([](Comm& comm) {
@@ -61,7 +67,7 @@ TEST(Rma, DirectPutVisibleAfterFence) {
             EXPECT_EQ(d[0], 100.0);
             EXPECT_EQ(d[63], 163.0);
         }
-        EXPECT_EQ(win->stats().direct_puts, comm.rank() == 0 ? 1u : 0u);
+        EXPECT_EQ(rma_count(comm, "rma.direct_puts"), comm.rank() == 0 ? 1u : 0u);
     });
 }
 
@@ -83,8 +89,8 @@ TEST(Rma, EmulatedPutIntoPrivateWindow) {
             EXPECT_EQ(out[1], 4.5);
         }
         if (comm.rank() == 0) {
-            EXPECT_EQ(win->stats().emulated_puts, 1u);
-            EXPECT_EQ(win->stats().direct_puts, 0u);
+            EXPECT_EQ(rma_count(comm, "rma.emulated_puts"), 1u);
+            EXPECT_EQ(rma_count(comm, "rma.direct_puts"), 0u);
         }
     });
 }
@@ -101,8 +107,8 @@ TEST(Rma, SmallGetUsesDirectRead) {
         ASSERT_TRUE(win->get(&got, 1, Datatype::float64(), peer, 0));
         win->fence();
         EXPECT_EQ(got, peer + 0.25);
-        EXPECT_EQ(win->stats().direct_gets, 1u);
-        EXPECT_EQ(win->stats().remote_put_gets, 0u);
+        EXPECT_EQ(rma_count(comm, "rma.direct_gets"), 1u);
+        EXPECT_EQ(rma_count(comm, "rma.remote_put_gets"), 0u);
     });
 }
 
@@ -119,8 +125,8 @@ TEST(Rma, LargeGetSwitchesToRemotePut) {
         win->fence();
         EXPECT_EQ(got[0], peer * 10000.0);
         EXPECT_EQ(got[4095], peer * 10000.0 + 4095);
-        EXPECT_EQ(win->stats().remote_put_gets, 1u);
-        EXPECT_EQ(win->stats().direct_gets, 0u);
+        EXPECT_EQ(rma_count(comm, "rma.remote_put_gets"), 1u);
+        EXPECT_EQ(rma_count(comm, "rma.direct_gets"), 0u);
     });
 }
 
@@ -136,7 +142,7 @@ TEST(Rma, GetFromPrivateWindowAlwaysEmulated) {
         // below threshold, but private target memory forces emulation
         win->fence();
         EXPECT_EQ(got, peer + 1.5);
-        EXPECT_EQ(win->stats().remote_put_gets, 1u);
+        EXPECT_EQ(rma_count(comm, "rma.remote_put_gets"), 1u);
     });
 }
 
@@ -302,7 +308,7 @@ TEST(Rma, LocalPutGetBypassNetwork) {
         double got = 0.0;
         ASSERT_TRUE(win->get(&got, 1, Datatype::float64(), comm.rank(), 8));
         EXPECT_EQ(got, 5.25);
-        EXPECT_EQ(win->stats().local_ops, 2u);
+        EXPECT_EQ(rma_count(comm, "rma.local_ops"), 2u);
         win->fence();
     });
 }

@@ -67,7 +67,7 @@ TEST(Determinism, SeedChangesErrorPatternButNotResults) {
             if (comm.rank() == 0)
                 *checksum = std::accumulate(theirs.begin(), theirs.end(), 0.0);
         });
-        return c.adapter(0).stats().retries + 1000 * c.adapter(1).stats().retries;
+        return c.metrics().value("sci.retries", 0) + 1000 * c.metrics().value("sci.retries", 1);
     };
     double sum1 = 0.0, sum2 = 0.0;
     const auto r1 = retries_for(1, &sum1);
@@ -95,7 +95,7 @@ TEST(ErrorInjection, LargeTransfersSurviveRetries) {
             EXPECT_EQ(data[131071], 131071.0);
         }
     });
-    EXPECT_GT(c.adapter(0).stats().retries, 10u);
+    EXPECT_GT(c.metrics().value("sci.retries", 0), 10u);
 }
 
 TEST(ErrorInjection, RetriesSlowTheTransferDown) {
@@ -260,7 +260,7 @@ TEST(DmaRendezvous, GatherModeHandlesNoncontig) {
             EXPECT_EQ(buf[16384], 16384.0);
         }
     });
-    EXPECT_GT(c.adapter(0).stats().dma_bytes, 0u);
+    EXPECT_GT(c.metrics().value("sci.dma_bytes", 0), 0u);
 }
 
 TEST(DmaRendezvous, StagedGenericChunksGoByDmaToo) {
@@ -287,7 +287,7 @@ TEST(DmaRendezvous, StagedGenericChunksGoByDmaToo) {
             EXPECT_EQ(buf[4095 * 8 + 3], 4095.0 * 8 + 3);
         }
     });
-    EXPECT_EQ(c.adapter(0).stats().dma_bytes, 128_KiB);
+    EXPECT_EQ(c.metrics().value("sci.dma_bytes", 0), 128_KiB);
 }
 
 TEST(DmaRendezvous, SmallChunksStayOnPio) {
@@ -306,7 +306,7 @@ TEST(DmaRendezvous, SmallChunksStayOnPio) {
                                   Datatype::float64(), 0, 0)
                             .status);
     });
-    EXPECT_EQ(c.adapter(0).stats().dma_bytes, 0u);
+    EXPECT_EQ(c.metrics().value("sci.dma_bytes", 0), 0u);
 }
 
 }  // namespace

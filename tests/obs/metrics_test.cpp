@@ -11,18 +11,49 @@
 namespace scimpi::obs {
 namespace {
 
-TEST(MetricsRegistry, DisabledCountersHaveNoSideEffects) {
+TEST(MetricsRegistry, DisabledGaugesHaveNoSideEffects) {
     MetricsRegistry m;  // disabled by default
-    Counter& c = m.counter("x.count");
     Gauge& g = m.gauge("x.level");
-    c.inc();
-    c.add(100);
     g.set(7.0);
     g.add(3.0);
-    EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(g.value(), 0.0);
     EXPECT_EQ(g.max(), 0.0);
-    EXPECT_EQ(m.value("x.count"), 0u);
+    EXPECT_TRUE(m.gauge_maxima().size() == 1 && m.gauge_maxima()[0].second == 0.0);
+}
+
+TEST(MetricsRegistry, CountersCountWhileDisabledButExportZeros) {
+    MetricsRegistry m;  // disabled by default
+    Counter& c = m.counter("x.count");
+    c.inc();
+    c.add(100);
+    EXPECT_EQ(c.value(), 101u);
+    EXPECT_EQ(m.value("x.count"), 101u);
+    ASSERT_EQ(m.counters().size(), 1u);
+    EXPECT_EQ(m.counters()[0].second, 0u);  // the export is gated
+    m.enable();
+    EXPECT_EQ(m.counters()[0].second, 101u);
+}
+
+TEST(MetricsRegistry, LabelledSlotsSumToTheNamedValue) {
+    MetricsRegistry m;
+    m.enable();
+    Counter& s2 = m.counter("sci.x", 2);
+    s2.add(5);
+    EXPECT_EQ(m.labels("sci.x"), 3u);  // slots 0..2, the lower two empty
+    Counter& s0 = m.counter("sci.x");  // the unlabelled slot is slot 0
+    s0.add(1);
+    for (int l = 3; l < 64; ++l) m.counter("sci.x", l).inc();  // growth keeps handles
+    EXPECT_EQ(&s2, &m.counter("sci.x", 2));
+    s2.inc();
+    EXPECT_EQ(m.value("sci.x", 0), 1u);
+    EXPECT_EQ(m.value("sci.x", 1), 0u);
+    EXPECT_EQ(m.value("sci.x", 2), 6u);
+    EXPECT_EQ(m.value("sci.x", 64), 0u);  // past the last slot
+    EXPECT_EQ(m.value("sci.x"), 1u + 6u + 61u);
+    ASSERT_EQ(m.counters().size(), 1u);  // one name, one exported key
+    EXPECT_EQ(m.counters()[0].second, m.value("sci.x"));
+    EXPECT_EQ(m.labels("absent"), 0u);
+    EXPECT_EQ(m.value("absent", 0), 0u);
 }
 
 TEST(MetricsRegistry, EnabledCountersAccumulate) {

@@ -165,8 +165,8 @@ TEST(StatsReport, DisabledRegistryStaysAllZero) {
     EXPECT_FALSE(r.stats_enabled);
     EXPECT_EQ(r.counter("mpi.sends_eager"), 0u);
     EXPECT_EQ(r.counter("fabric.payload_bytes"), 0u);
-    // The unconditional per-rank Stats still observe the traffic.
-    EXPECT_EQ(c.rank_state(0).stats().sends_eager, 1u);
+    // The counters still count; only the report is gated.
+    EXPECT_EQ(c.metrics().value("mpi.sends_eager", 0), 1u);
     // Report JSON stays well-formed either way.
     EXPECT_TRUE(testsupport::json_valid(r.to_json()));
 }
@@ -463,12 +463,14 @@ struct CellResult {
     std::vector<std::pair<std::string, double>> gauges;
     std::set<std::string> recorded;  // the flight recorder's series names
     std::size_t samples = 0;         // flight-recorder samples taken
+    /// Every counter's per-object slots, read from the live registry.
+    std::map<std::string, std::vector<std::uint64_t>> slots;
 };
 
-CellResult run_cell(Workload w, Toggle t) {
+CellResult run_cell(Workload w, Toggle t, bool stats = true) {
     ClusterOptions opt;
     opt.nodes = 4;
-    opt.collect_stats = true;
+    opt.collect_stats = stats;
     const std::string base = ::testing::TempDir() + "/scimpi_matrix_" +
                              workload_name(w) + "_" + toggle_name(t);
     const bool all = t == Toggle::all;
@@ -501,6 +503,12 @@ CellResult run_cell(Workload w, Toggle t) {
         out.gauges = r.gauges;
         for (const obs::TimeSeries& ts : c.recorder().series()) out.recorded.insert(ts.name);
         out.samples = c.recorder().sample_count();
+        const obs::MetricsRegistry& m = c.metrics();
+        for (const auto& [name, value] : r.counters) {
+            std::vector<std::uint64_t>& slots = out.slots[name];
+            for (std::size_t l = 0; l < m.labels(name); ++l)
+                slots.push_back(m.value(name, static_cast<int>(l)));
+        }
     }
     std::remove((base + ".trace.json").c_str());
     std::remove((base + ".evlog").c_str());
@@ -565,6 +573,45 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(workload_name(std::get<0>(p.param))) + "_" +
                toggle_name(std::get<1>(p.param));
     });
+
+TEST(StatsReport, PerObjectSlotsCountWithStatsOffAndSumToTheExport) {
+    // Per workload: the slot every object (node or world rank) must fill.
+    const std::pair<Workload, const char*> cells[] = {
+        {Workload::seg_coll, "sci.pio_bytes"},
+        {Workload::rma_private, "rma.emulated_puts"},
+        {Workload::faults, "mpi.send_retries"},
+        {Workload::async, "mpi.sends_rndv"},
+    };
+    for (const auto& [w, busy] : cells) {
+        SCOPED_TRACE(workload_name(w));
+        const CellResult on = run_cell(w, Toggle::none);
+        const CellResult off = run_cell(w, Toggle::none, /*stats=*/false);
+        // (a) Counting does not depend on the stats switch, slot by slot;
+        // only the export is gated.
+        EXPECT_EQ(off.slots, on.slots);
+        for (const auto& [name, value] : off.counters) EXPECT_EQ(value, 0u) << name;
+        // (b) The exported value of every counter is the sum of its slots.
+        int labelled = 0;
+        for (const auto& [name, value] : on.counters) {
+            const std::vector<std::uint64_t>& slots = on.slots.at(name);
+            labelled += slots.size() > 1 ? 1 : 0;
+            std::uint64_t sum = 0;
+            for (const std::uint64_t v : slots) sum += v;
+            EXPECT_EQ(sum, value) << name;
+        }
+        EXPECT_GT(labelled, 0);
+        // Each object counts into its own slot: one slot per node / rank,
+        // and every one that did the work has counted it.
+        const std::vector<std::uint64_t>& per_object = on.slots.at(busy);
+        ASSERT_EQ(per_object.size(), 4u) << busy;
+        const std::size_t workers = w == Workload::faults ? 1 : per_object.size();
+        for (std::size_t l = 0; l < workers; ++l)
+            EXPECT_GT(per_object[l], 0u) << busy << " slot " << l;
+        if (w == Workload::async) {
+            for (const std::uint64_t v : per_object) EXPECT_EQ(v, 1u) << busy;
+        }
+    }
+}
 
 TEST(StatsReport, OmitsHistogramsThatRecordedNoSamples) {
     // v4: the report drops all-zero histogram snapshots. The RMA latency

@@ -69,7 +69,7 @@ TEST(Adapter, BarrierWaitsForAllPendingStores) {
                 << "chunk " << i;
     });
     c.engine.run();
-    EXPECT_EQ(c.adapters[0]->stats().barriers, 1u);
+    EXPECT_EQ(c.metrics.value("sci.store_barriers", 0), 1u);
 }
 
 /// At the first dispatch choice among timed callbacks only, runs the second
@@ -134,7 +134,7 @@ TEST(Adapter, ContiguousAscendingStreamReachesBurstBandwidth) {
         EXPECT_LT(bw, c.fabric.params().burst_bw * 1.05);
     });
     c.engine.run();
-    EXPECT_EQ(c.adapters[0]->stats().stream_restarts, 1u);
+    EXPECT_EQ(c.metrics.value("sci.stream_restarts", 0), 1u);
 }
 
 TEST(Adapter, ScatteredSmallAlignedWritesLandInPaperBand) {
@@ -201,7 +201,7 @@ TEST(Adapter, TinyContinuationBlocksHitGatherTimeout) {
             EXPECT_TRUE(c.adapters[0]->write(p, map, off, &v, 8));
     });
     c.engine.run();
-    EXPECT_GT(c.adapters[0]->stats().gather_timeouts, 1000u);
+    EXPECT_GT(c.metrics.value("sci.gather_timeouts", 0), 1000u);
 }
 
 TEST(Adapter, LargeSourceBuffersDipToMemoryFeedLimit) {
@@ -309,7 +309,7 @@ TEST(Adapter, ErrorInjectionCountsRetriesAndStillDelivers) {
         EXPECT_EQ(std::memcmp(map.mem.data(), data.data(), data.size()), 0);
     });
     c.engine.run();
-    EXPECT_GT(c.adapters[0]->stats().retries, 20u);  // ~2% of 8192 packets
+    EXPECT_GT(c.metrics.value("sci.retries", 0), 20u);  // ~2% of 8192 packets
 }
 
 TEST(Adapter, ExcessiveErrorsSurfaceAsLinkFailure) {
@@ -388,10 +388,10 @@ TEST(Adapter, StatsAccumulateAndReset) {
         ASSERT_TRUE(c.adapters[0]->read(p, map, 8_KiB, out.data(), out.size()));
     });
     c.engine.run();
-    EXPECT_EQ(c.adapters[0]->stats().bytes_written, 4_KiB);
-    EXPECT_EQ(c.adapters[0]->stats().bytes_read, 4_KiB);
-    c.adapters[0]->reset_stats();
-    EXPECT_EQ(c.adapters[0]->stats().write_calls, 0u);
+    EXPECT_EQ(c.metrics.value("sci.pio_bytes", 0), 4_KiB);
+    EXPECT_EQ(c.metrics.value("sci.read_bytes", 0), 4_KiB);
+    c.metrics.reset();
+    EXPECT_EQ(c.metrics.value("sci.write_calls", 0), 0u);
 }
 
 }  // namespace

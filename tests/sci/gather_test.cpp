@@ -74,7 +74,7 @@ TEST(WriteGather, TinyBlocksPayGatherTimeouts) {
         ASSERT_TRUE(c.adapters[0]->write_gather(p, map, 0, blocks));
     });
     c.engine.run();
-    EXPECT_GT(c.adapters[0]->stats().gather_timeouts, 400u);
+    EXPECT_GT(c.metrics.value("sci.gather_timeouts", 0), 400u);
 }
 
 TEST(WriteGather, EqualLengthRunsChargeEveryBlockAndKeepTheStreamArmed) {
@@ -108,10 +108,10 @@ TEST(WriteGather, EqualLengthRunsChargeEveryBlockAndKeepTheStreamArmed) {
         }
     });
     c.engine.run();
-    const auto& st = c.adapters[0]->stats();
-    EXPECT_EQ(st.stream_restarts, 1u);  // only the first block of all jumps
+    // Only the first block of all jumps.
+    EXPECT_EQ(c.metrics.value("sci.stream_restarts", 0), 1u);
     // Every tiny block but that first one is a continuation.
-    EXPECT_EQ(st.gather_timeouts, 2 * tiny_blocks - 1);
+    EXPECT_EQ(c.metrics.value("sci.gather_timeouts", 0), 2 * tiny_blocks - 1);
 }
 
 TEST(WriteGather, EmptyBlockListIsFree) {

@@ -1,5 +1,6 @@
 // Shared test fixture: a small simulated SCI cluster (engine + ring fabric +
-// node memories + adapters + segment directory).
+// node memories + adapters + segment directory), with the metrics registry
+// the adapters count into.
 #pragma once
 
 #include <memory>
@@ -7,6 +8,7 @@
 
 #include "common/config.hpp"
 #include "mem/node_memory.hpp"
+#include "obs/metrics.hpp"
 #include "sci/adapter.hpp"
 #include "sci/fabric.hpp"
 #include "sci/segment.hpp"
@@ -23,7 +25,7 @@ struct MiniCluster {
         for (int n = 0; n < nodes; ++n) {
             memories.push_back(std::make_unique<mem::NodeMemory>(n, arena));
             adapters.push_back(std::make_unique<SciAdapter>(
-                n, fabric, mem::pentium3_800(), cfg));
+                n, fabric, mem::pentium3_800(), cfg, metrics));
         }
     }
 
@@ -41,6 +43,7 @@ struct MiniCluster {
     }
 
     sim::Engine engine;
+    obs::MetricsRegistry metrics;
     Fabric fabric;
     SegmentDirectory directory;
     std::vector<std::unique_ptr<mem::NodeMemory>> memories;
