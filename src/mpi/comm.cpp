@@ -217,9 +217,11 @@ Status Comm::pack(const void* inbuf, int count, const Datatype& type,
     if (*position + bytes > outbuf.size())
         return Status::error(Errc::truncated, "pack buffer too small");
     // Canonical order on the wire; ff machinery when it is order-safe.
-    proc().delay(pack_stream(&t, count, inbuf, 0, bytes, outbuf.data() + *position,
-                             ff_may_move(cluster_->options().cfg, t), rank_->copy_model())
-                     .cost);
+    proc().delay(rank_->count_pack(pack_stream(&t, count, inbuf, 0, bytes,
+                                               outbuf.data() + *position,
+                                               ff_may_move(cluster_->options().cfg, t),
+                                               rank_->copy_model()),
+                                   bytes));
     *position += bytes;
     return Status::ok();
 }
@@ -232,10 +234,10 @@ Status Comm::unpack(std::span<const std::byte> inbuf, std::size_t* position,
     const std::size_t bytes = t.size() * static_cast<std::size_t>(count);
     if (*position + bytes > inbuf.size())
         return Status::error(Errc::truncated, "unpack past end of buffer");
-    proc().delay(unpack_stream(&t, count, outbuf, 0, bytes, inbuf.data() + *position,
-                               ff_may_move(cluster_->options().cfg, t),
-                               rank_->copy_model())
-                     .cost);
+    proc().delay(rank_->count_pack(unpack_stream(&t, count, outbuf, 0, bytes,
+                                                 inbuf.data() + *position,
+                                                 ff_may_move(cluster_->options().cfg, t),
+                                                 rank_->copy_model())));
     *position += bytes;
     return Status::ok();
 }
